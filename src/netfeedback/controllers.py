@@ -179,14 +179,36 @@ def nn_estimate_local(view: LocalFlowView, target_node: int, t: int):
     return w.fhat, (w.node, w.time)
 
 
+def _nearest(cand: np.ndarray, q: np.ndarray):
+    """One broadcast scan of the 1-d candidates for all queries in q.
+
+    Returns the distance table, shape (len(q), len(cand)), and per query the
+    flat index of the nearest candidate (argmin's first match on ties). Each
+    distance is the same float operation a per-query scan performs.
+    """
+    d = np.abs(cand - q[:, None])
+    return d, d.argmin(axis=1)
+
+
+def _local_fhats(view: LocalFlowView, targets: tuple, t: int) -> np.ndarray:
+    """local_witness(view, j, t).fhat for every j in targets, in one scan."""
+    if t < 1:
+        raise ValueError("witnesses need at least one past snapshot")
+    x = view.x
+    q = x[t, [view.col_of(j) for j in targets]]
+    _, flat = _nearest(x[:t].reshape(-1), q)
+    return view.z.reshape(-1)[flat]   # z rows are as wide as x rows
+
+
 def control_local_flow(view: LocalFlowView, graph: WeightedDigraph,
                        i: int, t: int) -> float:
     """Cancel neighbours via the local witnesses and anchor on x_i(0)."""
     if t == 0:
         return 0.0
     acc = 0.0
-    for j in graph.neighbors(i):
-        acc -= graph.weights[i, j] * local_witness(view, j, t).fhat
+    nbrs = graph.neighbors(i)
+    for j, fhat in zip(nbrs, _local_fhats(view, nbrs, t)):
+        acc -= graph.weights[i, j] * fhat
     return acc + float(view.x[0, view.col_of(i)])
 
 
@@ -218,6 +240,31 @@ def enhanced_witness(view: EnhancedFlowView, target_node: int,
     return WitnessRecord(float(d[flat]), s, None, float(fhat))
 
 
+def _enhanced_fhats(view: EnhancedFlowView, targets: tuple,
+                    t: int) -> np.ndarray:
+    """enhanced_witness(view, j, t).fhat for every j in targets, in one scan
+    of the neighbourhood and one of the extreme records. The neighbourhood
+    wins ties (<=); a NaN distance wins on either side, as in argmin over
+    the concatenated candidates."""
+    if t < 1:
+        raise ValueError("witnesses need at least one past snapshot")
+    loc = view.local
+    x = loc.x
+    q = x[t, [loc.col_of(j) for j in targets]]
+    rows = np.arange(q.size)
+    hood_d, hood_flat = _nearest(x[:t].reshape(-1), q)
+    ext = np.empty(2 * t)   # per past time the max record, then the min
+    ext[0::2] = view.x_max[:t]
+    ext[1::2] = view.x_min[:t]
+    ext_z = np.empty(2 * t)
+    ext_z[0::2] = view.z_at_max[:t]
+    ext_z[1::2] = view.z_at_min[:t]
+    ext_d, ext_flat = _nearest(ext, q)
+    hood_best = hood_d[rows, hood_flat]
+    hood_wins = (hood_best <= ext_d[rows, ext_flat]) | np.isnan(hood_best)
+    return np.where(hood_wins, loc.z.reshape(-1)[hood_flat], ext_z[ext_flat])
+
+
 def control_max_enhanced(view: EnhancedFlowView, graph: WeightedDigraph,
                          i: int, t: int) -> float:
     """Cancel via enhanced witnesses and recentre on the midpoint of the
@@ -225,15 +272,21 @@ def control_max_enhanced(view: EnhancedFlowView, graph: WeightedDigraph,
     if t == 0:
         return 0.0
     acc = 0.0
-    for j in graph.neighbors(i):
-        acc -= graph.weights[i, j] * enhanced_witness(view, j, t).fhat
+    nbrs = graph.neighbors(i)
+    for j, fhat in zip(nbrs, _enhanced_fhats(view, nbrs, t)):
+        acc -= graph.weights[i, j] * fhat
     y_hi = float(view.x_max[:t + 1].max())
     y_lo = float(view.x_min[:t + 1].min())
     return acc + 0.5 * (y_hi + y_lo)
 
 
 class Controller:
-    """Dispatcher used by the runner; holds the pieces a kind needs."""
+    """Dispatcher used by the runner; holds the pieces a kind needs.
+
+    A Controller serves one run. The neighbourhood laws keep one
+    LocalFlowView per node for the whole run and extend it by the rows the
+    log gained since the previous decision.
+    """
 
     def __init__(self, spec: ControllerSpec, graph: WeightedDigraph):
         self.spec = spec
@@ -241,6 +294,16 @@ class Controller:
         self.ledger = ExtremeLedger()
         self.needs_enhanced = spec.kind == "max_enhanced"
         self.branch_log = []   # network_flow: True when the recentre branch fired
+        self._views = None     # local_flow / max_enhanced: one view per node
+
+    def _local_views(self, log: FlowLog) -> list:
+        if self._views is None:
+            self._views = [LocalFlowView(log, self.graph, i)
+                           for i in range(self.graph.n)]
+        else:
+            for view in self._views:
+                view.extend(log)
+        return self._views
 
     def controls(self, log: FlowLog, t: int, enhanced_series=None) -> np.ndarray:
         kind = self.spec.kind
@@ -256,16 +319,14 @@ class Controller:
             return control_cycle(log, t)
         if kind == "local_flow":
             u = np.zeros(n)
-            for i in range(n):
-                view = LocalFlowView(log, self.graph, i)
+            for i, view in enumerate(self._local_views(log)):
                 u[i] = control_local_flow(view, self.graph, i, t)
             return u
         if kind == "max_enhanced":
             x_max, x_min, z_at_max, z_at_min = enhanced_series
             u = np.zeros(n)
-            for i in range(n):
-                view = EnhancedFlowView(LocalFlowView(log, self.graph, i),
-                                        x_max, x_min, z_at_max, z_at_min)
-                u[i] = control_max_enhanced(view, self.graph, i, t)
+            for i, view in enumerate(self._local_views(log)):
+                enh = EnhancedFlowView(view, x_max, x_min, z_at_max, z_at_min)
+                u[i] = control_max_enhanced(enh, self.graph, i, t)
             return u
         raise AssertionError(f"unreachable kind {kind!r}")

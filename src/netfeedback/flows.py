@@ -2,9 +2,14 @@
 
 The full flow at time t is (X(0..t), Z(0..t-1), U(0..t-1)): one more state
 snapshot than estimate/control snapshots. A node's local view keeps only the
-columns in N_i union {i}; the enhanced view adds the network-wide extreme
-series produced by the consensus rounds. Confinement is structural: a view
+columns in N_i union {i} and grows row by row through extend(); the enhanced
+view adds the network-wide extreme series. Confinement is structural: a view
 physically holds nothing outside its columns.
+
+run_extreme_consensus is the flooding protocol by which nodes learn the
+extremes from their neighbours alone. The runner takes the same extremes in
+closed form (argmax/argmin with the lowest-index tie rule); the tests prove
+that this equals the protocol's limit on every strongly connected graph.
 """
 
 from collections import namedtuple
@@ -96,6 +101,8 @@ class LocalFlowView:
 
     Copies the permitted columns out of the log; anything else is absent by
     construction, so reads outside the neighbourhood cannot be expressed.
+    The view is a snapshot: it gains the log's newer rows only when extend()
+    is called, and then copies just those rows.
     """
 
     def __init__(self, log: FlowLog, graph: WeightedDigraph, i: int):
@@ -104,13 +111,45 @@ class LocalFlowView:
         self.i = i
         self.nodes = tuple(sorted(set(graph.neighbors(i)) | {i}))
         cols = list(self.nodes)
-        self.x = log.x_hist[:, cols].copy()
-        self.z = log.z_hist[:, cols].copy()
-        self.u = log.u_hist[:, cols].copy()
+        self._x = log.x_hist[:, cols].copy()
+        self._z = log.z_hist[:, cols].copy()
+        self._len = self._x.shape[0]  # number of state snapshots held
+
+    @property
+    def x(self) -> np.ndarray:
+        """States of the member nodes, shape (t+1, k). Read-only."""
+        v = self._x[:self._len]
+        v.flags.writeable = False
+        return v
+
+    @property
+    def z(self) -> np.ndarray:
+        """Estimates of the member nodes, shape (t, k). Read-only."""
+        v = self._z[:max(self._len - 1, 0)]
+        v.flags.writeable = False
+        return v
+
+    def extend(self, log: FlowLog):
+        """Copy in the member columns of the log's rows newer than the view."""
+        new_len = log.t + 1
+        if new_len < self._len:
+            raise ValueError("log is shorter than the view")
+        cap = self._x.shape[0]
+        if new_len > cap:
+            cap = max(new_len, 2 * cap)
+            for name in ("_x", "_z"):
+                old = getattr(self, name)
+                new = np.empty((cap, len(self.nodes)))
+                new[:old.shape[0]] = old
+                setattr(self, name, new)
+        cols = list(self.nodes)
+        self._x[self._len:new_len] = log.x_hist[self._len:, cols]
+        self._z[self._len - 1:new_len - 1] = log.z_hist[self._len - 1:, cols]
+        self._len = new_len
 
     @property
     def t(self) -> int:
-        return self.x.shape[0] - 1
+        return self._len - 1
 
     def col_of(self, node: int) -> int:
         """Column index of a member node; KeyError-style failure otherwise."""

@@ -33,6 +33,7 @@ class WeightedDigraph:
         self._neighbors = tuple(
             tuple(np.flatnonzero(w[i]).tolist()) for i in range(w.shape[0])
         )
+        self._strongly_connected = None  # filled by is_strongly_connected
 
     @property
     def n(self) -> int:
@@ -90,13 +91,18 @@ def is_strongly_connected(g: WeightedDigraph) -> bool:
     """True iff every node reaches every other along arcs.
 
     Self-arcs are irrelevant to reachability; a single-node graph is strongly
-    connected with or without one.
+    connected with or without one. The graph is immutable, so the answer is
+    computed on the first call and cached on it.
     """
-    if g.n == 1:
-        return True
-    adj = csr_matrix((g.weights.T != 0.0).astype(np.int8))
-    ncomp, _ = connected_components(adj, directed=True, connection="strong")
-    return ncomp == 1
+    if g._strongly_connected is None:
+        if g.n == 1:
+            g._strongly_connected = True
+        else:
+            adj = csr_matrix((g.weights.T != 0.0).astype(np.int8))
+            ncomp, _ = connected_components(adj, directed=True,
+                                            connection="strong")
+            g._strongly_connected = ncomp == 1
+    return g._strongly_connected
 
 
 def build_canonical(kind: str, n: int, **params) -> WeightedDigraph:

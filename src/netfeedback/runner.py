@@ -1,11 +1,17 @@
 """Closed-loop execution of one experiment and bit-stable output emission.
 
-One run is one sequential loop. Per step t: consensus extremes are refreshed
+One run is one sequential loop. Per step t: the network extremes are refreshed
 if the controller needs them, the controller reads the flow record and fixes
 U(t), the disturbance draws W(t), the plant (or the adversary's committed
 function) produces X(t+1), and the estimate Z(t) is observed and logged. The
 divergence guard stops the loop once states leave [-cap, cap] or go
 non-finite; the partial trajectory is still written.
+
+The extremes are taken in closed form: the first argmax/argmin of X(t), i.e.
+the lowest-index holder on ties. That is the limit the flooding protocol
+flows.run_extreme_consensus reaches on a strongly connected graph; the tests
+prove the two agree, exhaustively on small digraphs and at every step of
+seeded runs. Strong connectivity is checked once, before the first step.
 """
 
 import json
@@ -20,9 +26,9 @@ from .config import ExperimentConfig
 from .controllers import Controller
 from .dynamics import (InverseObserver, PlantModel, PlantState, observe_direct,
                        step)
-from .flows import FlowLog, run_extreme_consensus
+from .flows import FlowLog
 from .functions import certificate_for, residual_bound
-from .graphs import inf_norm, sharp_metric
+from .graphs import inf_norm, is_strongly_connected, sharp_metric
 
 
 @dataclass
@@ -101,7 +107,11 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     controller.ledger.update(x0)
     interval = IntervalLedger(x0)
     needs_enh = controller.needs_enhanced
-    x_max, x_min, z_hi, z_lo, holders = [], [], [], [], []
+    if needs_enh and not is_strongly_connected(g):
+        raise ValueError("extreme consensus needs a strongly connected graph")
+    # extreme series: x_* through the current step, z_at_* through the last
+    x_max, x_min, z_hi, z_lo = (np.empty(config.horizon + 1) for _ in range(4))
+    holders = []
     w_rows = []
     guard_tripped = False
     cap = config.guard_cap
@@ -109,12 +119,10 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
 
     for t in range(config.horizon):
         if needs_enh:
-            cons = run_extreme_consensus(g, state.x, np.zeros(n))
-            x_max.append(cons.x_max)
-            x_min.append(cons.x_min)
-            holders.append((cons.holder_max, cons.holder_min))
-            series = (np.asarray(x_max), np.asarray(x_min),
-                      np.asarray(z_hi), np.asarray(z_lo))
+            hi, lo = int(state.x.argmax()), int(state.x.argmin())
+            x_max[t], x_min[t] = state.x[hi], state.x[lo]
+            holders.append((hi, lo))
+            series = (x_max[:t + 1], x_min[:t + 1], z_hi[:t], z_lo[:t])
         else:
             series = None
         u = controller.controls(log, t, series)
@@ -133,8 +141,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             else:
                 z = inverse.observe(state.x, u)
         if needs_enh:
-            z_hi.append(float(z[holders[t][0]]))
-            z_lo.append(float(z[holders[t][1]]))
+            z_hi[t], z_lo[t] = z[hi], z[lo]
         log.append(state.x, z=z, u=u)
         w_rows.append(w)
         controller.ledger.update(state.x)
@@ -191,8 +198,8 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     }
     enhanced = None
     if needs_enh:
-        enhanced = {"x_max": np.asarray(x_max), "x_min": np.asarray(x_min),
-                    "z_at_max": np.asarray(z_hi), "z_at_min": np.asarray(z_lo),
+        enhanced = {"x_max": x_max[:steps], "x_min": x_min[:steps],
+                    "z_at_max": z_hi[:steps], "z_at_min": z_lo[:steps],
                     "holders": holders}
     return RunResult(config=config, log=log,
                      w_hist=np.asarray(w_rows).reshape(len(w_rows), n),

@@ -1,5 +1,7 @@
 """Feedback laws: witness selection, branch logic, and small frozen cases."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,11 @@ from netfeedback import (
     Controller,
     ControllerSpec,
     EnhancedFlowView,
+    ExperimentConfig,
     ExtremeLedger,
     FlowLog,
     LocalFlowView,
+    WeightedDigraph,
     build_canonical,
     control_cycle,
     control_local_flow,
@@ -20,8 +24,11 @@ from netfeedback import (
     global_witnesses,
     local_witness,
     nn_estimate_global,
+    random_strongly_connected,
+    run_experiment,
     wrap_index,
 )
+from netfeedback.controllers import _enhanced_fhats, _local_fhats
 
 
 def _log(rows_x, rows_z=None, rows_u=None):
@@ -217,3 +224,132 @@ def test_dispatcher_matches_direct_call():
     u = ctl.controls(log, 1)
     np.testing.assert_array_equal(u, [-20.0, -10.0])
     assert ctl.branch_log == [False]
+
+
+# ---- batched neighbour witnesses vs the per-neighbour reference ----
+
+# distinct a < q < b whose distances to q round to the same double
+_A, _Q, _B = -0.8232634401228889, -0.40057621892523043, 0.02211100227242802
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _reference_local(view, g, i, t):
+    """control_local_flow with one local_witness query per neighbour."""
+    acc = 0.0
+    for j in g.neighbors(i):
+        acc -= g.weights[i, j] * local_witness(view, j, t).fhat
+    return acc + float(view.x[0, view.col_of(i)])
+
+
+def _reference_enhanced(view, g, i, t):
+    """control_max_enhanced with one enhanced_witness query per neighbour."""
+    acc = 0.0
+    for j in g.neighbors(i):
+        acc -= g.weights[i, j] * enhanced_witness(view, j, t).fhat
+    return acc + 0.5 * (float(view.x_max[:t + 1].max())
+                        + float(view.x_min[:t + 1].min()))
+
+
+def test_rounding_tie_triple():
+    assert _A < _Q < _B
+    assert _Q - _A == _B - _Q
+    assert Fraction(_Q) - Fraction(_A) != Fraction(_B) - Fraction(_Q)
+
+
+def test_batched_witnesses_match_per_neighbour_reference():
+    # States drawn from a small pool give exact value ties; the triple gives
+    # rounding ties; extreme records drawn from the same pool tie
+    # neighbourhood states; node 0 has no in-neighbours.
+    pool = np.array([-1.0, -0.5, 0.0, 0.5, 1.0, _A, _Q, _B])
+    n, T = 5, 12
+    seen = dict.fromkeys(("exact", "rounding", "hood_vs_extreme", "no_nbrs"), 0)
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        w = random_strongly_connected(n, seed=seed).weights.copy()
+        w[0] = 0.0
+        g = WeightedDigraph(w)
+        log = _log(rng.choice(pool, size=(T + 1, n)),
+                   rows_z=list(rng.normal(size=(T, n))))
+        x_max, x_min = rng.choice(pool, size=(2, T + 1))
+        z_max, z_min = rng.normal(size=(2, T))
+        for i in range(n):
+            local = LocalFlowView(log, g, i)
+            enh = EnhancedFlowView(local, x_max, x_min, z_max, z_min)
+            nbrs = g.neighbors(i)
+            for t in range(1, T + 1):
+                assert (_bits(control_local_flow(local, g, i, t))
+                        == _bits(_reference_local(local, g, i, t)))
+                assert (_bits(control_max_enhanced(enh, g, i, t))
+                        == _bits(_reference_enhanced(enh, g, i, t)))
+                if not nbrs:
+                    seen["no_nbrs"] += 1
+                    continue
+                assert (_bits(_local_fhats(local, nbrs, t))
+                        == _bits([local_witness(local, j, t).fhat for j in nbrs]))
+                assert (_bits(_enhanced_fhats(enh, nbrs, t))
+                        == _bits([enhanced_witness(enh, j, t).fhat for j in nbrs]))
+                for j in nbrs:
+                    q = local.x[t, local.col_of(j)]
+                    hood = local.x[:t].reshape(-1)
+                    d = np.abs(hood - q)
+                    tied = hood[d == d.min()]
+                    seen["exact"] += len(tied) > len(set(tied.tolist()))
+                    seen["rounding"] += {_A, _B} <= set(tied.tolist())
+                    ext = np.concatenate([x_max[:t], x_min[:t]])
+                    seen["hood_vs_extreme"] += d.min() == np.abs(ext - q).min()
+    assert all(seen.values()), seen
+
+
+def test_runs_replay_through_fresh_views_and_reference_witnesses():
+    # The runner's Controller keeps one extended view per node and batches
+    # the witness queries; replaying every decision through a view copied
+    # afresh and one reference witness per neighbour gives the same bits.
+    for kind, reference in (("local_flow", _reference_local),
+                            ("max_enhanced", _reference_enhanced)):
+        cfg = ExperimentConfig({
+            "graph": {"kind": "random_strongly_connected", "n": 6, "seed": 2,
+                      "weight_range": [0.1, 0.3]},
+            "function": {"kind": "bounded_perturbed_linear", "a": 0.8,
+                         "b": 0.0, "amplitude": 0.5},
+            "controller": {"kind": kind},
+            "observation": {"mode": "direct", "d0": 0.02, "noise_seed": 1},
+            "disturbance": {"w_star": 0.05, "generator": "seeded_uniform",
+                            "seed": 3},
+            "horizon": 50,
+            "x0": {"seed": 4},
+        })
+        res = run_experiment(cfg)
+        assert not res.summary["guard_tripped"]
+        g = cfg.graph
+        x, z, u = res.x_hist, res.z_hist, res.u_hist
+        log = FlowLog(g.n)
+        log.append(x[0])
+        for t in range(1, cfg.horizon):
+            log.append(x[t], z=z[t - 1], u=u[t - 1])
+            for i in range(g.n):
+                view = LocalFlowView(log, g, i)
+                if kind == "max_enhanced":
+                    e = res.enhanced
+                    view = EnhancedFlowView(view, e["x_max"][:t + 1],
+                                            e["x_min"][:t + 1],
+                                            e["z_at_max"][:t], e["z_at_min"][:t])
+                assert _bits(u[t, i]) == _bits(reference(view, g, i, t)), (kind, t, i)
+
+
+def test_enhanced_witness_nan_distance_order():
+    # argmin over the concatenated candidates returns the first NaN; the
+    # batched scan keeps that order on both sides of the neighbourhood /
+    # extreme split
+    g = build_canonical("cycle", 2)
+    for hood_x, ext_x in (([np.nan, 0.0], [0.0, 0.0]),
+                          ([0.0, 0.0], [np.nan, 0.0]),
+                          ([np.nan, 0.0], [np.nan, 0.0])):
+        log = _log([hood_x, [0.0, 0.0]], rows_z=[[1.0, 2.0]])
+        view = EnhancedFlowView(LocalFlowView(log, g, 0),
+                                x_max=ext_x, x_min=ext_x,
+                                z_at_max=[3.0], z_at_min=[4.0])
+        assert (_bits(_enhanced_fhats(view, (1,), 1))
+                == _bits([enhanced_witness(view, 1, 1).fhat]))

@@ -75,6 +75,23 @@ def test_strong_connectivity():
     assert is_strongly_connected(WeightedDigraph([[0.0]]))
 
 
+def test_strong_connectivity_is_computed_once(monkeypatch):
+    import netfeedback.graphs as graphs
+    calls = []
+    real = graphs.connected_components
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "connected_components", counting)
+    g = build_canonical("cycle", 4)
+    h = build_canonical("path_root_selfloop", 3)
+    assert [is_strongly_connected(g) for _ in range(3)] == [True] * 3
+    assert [is_strongly_connected(h) for _ in range(3)] == [False] * 3
+    assert len(calls) == 2  # one per graph; repeats read the cached answer
+
+
 def test_self_arcs_do_not_create_connectivity():
     w = np.zeros((2, 2))
     w[0, 0] = 1.0

@@ -192,6 +192,65 @@ def test_matrix_inverse_observation_mode():
     assert np.max(np.abs(res.z_hist - fx)) <= 0.1 + 1e-12
 
 
+def test_closed_form_extremes_match_consensus_protocol():
+    # At every step the runner's argmax/argmin extremes and holders equal the
+    # flooding protocol's limit, bit for bit. The x0 rows carry duplicate
+    # maxima and minima and +0.0/-0.0 ties; the noiseless a=0 plant makes
+    # every later state the same folded midpoint on all nodes.
+    graphs = [{"kind": "cycle", "n": 4},
+              {"kind": "random_strongly_connected", "n": 4, "seed": 5,
+               "weight_range": [0.2, 0.5]}]
+    x0s = [[0.5, -0.3, 0.5, -0.3], [0.0, -0.0, -1.0, -1.0],
+           [-1.0, -0.0, 0.0, -0.0], [-0.0, -0.0, -0.0, -0.0]]
+    plants = [
+        {"function": {"kind": "bounded_perturbed_linear", "a": 0.8, "b": 0.0,
+                      "amplitude": 0.5},
+         "observation": {"mode": "direct", "d0": 0.02, "noise_seed": 3},
+         "disturbance": {"w_star": 0.05, "generator": "seeded_uniform",
+                         "seed": 4}},
+        {"function": {"kind": "linear", "a": 0.0, "b": 0.0},
+         "observation": {"mode": "direct", "d0": 0.0},
+         "disturbance": {"w_star": 0.0, "generator": "zero"}},
+    ]
+    duplicate_steps = signed_zero_steps = 0
+    for graph in graphs:
+        for x0 in x0s:
+            for plant in plants:
+                cfg = ExperimentConfig(_cfg(
+                    graph=graph, controller={"kind": "max_enhanced"}, x0=x0,
+                    horizon=40, **plant))
+                res = run_experiment(cfg)
+                enh = res.enhanced
+                assert len(enh["holders"]) == res.summary["steps_run"] == 40
+                for t, holders in enumerate(enh["holders"]):
+                    x = res.x_hist[t]
+                    cons = nf.run_extreme_consensus(cfg.graph, x, res.z_hist[t])
+                    assert holders == (cons.holder_max, cons.holder_min)
+                    for key, want in (("x_max", cons.x_max), ("x_min", cons.x_min),
+                                      ("z_at_max", cons.z_at_max),
+                                      ("z_at_min", cons.z_at_min)):
+                        assert (np.float64(enh[key][t]).tobytes()
+                                == np.float64(want).tobytes()), (key, t)
+                    duplicate_steps += int((x == x.max()).sum() > 1)
+                    signed_zero_steps += int(x.max() == 0.0
+                                             and len(set(np.signbit(x[x == 0.0]))) == 2)
+    assert duplicate_steps > 0 and signed_zero_steps > 0
+
+
+def test_max_enhanced_needs_strong_connectivity_before_any_step(monkeypatch):
+    import netfeedback.runner as runner
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("the plant stepped before the connectivity check")
+
+    monkeypatch.setattr(runner, "step", no_step)
+    cfg = ExperimentConfig(_cfg(
+        graph={"kind": "path_root_selfloop", "n": 3},
+        controller={"kind": "max_enhanced"}))
+    with pytest.raises(ValueError, match="strongly connected"):
+        run_experiment(cfg)
+
+
 def test_adversary_run_produces_certificate():
     raw = _cfg(adversary=True, horizon=25,
                observation={"mode": "direct", "d0": 0.0},
