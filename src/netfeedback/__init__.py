@@ -17,12 +17,12 @@ from .controllers import (Controller, ControllerSpec, ExtremeLedger,
                           control_local_flow, control_max_enhanced,
                           control_network_flow, control_path_root,
                           enhanced_witness, global_witnesses, local_witness,
-                          nn_estimate_global, nn_estimate_local, wrap_index)
+                          wrap_index)
 from .dynamics import (DisturbanceSpec, InverseObserver, ObservationSpec,
                        PlantModel, PlantState, observe_direct, observe_inverse,
                        step)
 from .flows import (ConsensusState, EnhancedFlowView, FlowLog, LocalFlowView,
-                    max_consensus_round, min_consensus_round,
+                    WitnessIndex, max_consensus_round, min_consensus_round,
                     run_extreme_consensus)
 from .functions import (BoundedPerturbedLinear, GrowthCertificate,
                         LinearFunction, PlantFunction, SampleSpec,

@@ -9,13 +9,19 @@ midpoint, own initial state, ...). Controls at time 0 are identically zero.
 
 Witness ties break deterministically: earliest time first, then lowest node
 index; the enhanced witness prefers neighbourhood states over extreme records.
+
+The witness and control_* functions are the reference laws: each decision
+scans the history it may search. The runner's Controller makes the same
+decisions, bit for bit, from sorted WitnessIndex records that it grows by
+one flow row per step, so a nearest-record query costs O(log t).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .flows import EnhancedFlowView, FlowLog, LocalFlowView
+from .flows import EnhancedFlowView, FlowLog, LocalFlowView, WitnessIndex
 from .graphs import WeightedDigraph
 
 
@@ -102,12 +108,6 @@ def global_witnesses(log: FlowLog, t: int) -> WitnessSet:
                       fhat=log.z_hist[s, v])
 
 
-def nn_estimate_global(log: FlowLog, i: int, t: int):
-    """(estimate of f(x_i(t)), witness (node, time)) from the global flow."""
-    w = global_witnesses(log, t)
-    return float(w.fhat[i]), (int(w.node[i]), int(w.time[i]))
-
-
 def control_network_flow(log: FlowLog, graph: WeightedDigraph,
                          ledger: ExtremeLedger, epsilon: float,
                          t: int, branch_log: list | None = None) -> np.ndarray:
@@ -174,41 +174,14 @@ def local_witness(view: LocalFlowView, target_node: int, t: int) -> WitnessRecor
     return WitnessRecord(float(d[flat]), s, view.nodes[c], float(view.z[s, c]))
 
 
-def nn_estimate_local(view: LocalFlowView, target_node: int, t: int):
-    w = local_witness(view, target_node, t)
-    return w.fhat, (w.node, w.time)
-
-
-def _nearest(cand: np.ndarray, q: np.ndarray):
-    """One broadcast scan of the 1-d candidates for all queries in q.
-
-    Returns the distance table, shape (len(q), len(cand)), and per query the
-    flat index of the nearest candidate (argmin's first match on ties). Each
-    distance is the same float operation a per-query scan performs.
-    """
-    d = np.abs(cand - q[:, None])
-    return d, d.argmin(axis=1)
-
-
-def _local_fhats(view: LocalFlowView, targets: tuple, t: int) -> np.ndarray:
-    """local_witness(view, j, t).fhat for every j in targets, in one scan."""
-    if t < 1:
-        raise ValueError("witnesses need at least one past snapshot")
-    x = view.x
-    q = x[t, [view.col_of(j) for j in targets]]
-    _, flat = _nearest(x[:t].reshape(-1), q)
-    return view.z.reshape(-1)[flat]   # z rows are as wide as x rows
-
-
 def control_local_flow(view: LocalFlowView, graph: WeightedDigraph,
                        i: int, t: int) -> float:
     """Cancel neighbours via the local witnesses and anchor on x_i(0)."""
     if t == 0:
         return 0.0
     acc = 0.0
-    nbrs = graph.neighbors(i)
-    for j, fhat in zip(nbrs, _local_fhats(view, nbrs, t)):
-        acc -= graph.weights[i, j] * fhat
+    for j in graph.neighbors(i):
+        acc -= graph.weights[i, j] * local_witness(view, j, t).fhat
     return acc + float(view.x[0, view.col_of(i)])
 
 
@@ -240,31 +213,6 @@ def enhanced_witness(view: EnhancedFlowView, target_node: int,
     return WitnessRecord(float(d[flat]), s, None, float(fhat))
 
 
-def _enhanced_fhats(view: EnhancedFlowView, targets: tuple,
-                    t: int) -> np.ndarray:
-    """enhanced_witness(view, j, t).fhat for every j in targets, in one scan
-    of the neighbourhood and one of the extreme records. The neighbourhood
-    wins ties (<=); a NaN distance wins on either side, as in argmin over
-    the concatenated candidates."""
-    if t < 1:
-        raise ValueError("witnesses need at least one past snapshot")
-    loc = view.local
-    x = loc.x
-    q = x[t, [loc.col_of(j) for j in targets]]
-    rows = np.arange(q.size)
-    hood_d, hood_flat = _nearest(x[:t].reshape(-1), q)
-    ext = np.empty(2 * t)   # per past time the max record, then the min
-    ext[0::2] = view.x_max[:t]
-    ext[1::2] = view.x_min[:t]
-    ext_z = np.empty(2 * t)
-    ext_z[0::2] = view.z_at_max[:t]
-    ext_z[1::2] = view.z_at_min[:t]
-    ext_d, ext_flat = _nearest(ext, q)
-    hood_best = hood_d[rows, hood_flat]
-    hood_wins = (hood_best <= ext_d[rows, ext_flat]) | np.isnan(hood_best)
-    return np.where(hood_wins, loc.z.reshape(-1)[hood_flat], ext_z[ext_flat])
-
-
 def control_max_enhanced(view: EnhancedFlowView, graph: WeightedDigraph,
                          i: int, t: int) -> float:
     """Cancel via enhanced witnesses and recentre on the midpoint of the
@@ -272,20 +220,186 @@ def control_max_enhanced(view: EnhancedFlowView, graph: WeightedDigraph,
     if t == 0:
         return 0.0
     acc = 0.0
-    nbrs = graph.neighbors(i)
-    for j, fhat in zip(nbrs, _enhanced_fhats(view, nbrs, t)):
-        acc -= graph.weights[i, j] * fhat
+    for j in graph.neighbors(i):
+        acc -= graph.weights[i, j] * enhanced_witness(view, j, t).fhat
     y_hi = float(view.x_max[:t + 1].max())
     y_lo = float(view.x_min[:t + 1].min())
     return acc + 0.5 * (y_hi + y_lo)
 
 
+def _midpoint(hi: float, lo: float, highs, lows) -> float:
+    """0.5 * (highs().max() + lows().min()) from the running extremes hi and
+    lo. ndarray.max/min may return either zero on a +0.0/-0.0 tie, depending
+    on the array length, so a zero extreme is taken from the series itself."""
+    if hi == 0.0:
+        hi = float(highs().max())
+    if lo == 0.0:
+        lo = float(lows().min())
+    return 0.5 * (hi + lo)
+
+
+class _Track:
+    """One scalar sequence of the flow, one record per time (key = time):
+    its witness index and running extremes over the ingested values."""
+
+    def __init__(self):
+        self.index = WitnessIndex()
+        self.hi = -math.inf
+        self.lo = math.inf
+
+    def add(self, value: float, estimate: float):
+        self.index.insert(value, estimate)
+        self.hi = max(self.hi, value)
+        self.lo = min(self.lo, value)
+
+    def control(self, q: float, seq) -> float:
+        """The scalar law at the current value q: cancel through the nearest
+        record and recentre on the extremes of the sequence seq() through q."""
+        return (-self.index.nearest(q)[2]
+                + _midpoint(max(self.hi, q), min(self.lo, q), seq, seq))
+
+
+# Per-kind fast paths. ingest(s, xs, zs, series) takes the completed flow
+# row s once; decide(log, t, q, series) returns U(t) for q = X(t). xs, zs
+# and q are lists of floats, series the runner's enhanced series. Each index
+# is fed in the order of the reference's candidate scan, so a record's
+# insertion rank is its position in that scan and the tie rules agree.
+
+class _NetworkFlow:
+    """One global index, key s*n + v: control_network_flow. It keeps no
+    reference to the Controller: without a cycle, a finished run's indices
+    are freed at once, not at the next cyclic garbage collection."""
+
+    def __init__(self, ctl):
+        self.weights = ctl.graph.weights
+        self.epsilon = ctl.spec.epsilon
+        self.ledger = ctl.ledger
+        self.branch_log = ctl.branch_log
+        self.index = WitnessIndex()
+
+    def ingest(self, s, xs, zs, series):
+        for x, z in zip(xs, zs):
+            self.index.insert(x, z)
+
+    def decide(self, log, t, q, series):
+        hits = [self.index.nearest(qj) for qj in q]
+        u = -(self.weights @ np.array([h[2] for h in hits]))
+        accurate = max(h[0] for h in hits) <= self.epsilon
+        self.branch_log.append(not accurate)
+        return u if accurate else u + self.ledger.midpoint
+
+
+class _PathRoot:
+    """Node 0's own sequence: control_path_root."""
+
+    def __init__(self, ctl):
+        self.n = ctl.graph.n
+        self.track = _Track()
+
+    def ingest(self, s, xs, zs, series):
+        self.track.add(xs[0], zs[0])
+
+    def decide(self, log, t, q, series):
+        u = np.zeros(self.n)
+        u[0] = self.track.control(q[0], lambda: log.x_hist[:, 0][:t + 1])
+        return u
+
+
+class _Cycle:
+    """control_cycle: diagonal class c = (s - col) mod n is the sequence
+    x[s, (s - c) mod n], and node i0 at time t works on class (t - i0 + 1)
+    mod n, whose current value is x[t, (i0 - 1) mod n]."""
+
+    def __init__(self, ctl):
+        self.n = ctl.graph.n
+        self.tracks = [_Track() for _ in range(self.n)]
+
+    def ingest(self, s, xs, zs, series):
+        for v, (x, z) in enumerate(zip(xs, zs)):
+            self.tracks[(s - v) % self.n].add(x, z)
+
+    def decide(self, log, t, q, series):
+        n = self.n
+        u = np.zeros(n)
+        for i0 in range(n):
+            c = (t - i0 + 1) % n
+
+            def diagonal(c=c):
+                times = np.arange(t + 1)
+                return log.x_hist[times, (times - c) % n]
+
+            u[i0] = self.tracks[c].control(q[(i0 - 1) % n], diagonal)
+        return u
+
+
+class _Neighbourhood:
+    """One index per node over its columns N_i u {i}, key s*k + c:
+    control_local_flow. For max_enhanced also one shared index of the
+    extreme records, key 2s (max) or 2s + 1 (min), and the running folded
+    extremes: control_max_enhanced. A node's index is fed only its own
+    columns, so confinement stays structural."""
+
+    def __init__(self, ctl):
+        g = ctl.graph
+        self.weights = g.weights.tolist()
+        self.nbrs = [g.neighbors(i) for i in range(g.n)]
+        self.hoods = [tuple(sorted(set(nb) | {i}))
+                      for i, nb in enumerate(self.nbrs)]
+        self.indices = [WitnessIndex() for _ in range(g.n)]
+        self.extremes = WitnessIndex() if ctl.needs_enhanced else None
+        self.hi = -math.inf
+        self.lo = math.inf
+
+    def ingest(self, s, xs, zs, series):
+        for nodes, index in zip(self.hoods, self.indices):
+            for v in nodes:
+                index.insert(xs[v], zs[v])
+        if self.extremes is not None:
+            x_max, x_min, z_at_max, z_at_min = series
+            hi, lo = float(x_max[s]), float(x_min[s])
+            self.extremes.insert(hi, float(z_at_max[s]))
+            self.extremes.insert(lo, float(z_at_min[s]))
+            self.hi = max(self.hi, hi)
+            self.lo = min(self.lo, lo)
+
+    def decide(self, log, t, q, series):
+        n = len(q)
+        if self.extremes is None:
+            ext = None
+            anchors = log.x_hist[0].tolist()
+        else:
+            ext = [self.extremes.nearest(qj) for qj in q]
+            x_max, x_min = series[0], series[1]
+            mid = _midpoint(max(self.hi, float(x_max[t])),
+                            min(self.lo, float(x_min[t])),
+                            lambda: x_max[:t + 1], lambda: x_min[:t + 1])
+            anchors = [mid] * n
+        u = np.zeros(n)
+        for i, (index, nbrs, w) in enumerate(zip(self.indices, self.nbrs,
+                                                 self.weights)):
+            acc = 0.0
+            for j in nbrs:
+                d, _, fhat = index.nearest(q[j])
+                if ext is not None and ext[j][0] < d:   # ties: neighbourhood
+                    fhat = ext[j][2]
+                acc -= w[j] * fhat
+            u[i] = acc + anchors[i]
+        return u
+
+
+_LAWS = {"network_flow": _NetworkFlow, "path_root": _PathRoot,
+         "cycle_global": _Cycle, "local_flow": _Neighbourhood,
+         "max_enhanced": _Neighbourhood}
+
+
 class Controller:
     """Dispatcher used by the runner; holds the pieces a kind needs.
 
-    A Controller serves one run. The neighbourhood laws keep one
-    LocalFlowView per node for the whole run and extend it by the rows the
-    log gained since the previous decision.
+    A Controller serves one run. It ingests each completed flow row
+    (X(s), Z(s)) once into sorted witness indices and answers each
+    nearest-record query by bisection; its decisions equal the control_*
+    reference laws bit for bit. States must be finite, as the runner's
+    divergence guard ensures.
     """
 
     def __init__(self, spec: ControllerSpec, graph: WeightedDigraph):
@@ -294,39 +408,17 @@ class Controller:
         self.ledger = ExtremeLedger()
         self.needs_enhanced = spec.kind == "max_enhanced"
         self.branch_log = []   # network_flow: True when the recentre branch fired
-        self._views = None     # local_flow / max_enhanced: one view per node
-
-    def _local_views(self, log: FlowLog) -> list:
-        if self._views is None:
-            self._views = [LocalFlowView(log, self.graph, i)
-                           for i in range(self.graph.n)]
-        else:
-            for view in self._views:
-                view.extend(log)
-        return self._views
+        law = _LAWS.get(spec.kind)
+        self._law = law(self) if law is not None else None   # None: zero
+        self._rows = 0         # flow rows ingested
 
     def controls(self, log: FlowLog, t: int, enhanced_series=None) -> np.ndarray:
-        kind = self.spec.kind
-        n = self.graph.n
-        if t == 0 or kind == "zero":
-            return np.zeros(n)
-        if kind == "network_flow":
-            return control_network_flow(log, self.graph, self.ledger,
-                                        self.spec.epsilon, t, self.branch_log)
-        if kind == "path_root":
-            return control_path_root(log, t)
-        if kind == "cycle_global":
-            return control_cycle(log, t)
-        if kind == "local_flow":
-            u = np.zeros(n)
-            for i, view in enumerate(self._local_views(log)):
-                u[i] = control_local_flow(view, self.graph, i, t)
-            return u
-        if kind == "max_enhanced":
-            x_max, x_min, z_at_max, z_at_min = enhanced_series
-            u = np.zeros(n)
-            for i, view in enumerate(self._local_views(log)):
-                enh = EnhancedFlowView(view, x_max, x_min, z_at_max, z_at_min)
-                u[i] = control_max_enhanced(enh, self.graph, i, t)
-            return u
-        raise AssertionError(f"unreachable kind {kind!r}")
+        if t == 0 or self._law is None:
+            return np.zeros(self.graph.n)
+        if t < self._rows:
+            raise ValueError("a Controller serves one run; time cannot go back")
+        x, z = log.x_hist, log.z_hist
+        for s in range(self._rows, t):
+            self._law.ingest(s, x[s].tolist(), z[s].tolist(), enhanced_series)
+        self._rows = t
+        return self._law.decide(log, t, x[t].tolist(), enhanced_series)

@@ -1,10 +1,13 @@
-"""Flow histories, the restricted per-node views, and extreme consensus.
+"""Flow histories, the restricted per-node views, the witness index, and
+extreme consensus.
 
 The full flow at time t is (X(0..t), Z(0..t-1), U(0..t-1)): one more state
-snapshot than estimate/control snapshots. A node's local view keeps only the
-columns in N_i union {i} and grows row by row through extend(); the enhanced
-view adds the network-wide extreme series. Confinement is structural: a view
-physically holds nothing outside its columns.
+snapshot than estimate/control snapshots. A node's local view copies only the
+columns in N_i union {i}; the enhanced view adds the network-wide extreme
+series. Confinement is structural: a view physically holds nothing outside
+its columns. A WitnessIndex keeps past (value, estimate) records sorted by
+value, so a nearest-record query is a bisection instead of a scan of the
+history.
 
 run_extreme_consensus is the flooding protocol by which nodes learn the
 extremes from their neighbours alone. The runner takes the same extremes in
@@ -12,12 +15,16 @@ closed form (argmax/argmin with the lowest-index tie rule); the tests prove
 that this equals the protocol's limit on every strongly connected graph.
 """
 
+from array import array
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import WeightedDigraph, is_strongly_connected
+
+_INF = float("inf")
 
 
 class FlowLog:
@@ -101,8 +108,7 @@ class LocalFlowView:
 
     Copies the permitted columns out of the log; anything else is absent by
     construction, so reads outside the neighbourhood cannot be expressed.
-    The view is a snapshot: it gains the log's newer rows only when extend()
-    is called, and then copies just those rows.
+    The view is a snapshot: later appends to the log do not reach it.
     """
 
     def __init__(self, log: FlowLog, graph: WeightedDigraph, i: int):
@@ -111,45 +117,12 @@ class LocalFlowView:
         self.i = i
         self.nodes = tuple(sorted(set(graph.neighbors(i)) | {i}))
         cols = list(self.nodes)
-        self._x = log.x_hist[:, cols].copy()
-        self._z = log.z_hist[:, cols].copy()
-        self._len = self._x.shape[0]  # number of state snapshots held
-
-    @property
-    def x(self) -> np.ndarray:
-        """States of the member nodes, shape (t+1, k). Read-only."""
-        v = self._x[:self._len]
-        v.flags.writeable = False
-        return v
-
-    @property
-    def z(self) -> np.ndarray:
-        """Estimates of the member nodes, shape (t, k). Read-only."""
-        v = self._z[:max(self._len - 1, 0)]
-        v.flags.writeable = False
-        return v
-
-    def extend(self, log: FlowLog):
-        """Copy in the member columns of the log's rows newer than the view."""
-        new_len = log.t + 1
-        if new_len < self._len:
-            raise ValueError("log is shorter than the view")
-        cap = self._x.shape[0]
-        if new_len > cap:
-            cap = max(new_len, 2 * cap)
-            for name in ("_x", "_z"):
-                old = getattr(self, name)
-                new = np.empty((cap, len(self.nodes)))
-                new[:old.shape[0]] = old
-                setattr(self, name, new)
-        cols = list(self.nodes)
-        self._x[self._len:new_len] = log.x_hist[self._len:, cols]
-        self._z[self._len - 1:new_len - 1] = log.z_hist[self._len - 1:, cols]
-        self._len = new_len
+        self.x = log.x_hist[:, cols]   # fancy indexing copies
+        self.z = log.z_hist[:, cols]
 
     @property
     def t(self) -> int:
-        return self._len - 1
+        return self.x.shape[0] - 1
 
     def col_of(self, node: int) -> int:
         """Column index of a member node; KeyError-style failure otherwise."""
@@ -189,6 +162,66 @@ class EnhancedFlowView:
     @property
     def t(self) -> int:
         return self.local.t
+
+
+class WitnessIndex:
+    """Past records (value, estimate), kept sorted by value.
+
+    A record's key is its insertion rank 0, 1, 2, ... nearest(q) answers
+    what argmin over |value - q| with the records in key order answers: the
+    smallest rounded distance, and the lowest key among the records at that
+    distance. Values and queries must be finite. Three flat arrays hold 24
+    bytes per record; an insert is one bisection plus two memmoves, a query
+    one bisection plus a walk over the records tied at the smallest distance.
+    """
+
+    def __init__(self):
+        self._v = array("d")   # values, ascending
+        self._k = array("q")   # their keys
+        self._e = array("d")   # estimates by key
+
+    def __len__(self) -> int:
+        return len(self._e)
+
+    def insert(self, value: float, estimate: float):
+        if not -_INF < value < _INF:
+            raise ValueError("index values must be finite")
+        p = bisect_right(self._v, value)
+        self._v.insert(p, value)
+        self._k.insert(p, len(self._e))
+        self._e.append(estimate)
+
+    def nearest(self, q: float) -> tuple:
+        """(distance, key, estimate) of the nearest record to q."""
+        v, k = self._v, self._k
+        m = len(v)
+        if not m:
+            raise ValueError("the index holds no records")
+        if not -_INF < q < _INF:
+            raise ValueError("queries must be finite")
+        # v[:p] < q <= v[p:]. Rounding is monotone, so the distances grow
+        # outward from p on both sides; distinct values may round to the
+        # same distance, so walk each side while the distance stays minimal.
+        p = bisect_left(v, q)
+        if p == m:
+            d = q - v[p - 1]
+        else:
+            d = v[p] - q
+            if p and q - v[p - 1] < d:
+                d = q - v[p - 1]
+        best = m   # position of the lowest key at distance d
+        j = p
+        while j < m and v[j] - q == d:
+            if best == m or k[j] < k[best]:
+                best = j
+            j += 1
+        j = p - 1
+        while j >= 0 and q - v[j] == d:
+            if best == m or k[j] < k[best]:
+                best = j
+            j -= 1
+        key = k[best]
+        return abs(d), key, self._e[key]
 
 
 @dataclass

@@ -1,5 +1,7 @@
 """Feedback laws: witness selection, branch logic, and small frozen cases."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -22,13 +24,13 @@ from netfeedback import (
     control_path_root,
     enhanced_witness,
     global_witnesses,
+    WitnessIndex,
     local_witness,
-    nn_estimate_global,
     random_strongly_connected,
     run_experiment,
     wrap_index,
 )
-from netfeedback.controllers import _enhanced_fhats, _local_fhats
+from netfeedback import controllers
 
 
 def _log(rows_x, rows_z=None, rows_u=None):
@@ -84,10 +86,10 @@ def test_global_witness_earliest_time_tie():
 
 def test_global_witness_lowest_node_tie():
     log = _log([[1.0, 3.0], [2.0, 2.0]], rows_z=[[11.0, 22.0]])
-    fhat, (node, time) = nn_estimate_global(log, 0, 1)
+    w = global_witnesses(log, 1).record(0)
     # query 2.0 is equidistant from both time-0 states; lowest node wins
-    assert (node, time) == (0, 0)
-    assert fhat == 11.0
+    assert (w.node, w.time) == (0, 0)
+    assert w.fhat == 11.0 and w.dist == 1.0
 
 
 def test_global_witness_needs_history():
@@ -226,31 +228,18 @@ def test_dispatcher_matches_direct_call():
     assert ctl.branch_log == [False]
 
 
-# ---- batched neighbour witnesses vs the per-neighbour reference ----
+
+
+# ---- the witness index and the Controller's fast path vs the references ----
 
 # distinct a < q < b whose distances to q round to the same double
 _A, _Q, _B = -0.8232634401228889, -0.40057621892523043, 0.02211100227242802
+# exact ties, signed zeros and the rounding-tie triple
+_POOL = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, _A, _Q, _B])
 
 
 def _bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
-
-
-def _reference_local(view, g, i, t):
-    """control_local_flow with one local_witness query per neighbour."""
-    acc = 0.0
-    for j in g.neighbors(i):
-        acc -= g.weights[i, j] * local_witness(view, j, t).fhat
-    return acc + float(view.x[0, view.col_of(i)])
-
-
-def _reference_enhanced(view, g, i, t):
-    """control_max_enhanced with one enhanced_witness query per neighbour."""
-    acc = 0.0
-    for j in g.neighbors(i):
-        acc -= g.weights[i, j] * enhanced_witness(view, j, t).fhat
-    return acc + 0.5 * (float(view.x_max[:t + 1].max())
-                        + float(view.x_min[:t + 1].min()))
 
 
 def test_rounding_tie_triple():
@@ -259,11 +248,92 @@ def test_rounding_tie_triple():
     assert Fraction(_Q) - Fraction(_A) != Fraction(_B) - Fraction(_Q)
 
 
-def test_batched_witnesses_match_per_neighbour_reference():
-    # States drawn from a small pool give exact value ties; the triple gives
-    # rounding ties; extreme records drawn from the same pool tie
+def test_witness_index_matches_brute_force_argmin():
+    # After every insert, each query gives the distance, key (insertion rank)
+    # and estimate of argmin over |value - q| with the records in insertion
+    # order, bit for bit. Without _Q stored, the query _Q ties _A and
+    # _B; far from the queries +-1, the tiny values round to the same
+    # distance on one side of the query.
+    pools = (_POOL, _POOL[_POOL != _Q],
+             np.array([-0.0, 0.0, 1e-17, 3e-17, -2e-17]))
+    queries = np.concatenate([_POOL, [-7.0, 7.0]])
+    seen = dict.fromkeys(("exact", "rounding", "one_side_rounding",
+                          "signed_zero", "stored", "below_all", "above_all"), 0)
+    for seed in range(9):
+        rng = np.random.default_rng(seed)
+        pool = pools[seed % 3]
+        index = WitnessIndex()
+        values, ests = [], []
+        for value in rng.choice(pool, size=40).tolist():
+            est = float(rng.normal())
+            index.insert(value, est)
+            values.append(value)
+            ests.append(est)
+            assert len(index) == len(values)
+            vals = np.array(values)
+            for q in np.concatenate([queries, rng.normal(size=3)]).tolist():
+                d = np.abs(vals - q)
+                f = int(d.argmin())
+                dist, key, est_f = index.nearest(q)
+                assert _bits(dist) == _bits(d[f])
+                assert key == f and _bits(est_f) == _bits(ests[f])
+                tied = vals[d == d[f]]
+                distinct = set(tied.tolist())
+                seen["exact"] += len(tied) > len(distinct)
+                seen["rounding"] += {_A, _B} <= distinct
+                seen["one_side_rounding"] += (len(distinct) > 1 and (
+                    tied.min() >= q or tied.max() < q))
+                seen["signed_zero"] += len(set(np.signbit(tied[tied == 0]))) == 2
+                seen["stored"] += q in values
+                seen["below_all"] += q < vals.min()
+                seen["above_all"] += q > vals.max()
+    assert all(seen.values()), seen
+
+
+def test_witness_index_rejects_what_it_cannot_order():
+    index = WitnessIndex()
+    with pytest.raises(ValueError):
+        index.nearest(0.0)              # no records
+    index.insert(1.0, 2.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            index.insert(bad, 0.0)
+        with pytest.raises(ValueError):
+            index.nearest(bad)
+    assert len(index) == 1 and index.nearest(3.0) == (2.0, 0, 2.0)
+
+
+def _decide_all(kind, g, log, series=None):
+    """A fresh Controller's decisions at t = 1..log.t, one call per step."""
+    ctl = Controller(ControllerSpec(kind), g)
+    out = []
+    for t in range(1, log.t + 1):
+        step = None if series is None else (series[0][:t + 1], series[1][:t + 1],
+                                            series[2][:t], series[3][:t])
+        out.append(ctl.controls(log, t, step))
+    return out
+
+
+def _reference_u(kind, g, log, t, series=None):
+    if kind == "path_root":
+        return control_path_root(log, t)
+    if kind == "cycle_global":
+        return control_cycle(log, t)
+    u = np.zeros(g.n)
+    for i in range(g.n):
+        view = LocalFlowView(log, g, i)
+        if kind == "local_flow":
+            u[i] = control_local_flow(view, g, i, t)
+        else:
+            enh = EnhancedFlowView(view, *series)
+            u[i] = control_max_enhanced(enh, g, i, t)
+    return u
+
+
+def test_controller_matches_per_neighbour_reference():
+    # States drawn from a small pool give exact value ties, rounding ties and
+    # signed zeros; extreme records drawn from the same pool tie
     # neighbourhood states; node 0 has no in-neighbours.
-    pool = np.array([-1.0, -0.5, 0.0, 0.5, 1.0, _A, _Q, _B])
     n, T = 5, 12
     seen = dict.fromkeys(("exact", "rounding", "hood_vs_extreme", "no_nbrs"), 0)
     for seed in range(6):
@@ -271,85 +341,159 @@ def test_batched_witnesses_match_per_neighbour_reference():
         w = random_strongly_connected(n, seed=seed).weights.copy()
         w[0] = 0.0
         g = WeightedDigraph(w)
-        log = _log(rng.choice(pool, size=(T + 1, n)),
+        log = _log(rng.choice(_POOL, size=(T + 1, n)),
                    rows_z=list(rng.normal(size=(T, n))))
-        x_max, x_min = rng.choice(pool, size=(2, T + 1))
-        z_max, z_min = rng.normal(size=(2, T))
+        x_max, x_min = rng.choice(_POOL, size=(2, T + 1))
+        series = (x_max, x_min, *rng.normal(size=(2, T)))
+        for kind in ("local_flow", "max_enhanced"):
+            for t, u in enumerate(_decide_all(kind, g, log, series), start=1):
+                ref = _reference_u(kind, g, log, t, series)
+                assert _bits(u) == _bits(ref), (seed, kind, t)
         for i in range(n):
-            local = LocalFlowView(log, g, i)
-            enh = EnhancedFlowView(local, x_max, x_min, z_max, z_min)
+            view = LocalFlowView(log, g, i)
             nbrs = g.neighbors(i)
+            seen["no_nbrs"] += not nbrs
             for t in range(1, T + 1):
-                assert (_bits(control_local_flow(local, g, i, t))
-                        == _bits(_reference_local(local, g, i, t)))
-                assert (_bits(control_max_enhanced(enh, g, i, t))
-                        == _bits(_reference_enhanced(enh, g, i, t)))
-                if not nbrs:
-                    seen["no_nbrs"] += 1
-                    continue
-                assert (_bits(_local_fhats(local, nbrs, t))
-                        == _bits([local_witness(local, j, t).fhat for j in nbrs]))
-                assert (_bits(_enhanced_fhats(enh, nbrs, t))
-                        == _bits([enhanced_witness(enh, j, t).fhat for j in nbrs]))
+                hood = view.x[:t].reshape(-1)
+                ext = np.concatenate([x_max[:t], x_min[:t]])
                 for j in nbrs:
-                    q = local.x[t, local.col_of(j)]
-                    hood = local.x[:t].reshape(-1)
+                    q = view.x[t, view.col_of(j)]
                     d = np.abs(hood - q)
                     tied = hood[d == d.min()]
                     seen["exact"] += len(tied) > len(set(tied.tolist()))
                     seen["rounding"] += {_A, _B} <= set(tied.tolist())
-                    ext = np.concatenate([x_max[:t], x_min[:t]])
                     seen["hood_vs_extreme"] += d.min() == np.abs(ext - q).min()
     assert all(seen.values()), seen
 
 
+def test_running_extremes_keep_numpy_signed_zero():
+    # On an all-zero history with both signs, ndarray.max/min pick a zero by
+    # a rule that depends on the array length, and the sign reaches u when
+    # the estimates are zeros too. No running rule (first or last zero)
+    # reproduces it; the Controller must still match the reference bits.
+    seen = dict.fromkeys(("first_rule_fails", "last_rule_fails"), 0)
+    T = 40
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        signs = rng.integers(0, 2, size=(3, T + 1, 5)).astype(bool)
+        x, z, ext = np.where(signs, -0.0, 0.0)
+        log = _log(x, rows_z=list(z[:T]))
+        graphs = {"path_root": build_canonical("path_root_selfloop", 5),
+                  "cycle_global": build_canonical("cycle", 5),
+                  "max_enhanced": build_canonical("cycle", 5)}
+        series = (ext[:, 0], ext[:, 1], z[:T, 2], z[:T, 3])
+        for kind, g in graphs.items():
+            for t, u in enumerate(_decide_all(kind, g, log, series), start=1):
+                ref = _reference_u(kind, g, log, t, series)
+                assert _bits(u) == _bits(ref), (seed, kind, t)
+        for t in range(1, T + 1):
+            times = np.arange(t + 1)
+            diag = x[times, times % 5]   # a diagonal class of control_cycle
+            got = np.signbit(diag.max())
+            seen["first_rule_fails"] += got != np.signbit(diag[0])
+            seen["last_rule_fails"] += got != np.signbit(diag[-1])
+    assert all(seen.values()), seen
+
+
+def _replay_config(kind: str) -> ExperimentConfig:
+    graph = {"network_flow": {"kind": "random_strongly_connected", "n": 6,
+                              "seed": 2, "weight_range": [0.1, 0.3]},
+             "cycle_global": {"kind": "cycle", "n": 6},
+             "path_root": {"kind": "path_root_selfloop", "n": 6}}
+    return ExperimentConfig({
+        "graph": graph.get(kind, graph["network_flow"]),
+        "function": {"kind": "bounded_perturbed_linear", "a": 0.8,
+                     "b": 0.0, "amplitude": 0.5},
+        "controller": {"kind": kind, "epsilon": 0.05},
+        "observation": {"mode": "direct", "d0": 0.02, "noise_seed": 1},
+        "disturbance": {"w_star": 0.05, "generator": "seeded_uniform",
+                        "seed": 3},
+        "horizon": 50,
+        "x0": {"seed": 4},
+    })
+
+
+_KINDS = ("network_flow", "path_root", "cycle_global", "local_flow",
+          "max_enhanced")
+
+
 def test_runs_replay_through_fresh_views_and_reference_witnesses():
-    # The runner's Controller keeps one extended view per node and batches
-    # the witness queries; replaying every decision through a view copied
-    # afresh and one reference witness per neighbour gives the same bits.
-    for kind, reference in (("local_flow", _reference_local),
-                            ("max_enhanced", _reference_enhanced)):
-        cfg = ExperimentConfig({
-            "graph": {"kind": "random_strongly_connected", "n": 6, "seed": 2,
-                      "weight_range": [0.1, 0.3]},
-            "function": {"kind": "bounded_perturbed_linear", "a": 0.8,
-                         "b": 0.0, "amplitude": 0.5},
-            "controller": {"kind": kind},
-            "observation": {"mode": "direct", "d0": 0.02, "noise_seed": 1},
-            "disturbance": {"w_star": 0.05, "generator": "seeded_uniform",
-                            "seed": 3},
-            "horizon": 50,
-            "x0": {"seed": 4},
-        })
+    # The runner's Controller answers every witness query from its sorted
+    # indices; replaying every decision through the reference laws, with
+    # views copied afresh and one reference witness per query, gives the
+    # same bits.
+    for kind in _KINDS:
+        cfg = _replay_config(kind)
         res = run_experiment(cfg)
         assert not res.summary["guard_tripped"]
         g = cfg.graph
         x, z, u = res.x_hist, res.z_hist, res.u_hist
         log = FlowLog(g.n)
         log.append(x[0])
+        ledger = ExtremeLedger()
+        ledger.update(x[0])
+        branches = []
         for t in range(1, cfg.horizon):
             log.append(x[t], z=z[t - 1], u=u[t - 1])
-            for i in range(g.n):
-                view = LocalFlowView(log, g, i)
-                if kind == "max_enhanced":
-                    e = res.enhanced
-                    view = EnhancedFlowView(view, e["x_max"][:t + 1],
-                                            e["x_min"][:t + 1],
-                                            e["z_at_max"][:t], e["z_at_min"][:t])
-                assert _bits(u[t, i]) == _bits(reference(view, g, i, t)), (kind, t, i)
+            ledger.update(x[t])
+            if kind == "network_flow":
+                ref = control_network_flow(log, g, ledger, cfg.controller.epsilon,
+                                           t, branches)
+            else:
+                e = res.enhanced
+                series = e and (e["x_max"][:t + 1], e["x_min"][:t + 1],
+                                e["z_at_max"][:t], e["z_at_min"][:t])
+                ref = _reference_u(kind, g, log, t, series)
+            assert _bits(u[t]) == _bits(ref), (kind, t)
+        if kind == "network_flow":
+            assert tuple(branches) == res.explore_log[:cfg.horizon - 1]
+            assert len(set(branches)) == 2   # both branches replayed
+
+
+def test_runner_never_calls_the_reference_laws(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fast path called a reference law")
+
+    for name in ("global_witnesses", "local_witness", "enhanced_witness",
+                 "control_network_flow", "control_path_root", "control_cycle",
+                 "control_local_flow", "control_max_enhanced"):
+        monkeypatch.setattr(controllers, name, refuse)
+    for kind in _KINDS:
+        res = run_experiment(_replay_config(kind))
+        assert res.summary["steps_run"] == 50
+
+
+def test_controller_is_freed_without_cyclic_gc():
+    # A run's witness indices must go with its Controller, not linger until
+    # a cyclic collection: reference cycles held back every run's indices
+    # and raised the peak memory of long batches of runs.
+    g = build_canonical("cycle", 3)
+    log = _log([[0.1, 0.2, 0.3], [0.3, 0.1, 0.2]], rows_z=[[1.0, 2.0, 3.0]])
+    series = ([0.3, 0.3], [0.1, 0.1], [3.0], [1.0])
+    gc.disable()
+    try:
+        for kind in _KINDS:
+            ctl = Controller(ControllerSpec(kind), g)
+            ctl.controls(log, 1, series)
+            ref = weakref.ref(ctl)
+            del ctl
+            assert ref() is None, kind
+    finally:
+        gc.enable()
 
 
 def test_enhanced_witness_nan_distance_order():
-    # argmin over the concatenated candidates returns the first NaN; the
-    # batched scan keeps that order on both sides of the neighbourhood /
-    # extreme split
+    # The reference returns argmin's first NaN over the concatenated
+    # candidates (neighbourhood first). The Controller's index cannot order
+    # NaN, so it refuses non-finite states rather than answer differently.
     g = build_canonical("cycle", 2)
-    for hood_x, ext_x in (([np.nan, 0.0], [0.0, 0.0]),
-                          ([0.0, 0.0], [np.nan, 0.0]),
-                          ([np.nan, 0.0], [np.nan, 0.0])):
+    for hood_x, ext_x, fhat in (([np.nan, 0.0], [0.0, 0.0], 1.0),
+                                ([0.0, 0.0], [np.nan, 0.0], 3.0),
+                                ([np.nan, 0.0], [np.nan, 0.0], 1.0)):
         log = _log([hood_x, [0.0, 0.0]], rows_z=[[1.0, 2.0]])
-        view = EnhancedFlowView(LocalFlowView(log, g, 0),
-                                x_max=ext_x, x_min=ext_x,
-                                z_at_max=[3.0], z_at_min=[4.0])
-        assert (_bits(_enhanced_fhats(view, (1,), 1))
-                == _bits([enhanced_witness(view, 1, 1).fhat]))
+        series = (ext_x, ext_x, [3.0], [4.0])
+        view = EnhancedFlowView(LocalFlowView(log, g, 0), *series)
+        assert enhanced_witness(view, 1, 1).fhat == fhat
+        ctl = Controller(ControllerSpec("max_enhanced"), g)
+        with pytest.raises(ValueError):
+            ctl.controls(log, 1, series)

@@ -5,11 +5,14 @@ import pytest
 
 from netfeedback import (
     ConsensusState,
+    Controller,
+    ControllerSpec,
     EnhancedFlowView,
     FlowLog,
     LocalFlowView,
     WeightedDigraph,
     build_canonical,
+    control_local_flow,
     max_consensus_round,
     random_strongly_connected,
     run_extreme_consensus,
@@ -92,39 +95,36 @@ def test_local_view_is_a_snapshot():
     view = LocalFlowView(log, g, 0)
     log.append([9.0, 9.0, 9.0], z=[0.0] * 3, u=[0.0] * 3)
     assert view.t == 2  # unchanged by later appends
-    view.extend(log)
-    assert view.t == 3
-    np.testing.assert_array_equal(view.x[3], [9.0, 9.0])
 
 
-def test_extended_view_matches_fresh_view():
-    # one view per node, grown one row at a time from X(0) alone, equals a
-    # view copied afresh from the log at every t; the earlier x/z arrays it
-    # handed out do not change as it grows
+def test_neighbourhood_indices_match_fresh_views():
+    # A Controller grown one row per step decides, at every t, what the
+    # reference law decides on a view copied afresh from the log; a second
+    # Controller fed a log whose columns outside N_i u {i} are scrambled
+    # gives node i the same bits, since node i's index never holds them.
     g = random_strongly_connected(5, seed=4)
     rng = np.random.default_rng(4)
     log = FlowLog(5, capacity=2)
     log.append(rng.normal(size=5))
-    views = [LocalFlowView(log, g, i) for i in range(5)]
-    held = []
-    for t in range(1, 40):
+    for _ in range(40):
         log.append(rng.normal(size=5), z=rng.normal(size=5), u=rng.normal(size=5))
-        for i, view in enumerate(views):
-            view.extend(log)
-            fresh = LocalFlowView(log, g, i)
-            assert view.t == fresh.t == t
-            assert view.nodes == fresh.nodes
-            assert view.x.tobytes() == fresh.x.tobytes()
-            assert view.z.tobytes() == fresh.z.tobytes()
-        held.append((t, views[0].x, views[0].z))
-    for t, x, z in held:
-        cols = list(views[0].nodes)
-        np.testing.assert_array_equal(x, log.x_hist[:t + 1, cols])
-        np.testing.assert_array_equal(z, log.z_hist[:t, cols])
+    for i in range(5):
+        outside = [j for j in range(5) if j not in g.neighbors(i) and j != i]
+        x, z = log.x_hist.copy(), log.z_hist.copy()
+        x[:, outside] = rng.normal(size=(41, len(outside)))
+        z[:, outside] = 1e6
+        fake = FlowLog(5)
+        fake.append(x[0])
+        for t in range(40):
+            fake.append(x[t + 1], z=z[t], u=log.u_hist[t])
+        ctl = Controller(ControllerSpec("local_flow"), g)
+        ctl_fake = Controller(ControllerSpec("local_flow"), g)
+        for t in range(1, 41):
+            ref = control_local_flow(LocalFlowView(log, g, i), g, i, t)
+            assert ctl.controls(log, t)[i].tobytes() == np.float64(ref).tobytes()
+            assert ctl_fake.controls(fake, t)[i].tobytes() == np.float64(ref).tobytes()
     with pytest.raises(ValueError):
-        views[0].x[0, 0] = 1.0  # read-only, like the log's histories
-    with pytest.raises(ValueError):
-        views[0].extend(_filled_log(n=5, steps=3))  # shorter than the view
+        ctl.controls(log, 3)   # a Controller serves one run, forward in time
 
 
 def test_enhanced_view_series_lengths():
