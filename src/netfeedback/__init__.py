@@ -19,11 +19,9 @@ from .controllers import (Controller, ControllerSpec, ExtremeLedger,
                           enhanced_witness, global_witnesses, local_witness,
                           wrap_index)
 from .dynamics import (DisturbanceSpec, InverseObserver, ObservationSpec,
-                       PlantModel, PlantState, observe_direct, observe_inverse,
-                       step)
+                       PlantModel, PlantState, observe_direct, step)
 from .flows import (ConsensusState, EnhancedFlowView, FlowLog, LocalFlowView,
-                    WitnessIndex, max_consensus_round, min_consensus_round,
-                    run_extreme_consensus)
+                    WitnessIndex, consensus_round, run_extreme_consensus)
 from .functions import (BoundedPerturbedLinear, GrowthCertificate,
                         LinearFunction, PlantFunction, SampleSpec,
                         TabulatedFunction, certificate_for, check_growth_bound,

@@ -171,20 +171,13 @@ def divergence_certificate(ledger: IntervalLedger) -> DivergenceCertificate:
     return DivergenceCertificate(ledger.i0_width, ledger.chi)
 
 
-def _lowest_argmax(x) -> int:
-    return int(np.argmax(x))
-
-
-def _lowest_argmin(x) -> int:
-    return int(np.argmin(x))
-
-
 class OnlineAdversary:
     """Implements the branch-probe-commit protocol against any feedback law.
 
     Usage per step t (after the law fixed U(t) and with W(t) known):
         fvals = adv.step(t, X(t), U(t), W(t))
         X(t+1) = A @ fvals + U(t) + W(t)
+    or, as one plant step, X(t+1), Z(t) = adv.advance(t, X(t), U(t), W(t)).
     The committed function only ever gains pins outside the previous hull, so
     values already revealed never change.
     """
@@ -220,7 +213,7 @@ class OnlineAdversary:
         return divergence_certificate(self.ledger)
 
     def _pick_target(self, x, prefer_max: bool):
-        theta = _lowest_argmax(x) if prefer_max else _lowest_argmin(x)
+        theta = int(np.argmax(x) if prefer_max else np.argmin(x))
         outs = self.graph.out_neighbors(theta)
         if not outs:
             raise InvariantError("strongly connected graph lost out-neighbors")
@@ -297,6 +290,13 @@ class OnlineAdversary:
         self.attacked.append(d)
         self._t += 1
         return np.asarray(self._fn(x_t), dtype=float)
+
+    def advance(self, t: int, x_t, u_t, w_t):
+        """(X(t+1), Z(t)) under the branch committed for time t; the committed
+        values f(X(t)) are the exact estimates."""
+        fvals = self.step(t, x_t, u_t, w_t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.graph.weights @ fvals + u_t + w_t, fvals
 
     def _check_feasible(self):
         xs = np.array([p[0] for p in self._fn.pins])

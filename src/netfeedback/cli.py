@@ -12,12 +12,10 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .adversary import InvariantError
 from .capacity import (estimate_dagger, simulate_scalar_recursion,
                        threshold_sweep, xie_guo_constant)
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, read_json
 from .graphs import WeightedDigraph, build_canonical
 from .runner import run_experiment, write_outputs
 
@@ -66,13 +64,7 @@ def _emit(obj) -> None:
 def _load_config(args) -> ExperimentConfig:
     # overrides are applied to the raw document before any validation, so the
     # adversary subcommand accepts configs that omit the plant function
-    with open(args.config) as fh:
-        try:
-            raw_cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("<file>", f"invalid JSON: {exc}") from exc
-    if not isinstance(raw_cfg, dict):
-        raise ConfigError("<file>", "top level must be a JSON object")
+    raw_cfg = read_json(args.config)
     if getattr(args, "horizon", None) is not None:
         raw_cfg["horizon"] = args.horizon
     if getattr(args, "seed", None) is not None:

@@ -7,6 +7,7 @@ config bytes give identical outputs. Node indices in configs and outputs are
 
 import copy
 import json
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -28,6 +29,32 @@ def _require(d: dict, field: str, ctx: str):
     if field not in d:
         raise ConfigError(f"{ctx}.{field}" if ctx else field, "missing required field")
     return d[field]
+
+
+_KIND_NAMES = {Real: "a number", Integral: "an integer", int: "an integer",
+               dict: "a JSON object"}
+
+
+def _typed(d: dict, field: str, ctx: str, default, kind=Real):
+    """d[field], or default when absent, if it is of the kind; JSON true and
+    false are not numbers."""
+    value = d.get(field, default)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{ctx}.{field}" if ctx else field,
+                          f"must be {_KIND_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def read_json(path) -> dict:
+    """The JSON object stored at path."""
+    with open(path) as fh:
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError("<file>", f"invalid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("<file>", "top level must be a JSON object")
+    return raw
 
 
 def _build_graph(spec: dict) -> WeightedDigraph:
@@ -73,12 +100,15 @@ class ExperimentConfig:
         self.raw = copy.deepcopy(raw)
         self.label = raw.get("label", "")
 
-        self.graph = _build_graph(_require(raw, "graph", ""))
+        self.graph = _build_graph(_typed(raw, "graph", "", None, dict))
         n = self.graph.n
 
-        self.adversary = bool(raw.get("adversary", False))
+        self.adversary = raw.get("adversary", False)
+        if not isinstance(self.adversary, bool):
+            raise ConfigError("adversary", "must be true or false")
         if self.adversary:
-            self.f = _build_function(raw["function"]) if "function" in raw else None
+            self.f = (_build_function(_typed(raw, "function", "", None, dict))
+                      if "function" in raw else None)
             if sharp_metric(self.graph) <= 0:
                 raise ConfigError("adversary", "graph has no arcs (sharp metric is 0)")
             if sign_pattern(self.graph) == "mixed":
@@ -86,28 +116,32 @@ class ExperimentConfig:
             if not is_strongly_connected(self.graph):
                 raise ConfigError("adversary", "graph must be strongly connected")
         else:
-            self.f = _build_function(_require(raw, "function", ""))
+            self.f = _build_function(_typed(raw, "function", "", None, dict))
 
+        d = _typed(raw, "disturbance", "", {}, dict)
+        w_star = _typed(d, "w_star", "disturbance", 0.0)
+        seed = _typed(d, "seed", "disturbance", 0, Integral)
         try:
-            d = raw.get("disturbance", {})
             self.disturbance = DisturbanceSpec(
-                w_star=d.get("w_star", 0.0), generator=d.get("generator", "zero"),
-                seed=d.get("seed", 0), sign=d.get("sign", 1))
+                w_star=w_star, generator=d.get("generator", "zero"), seed=seed,
+                sign=d.get("sign", 1))
         except ValueError as exc:
             raise ConfigError("disturbance", str(exc)) from exc
 
+        o = _typed(raw, "observation", "", {}, dict)
+        d0 = _typed(o, "d0", "observation", 0.0)
+        noise_seed = _typed(o, "noise_seed", "observation", 0, Integral)
         try:
-            o = raw.get("observation", {})
             self.observation = ObservationSpec(
-                mode=o.get("mode", "direct"), d0=o.get("d0", 0.0),
-                noise_seed=o.get("noise_seed", 0))
+                mode=o.get("mode", "direct"), d0=d0, noise_seed=noise_seed)
         except ValueError as exc:
             raise ConfigError("observation", str(exc)) from exc
 
+        c = _typed(raw, "controller", "", {"kind": "zero"}, dict)
+        epsilon = _typed(c, "epsilon", "controller", 1e-3)
         try:
-            c = raw.get("controller", {"kind": "zero"})
             self.controller = ControllerSpec(kind=c.get("kind", "zero"),
-                                             epsilon=c.get("epsilon", 1e-3))
+                                             epsilon=epsilon)
         except ValueError as exc:
             raise ConfigError("controller", str(exc)) from exc
 
@@ -119,44 +153,36 @@ class ExperimentConfig:
             raise ConfigError("controller",
                               "path_root requires a path_root_selfloop graph")
 
-        self.horizon = raw.get("horizon", 100)
-        if not isinstance(self.horizon, int) or self.horizon < 1:
+        self.horizon = _typed(raw, "horizon", "", 100, int)
+        if self.horizon < 1:
             raise ConfigError("horizon", "must be an integer >= 1")
 
         x0 = _require(raw, "x0", "")
         if isinstance(x0, dict):
-            seed = _require(x0, "seed", "x0")
-            scale = x0.get("scale", 1.0)
-            rng = np.random.default_rng(seed)
-            self.x0 = rng.uniform(-scale, scale, n)
+            seed = _typed(x0, "seed", "x0", None, Integral)
+            scale = _typed(x0, "scale", "x0", 1.0)
+            self.x0 = np.random.default_rng(seed).uniform(-scale, scale, n)
         else:
-            self.x0 = np.asarray(x0, dtype=float)
+            try:
+                self.x0 = np.asarray(x0, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError("x0", f"entries must be numbers: {exc}") from exc
             if self.x0.shape != (n,):
                 raise ConfigError("x0", f"needs {n} entries, got {self.x0.shape}")
             if not np.all(np.isfinite(self.x0)):
                 raise ConfigError("x0", "entries must be finite")
 
-        cap = raw.get("guard_cap")
-        if cap is not None and (not np.isfinite(cap) or cap <= 0):
-            raise ConfigError("guard_cap", "must be a positive finite number")
         # adversary runs need room to record the full doubling horizon
-        self.guard_cap = float(cap) if cap is not None else \
-            (1e300 if self.adversary else 1e12)
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        return cls(raw)
+        cap = raw.get("guard_cap")
+        if cap is None:
+            cap = 1e300 if self.adversary else 1e12
+        elif not np.isfinite(_typed(raw, "guard_cap", "", None)) or cap <= 0:
+            raise ConfigError("guard_cap", "must be a positive finite number")
+        self.guard_cap = float(cap)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError("<file>", f"invalid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("<file>", "top level must be a JSON object")
-        return cls(raw)
+        return cls(read_json(path))
 
     def to_dict(self) -> dict:
         return copy.deepcopy(self.raw)

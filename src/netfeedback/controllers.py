@@ -12,8 +12,9 @@ index; the enhanced witness prefers neighbourhood states over extreme records.
 
 The witness and control_* functions are the reference laws: each decision
 scans the history it may search. The runner's Controller makes the same
-decisions, bit for bit, from sorted WitnessIndex records that it grows by
-one flow row per step, so a nearest-record query costs O(log t).
+decisions, bit for bit, from the flow log alone: it grows sorted WitnessIndex
+records by one flow row per step, so a nearest-record query costs O(log t),
+and the max_enhanced law takes each row's network extremes in closed form.
 """
 
 import math
@@ -227,17 +228,6 @@ def control_max_enhanced(view: EnhancedFlowView, graph: WeightedDigraph,
     return acc + 0.5 * (y_hi + y_lo)
 
 
-def _midpoint(hi: float, lo: float, highs, lows) -> float:
-    """0.5 * (highs().max() + lows().min()) from the running extremes hi and
-    lo. ndarray.max/min may return either zero on a +0.0/-0.0 tie, depending
-    on the array length, so a zero extreme is taken from the series itself."""
-    if hi == 0.0:
-        hi = float(highs().max())
-    if lo == 0.0:
-        lo = float(lows().min())
-    return 0.5 * (hi + lo)
-
-
 class _Track:
     """One scalar sequence of the flow, one record per time (key = time):
     its witness index and running extremes over the ingested values."""
@@ -254,16 +244,23 @@ class _Track:
 
     def control(self, q: float, seq) -> float:
         """The scalar law at the current value q: cancel through the nearest
-        record and recentre on the extremes of the sequence seq() through q."""
-        return (-self.index.nearest(q)[2]
-                + _midpoint(max(self.hi, q), min(self.lo, q), seq, seq))
+        record and recentre on 0.5 * (seq().max() + seq().min()), seq() being
+        the sequence through q. ndarray.max/min may return either zero on a
+        +0.0/-0.0 tie, depending on the array length, so a zero extreme is
+        taken from the sequence itself."""
+        hi, lo = max(self.hi, q), min(self.lo, q)
+        if hi == 0.0:
+            hi = float(seq().max())
+        if lo == 0.0:
+            lo = float(seq().min())
+        return -self.index.nearest(q)[2] + 0.5 * (hi + lo)
 
 
-# Per-kind fast paths. ingest(s, xs, zs, series) takes the completed flow
-# row s once; decide(log, t, q, series) returns U(t) for q = X(t). xs, zs
-# and q are lists of floats, series the runner's enhanced series. Each index
-# is fed in the order of the reference's candidate scan, so a record's
-# insertion rank is its position in that scan and the tie rules agree.
+# Per-kind fast paths. ingest(s, xs, zs) takes the completed flow row s
+# once; decide(log, t, q) returns U(t) for q = X(t). xs, zs and q are lists
+# of floats. Each index is fed in the order of the reference's candidate
+# scan, so a record's insertion rank is its position in that scan and the
+# tie rules agree.
 
 class _NetworkFlow:
     """One global index, key s*n + v: control_network_flow. It keeps no
@@ -277,11 +274,11 @@ class _NetworkFlow:
         self.branch_log = ctl.branch_log
         self.index = WitnessIndex()
 
-    def ingest(self, s, xs, zs, series):
+    def ingest(self, s, xs, zs):
         for x, z in zip(xs, zs):
             self.index.insert(x, z)
 
-    def decide(self, log, t, q, series):
+    def decide(self, log, t, q):
         hits = [self.index.nearest(qj) for qj in q]
         u = -(self.weights @ np.array([h[2] for h in hits]))
         accurate = max(h[0] for h in hits) <= self.epsilon
@@ -296,10 +293,10 @@ class _PathRoot:
         self.n = ctl.graph.n
         self.track = _Track()
 
-    def ingest(self, s, xs, zs, series):
+    def ingest(self, s, xs, zs):
         self.track.add(xs[0], zs[0])
 
-    def decide(self, log, t, q, series):
+    def decide(self, log, t, q):
         u = np.zeros(self.n)
         u[0] = self.track.control(q[0], lambda: log.x_hist[:, 0][:t + 1])
         return u
@@ -314,11 +311,11 @@ class _Cycle:
         self.n = ctl.graph.n
         self.tracks = [_Track() for _ in range(self.n)]
 
-    def ingest(self, s, xs, zs, series):
+    def ingest(self, s, xs, zs):
         for v, (x, z) in enumerate(zip(xs, zs)):
             self.tracks[(s - v) % self.n].add(x, z)
 
-    def decide(self, log, t, q, series):
+    def decide(self, log, t, q):
         n = self.n
         u = np.zeros(n)
         for i0 in range(n):
@@ -336,8 +333,11 @@ class _Neighbourhood:
     """One index per node over its columns N_i u {i}, key s*k + c:
     control_local_flow. For max_enhanced also one shared index of the
     extreme records, key 2s (max) or 2s + 1 (min), and the running folded
-    extremes: control_max_enhanced. A node's index is fed only its own
-    columns, so confinement stays structural."""
+    extremes: control_max_enhanced. Row s's extremes are taken in closed
+    form, the first argmax/argmin of X(s) with its estimate; that is the
+    limit of flows.run_extreme_consensus on a strongly connected graph. A
+    node's index is fed only its own columns, so confinement stays
+    structural."""
 
     def __init__(self, ctl):
         g = ctl.graph
@@ -346,33 +346,34 @@ class _Neighbourhood:
         self.hoods = [tuple(sorted(set(nb) | {i}))
                       for i, nb in enumerate(self.nbrs)]
         self.indices = [WitnessIndex() for _ in range(g.n)]
-        self.extremes = WitnessIndex() if ctl.needs_enhanced else None
+        self.extremes = (WitnessIndex() if ctl.spec.kind == "max_enhanced"
+                         else None)
         self.hi = -math.inf
         self.lo = math.inf
 
-    def ingest(self, s, xs, zs, series):
+    def ingest(self, s, xs, zs):
         for nodes, index in zip(self.hoods, self.indices):
             for v in nodes:
                 index.insert(xs[v], zs[v])
         if self.extremes is not None:
-            x_max, x_min, z_at_max, z_at_min = series
-            hi, lo = float(x_max[s]), float(x_min[s])
-            self.extremes.insert(hi, float(z_at_max[s]))
-            self.extremes.insert(lo, float(z_at_min[s]))
-            self.hi = max(self.hi, hi)
-            self.lo = min(self.lo, lo)
+            # max() and index() both stop at the first extreme element
+            hi, lo = xs.index(max(xs)), xs.index(min(xs))
+            self.extremes.insert(xs[hi], zs[hi])
+            self.extremes.insert(xs[lo], zs[lo])
+            self.hi = max(self.hi, xs[hi])
+            self.lo = min(self.lo, xs[lo])
 
-    def decide(self, log, t, q, series):
+    def decide(self, log, t, q):
         n = len(q)
         if self.extremes is None:
             ext = None
             anchors = log.x_hist[0].tolist()
         else:
             ext = [self.extremes.nearest(qj) for qj in q]
-            x_max, x_min = series[0], series[1]
-            mid = _midpoint(max(self.hi, float(x_max[t])),
-                            min(self.lo, float(x_min[t])),
-                            lambda: x_max[:t + 1], lambda: x_min[:t + 1])
+            # No signed-zero fallback as in _Track: acc below starts at +0.0
+            # and a difference is -0.0 only when its minuend is, so acc + mid
+            # has the same bits for either zero mid.
+            mid = 0.5 * (max(self.hi, max(q)) + min(self.lo, min(q)))
             anchors = [mid] * n
         u = np.zeros(n)
         for i, (index, nbrs, w) in enumerate(zip(self.indices, self.nbrs,
@@ -393,32 +394,36 @@ _LAWS = {"network_flow": _NetworkFlow, "path_root": _PathRoot,
 
 
 class Controller:
-    """Dispatcher used by the runner; holds the pieces a kind needs.
+    """The feedback law of one run; it reads nothing but the flow log.
 
-    A Controller serves one run. It ingests each completed flow row
-    (X(s), Z(s)) once into sorted witness indices and answers each
-    nearest-record query by bisection; its decisions equal the control_*
-    reference laws bit for bit. States must be finite, as the runner's
-    divergence guard ensures.
+    Each call controls(log, t) first takes in the log rows it has not seen:
+    X(s) into the network-wide ExtremeLedger and, once X(s+1) has arrived,
+    the completed row (X(s), Z(s)) into the law's sorted witness indices.
+    Each nearest-record query is then a bisection; the decisions equal the
+    control_* reference laws bit for bit. States must be finite, as the
+    runner's divergence guard ensures.
     """
 
     def __init__(self, spec: ControllerSpec, graph: WeightedDigraph):
         self.spec = spec
         self.graph = graph
         self.ledger = ExtremeLedger()
-        self.needs_enhanced = spec.kind == "max_enhanced"
         self.branch_log = []   # network_flow: True when the recentre branch fired
         law = _LAWS.get(spec.kind)
         self._law = law(self) if law is not None else None   # None: zero
-        self._rows = 0         # flow rows ingested
+        self._seen = 0         # state rows X(0..seen-1) taken in
 
-    def controls(self, log: FlowLog, t: int, enhanced_series=None) -> np.ndarray:
-        if t == 0 or self._law is None:
+    def controls(self, log: FlowLog, t: int) -> np.ndarray:
+        if self._law is None:
             return np.zeros(self.graph.n)
-        if t < self._rows:
+        if t + 1 < self._seen:
             raise ValueError("a Controller serves one run; time cannot go back")
         x, z = log.x_hist, log.z_hist
-        for s in range(self._rows, t):
-            self._law.ingest(s, x[s].tolist(), z[s].tolist(), enhanced_series)
-        self._rows = t
-        return self._law.decide(log, t, x[t].tolist(), enhanced_series)
+        for s in range(self._seen, t + 1):
+            self.ledger.update(x[s])
+            if s:
+                self._law.ingest(s - 1, x[s - 1].tolist(), z[s - 1].tolist())
+        self._seen = t + 1
+        if t == 0:
+            return np.zeros(self.graph.n)
+        return self._law.decide(log, t, x[t].tolist())

@@ -8,6 +8,11 @@ with |w_i(t)| <= w_star. The estimate channel either reads f(x_i(t)) directly
 with bounded error d0, or reconstructs all of f(X(t)) at once by inverting the
 weight matrix on X(t+1) - U(t); the inverse route inherits an error of at most
 ||A^{-1}||_inf * w_star.
+
+PlantModel.advance(t, X(t), U(t), W(t)) returns (X(t+1), Z(t)): it steps the
+plant and observes through its own channel, whose noise generator and
+factorized inverse it holds for the run. OnlineAdversary.advance has the same
+signature, so the runner drives either plant through one call.
 """
 
 from dataclasses import dataclass, field
@@ -26,7 +31,6 @@ class DisturbanceSpec:
       * "zero": W identically zero (w_star may be 0 in this case only).
       * "seeded_uniform": iid uniform on [-w_star, w_star], seeded.
       * "constant_sign": uniform magnitude in [0, w_star] times `sign`.
-      * "adversary_hook": the runner supplies W externally per step.
     """
 
     w_star: float = 0.0
@@ -35,12 +39,11 @@ class DisturbanceSpec:
     sign: int = 1
 
     def __post_init__(self):
-        if self.generator not in ("zero", "seeded_uniform", "constant_sign",
-                                  "adversary_hook"):
+        if self.generator not in ("zero", "seeded_uniform", "constant_sign"):
             raise ValueError(f"unknown disturbance generator {self.generator!r}")
         if self.w_star < 0:
             raise ValueError("w_star must be nonnegative")
-        if self.w_star == 0.0 and self.generator not in ("zero", "adversary_hook"):
+        if self.w_star == 0.0 and self.generator != "zero":
             raise ValueError("w_star must be positive for a nonzero generator")
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
@@ -58,7 +61,7 @@ class DisturbanceSource:
 
     def draw(self, n: int) -> np.ndarray:
         s = self.spec
-        if s.generator in ("zero", "adversary_hook"):
+        if s.generator == "zero":
             return np.zeros(n)
         if s.generator == "seeded_uniform":
             return self._rng.uniform(-s.w_star, s.w_star, n)
@@ -89,8 +92,22 @@ class ObservationSpec:
 class PlantModel:
     graph: WeightedDigraph
     f: object  # PlantFunction
-    disturbance: DisturbanceSpec = field(default_factory=DisturbanceSpec)
     observation: ObservationSpec = field(default_factory=ObservationSpec)
+
+    def __post_init__(self):
+        obs = self.observation
+        self._rng = np.random.default_rng(obs.noise_seed)
+        self._inverse = (InverseObserver(self.graph)
+                         if obs.mode == "matrix_inverse" else None)
+
+    def advance(self, t: int, x: np.ndarray, u: np.ndarray, w: np.ndarray):
+        """(X(t+1), Z(t)) from X(t), U(t) and W(t)."""
+        x_next = step(self, PlantState(t, x), u, w).x
+        if self._inverse is None:
+            z = observe_direct(self.f, x, self.observation.d0, self._rng)
+        else:
+            z = self._inverse.observe(x_next, u)
+        return x_next, z
 
 
 @dataclass
@@ -100,26 +117,21 @@ class PlantState:
 
 
 def step(model: PlantModel, state: PlantState, u: np.ndarray,
-         w: np.ndarray | None = None, source: DisturbanceSource | None = None):
-    """Advance the plant one step; returns (next state, realized W).
+         w: np.ndarray) -> PlantState:
+    """Advance the plant one step under control u and disturbance w.
 
     Overflow is not an error here: non-finite states are the runner's guard
     problem, not a crash.
     """
     x = np.asarray(state.x, dtype=float)
     u = np.asarray(u, dtype=float)
+    w = np.asarray(w, dtype=float)
     n = model.graph.n
-    if x.shape != (n,) or u.shape != (n,):
-        raise ValueError(f"state/control must have shape ({n},)")
-    if w is None:
-        w = (source or model.disturbance.make_source()).draw(n)
-    else:
-        w = np.asarray(w, dtype=float)
-        if w.shape != (n,):
-            raise ValueError(f"disturbance must have shape ({n},)")
+    if x.shape != (n,) or u.shape != (n,) or w.shape != (n,):
+        raise ValueError(f"state/control/disturbance must have shape ({n},)")
     with np.errstate(over="ignore", invalid="ignore"):
         x_next = model.graph.weights @ np.asarray(model.f(x), dtype=float) + u + w
-    return PlantState(state.t + 1, x_next), w
+    return PlantState(state.t + 1, x_next)
 
 
 def observe_direct(f, x: np.ndarray, d0: float = 0.0,
@@ -150,9 +162,3 @@ class InverseObserver:
 
     def observe(self, x_next: np.ndarray, u: np.ndarray) -> np.ndarray:
         return lu_solve(self._lu, np.asarray(x_next, float) - np.asarray(u, float))
-
-
-def observe_inverse(graph: WeightedDigraph, x_next: np.ndarray, u: np.ndarray,
-                    cond_limit: float = 1e12) -> np.ndarray:
-    """One-shot inverse observation; see InverseObserver for the cached form."""
-    return InverseObserver(graph, cond_limit).observe(x_next, u)

@@ -10,9 +10,10 @@ value, so a nearest-record query is a bisection instead of a scan of the
 history.
 
 run_extreme_consensus is the flooding protocol by which nodes learn the
-extremes from their neighbours alone. The runner takes the same extremes in
-closed form (argmax/argmin with the lowest-index tie rule); the tests prove
-that this equals the protocol's limit on every strongly connected graph.
+extremes from their neighbours alone. The max_enhanced law takes the same
+extremes in closed form from each flow row (the first argmax/argmin, i.e. the
+lowest-index holder on ties); the tests prove that this equals the
+protocol's limit on every strongly connected graph.
 """
 
 from array import array
@@ -246,8 +247,12 @@ class ConsensusState:
         return cls(x.copy(), z.copy(), np.arange(x.size), 0)
 
 
-def _consensus_round(g: WeightedDigraph, state: ConsensusState,
-                     mode: str) -> ConsensusState:
+def consensus_round(g: WeightedDigraph, state: ConsensusState,
+                    mode: str) -> ConsensusState:
+    """One synchronous round: each node adopts the best record over N_i u {i},
+    the largest x for mode "max", the smallest for "min"."""
+    if mode not in ("max", "min"):
+        raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
     sign = 1.0 if mode == "max" else -1.0
     n = g.n
     x_new = state.x.copy()
@@ -267,15 +272,6 @@ def _consensus_round(g: WeightedDigraph, state: ConsensusState,
     return ConsensusState(x_new, z_new, o_new, state.k + 1)
 
 
-def max_consensus_round(g: WeightedDigraph, state: ConsensusState) -> ConsensusState:
-    """One synchronous round: each node adopts the best record over N_i u {i}."""
-    return _consensus_round(g, state, "max")
-
-
-def min_consensus_round(g: WeightedDigraph, state: ConsensusState) -> ConsensusState:
-    return _consensus_round(g, state, "min")
-
-
 ExtremeConsensus = namedtuple(
     "ExtremeConsensus",
     ["x_max", "z_at_max", "x_min", "z_at_min", "holder_max", "holder_min", "rounds"])
@@ -293,8 +289,8 @@ def run_extreme_consensus(g: WeightedDigraph, x, z) -> ExtremeConsensus:
     lo = ConsensusState.init(x, z)
     rounds = 0
     for _ in range(g.n):
-        hi_next = max_consensus_round(g, hi)
-        lo_next = min_consensus_round(g, lo)
+        hi_next = consensus_round(g, hi, "max")
+        lo_next = consensus_round(g, lo, "min")
         rounds += 1
         settled = (np.array_equal(hi_next.x, hi.x)
                    and np.array_equal(hi_next.origin, hi.origin)

@@ -1,17 +1,16 @@
 """Closed-loop execution of one experiment and bit-stable output emission.
 
-One run is one sequential loop. Per step t: the network extremes are refreshed
-if the controller needs them, the controller reads the flow record and fixes
-U(t), the disturbance draws W(t), the plant (or the adversary's committed
-function) produces X(t+1), and the estimate Z(t) is observed and logged. The
-divergence guard stops the loop once states leave [-cap, cap] or go
-non-finite; the partial trajectory is still written.
+One run is one sequential loop with no branch on the law, the plant or the
+observation channel. Per step t: the controller reads the flow record and
+fixes U(t), the disturbance draws W(t), the plant (the model plant or the
+adversary's committed function) returns X(t+1) and the estimate Z(t), and
+the log takes the new row. The divergence guard stops the loop once states
+leave [-cap, cap] or go non-finite; the partial trajectory is still written.
 
-The extremes are taken in closed form: the first argmax/argmin of X(t), i.e.
-the lowest-index holder on ties. That is the limit the flooding protocol
-flows.run_extreme_consensus reaches on a strongly connected graph; the tests
-prove the two agree, exhaustively on small digraphs and at every step of
-seeded runs. Strong connectivity is checked once, before the first step.
+The max_enhanced law needs a strongly connected graph, so that its
+closed-form extremes are the limit of flows.run_extreme_consensus; that is
+checked once, before the first step. RunResult.enhanced holds the same
+extremes, taken after the loop from the state history.
 """
 
 import json
@@ -24,8 +23,7 @@ from .adversary import DivergenceCertificate, IntervalLedger, OnlineAdversary
 from .capacity import xie_guo_constant
 from .config import ExperimentConfig
 from .controllers import Controller
-from .dynamics import (InverseObserver, PlantModel, PlantState, observe_direct,
-                       step)
+from .dynamics import InverseObserver, PlantModel
 from .flows import FlowLog
 from .functions import certificate_for, residual_bound
 from .graphs import inf_norm, is_strongly_connected, sharp_metric
@@ -89,65 +87,30 @@ def theoretical_bound(config: ExperimentConfig) -> float | None:
 def run_experiment(config: ExperimentConfig) -> RunResult:
     g = config.graph
     n = g.n
-    x0 = np.array(config.x0, dtype=float)
+    x = np.array(config.x0, dtype=float)
+    kind = config.controller.kind
     controller = Controller(config.controller, g)
     source = config.disturbance.make_source()
-    obs = config.observation
-    obs_rng = np.random.default_rng(obs.noise_seed)
-    adv = OnlineAdversary(g, x0) if config.adversary else None
-    inverse = None
-    model = None
-    if adv is None:
-        model = PlantModel(g, config.f, config.disturbance, obs)
-        if obs.mode == "matrix_inverse":
-            inverse = InverseObserver(g)
+    plant = (OnlineAdversary(g, x) if config.adversary
+             else PlantModel(g, config.f, config.observation))
+    if kind == "max_enhanced" and not is_strongly_connected(g):
+        raise ValueError("extreme consensus needs a strongly connected graph")
 
     log = FlowLog(n, capacity=config.horizon + 1)
-    log.append(x0)
-    controller.ledger.update(x0)
-    interval = IntervalLedger(x0)
-    needs_enh = controller.needs_enhanced
-    if needs_enh and not is_strongly_connected(g):
-        raise ValueError("extreme consensus needs a strongly connected graph")
-    # extreme series: x_* through the current step, z_at_* through the last
-    x_max, x_min, z_hi, z_lo = (np.empty(config.horizon + 1) for _ in range(4))
-    holders = []
+    log.append(x)
+    interval = IntervalLedger(x)
     w_rows = []
     guard_tripped = False
     cap = config.guard_cap
-    state = PlantState(0, x0)
 
     for t in range(config.horizon):
-        if needs_enh:
-            hi, lo = int(state.x.argmax()), int(state.x.argmin())
-            x_max[t], x_min[t] = state.x[hi], state.x[lo]
-            holders.append((hi, lo))
-            series = (x_max[:t + 1], x_min[:t + 1], z_hi[:t], z_lo[:t])
-        else:
-            series = None
-        u = controller.controls(log, t, series)
+        u = controller.controls(log, t)
         w = source.draw(n)
-        if adv is not None:
-            fvals = adv.step(t, state.x, u, w)
-            with np.errstate(over="ignore", invalid="ignore"):
-                x_next = g.weights @ fvals + u + w
-            z = fvals.copy()   # committed values are the exact estimates
-            state = PlantState(t + 1, x_next)
-        else:
-            x_t = state.x
-            state, w = step(model, state, u, w=w)
-            if obs.mode == "direct":
-                z = observe_direct(config.f, x_t, obs.d0, obs_rng)
-            else:
-                z = inverse.observe(state.x, u)
-        if needs_enh:
-            z_hi[t], z_lo[t] = z[hi], z[lo]
-        log.append(state.x, z=z, u=u)
+        x, z = plant.advance(t, x, u, w)
+        log.append(x, z=z, u=u)
         w_rows.append(w)
-        controller.ledger.update(state.x)
-        interval.update(state.x)
-        finite = np.isfinite(state.x)
-        if not finite.all() or float(np.abs(state.x).max()) > cap:
+        interval.update(x)
+        if not np.isfinite(x).all() or float(np.abs(x).max()) > cap:
             guard_tripped = True
             break
 
@@ -160,7 +123,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     dec = max(1, (steps + 1) // 10)
     tail_state = float(absx[-dec:].max())
     bound = theoretical_bound(config)
-    certificate = adv.certificate() if adv is not None else None
+    certificate = plant.certificate() if config.adversary else None
 
     if guard_tripped or non_finite:
         verdict, basis = "diverged", "guard"
@@ -186,7 +149,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         "steps_run": steps,
         "guard_tripped": guard_tripped,
         "guard_cap": cap,
-        "controller": config.controller.kind,
+        "controller": kind,
         "adversary": config.adversary,
         "n": n,
         "inf_norm": inf_norm(g),
@@ -194,18 +157,22 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         "label": config.label,
         "certificate": "certificate.json" if config.adversary else None,
         "explore_steps": (int(sum(controller.branch_log))
-                          if config.controller.kind == "network_flow" else None),
+                          if kind == "network_flow" else None),
     }
     enhanced = None
-    if needs_enh:
-        enhanced = {"x_max": x_max[:steps], "x_min": x_min[:steps],
-                    "z_at_max": z_hi[:steps], "z_at_min": z_lo[:steps],
-                    "holders": holders}
+    if kind == "max_enhanced":
+        # the first argmax/argmin of each decided row, as the law took them
+        rows = np.arange(steps)
+        hi, lo = x_hist[:steps].argmax(axis=1), x_hist[:steps].argmin(axis=1)
+        enhanced = {"x_max": x_hist[rows, hi], "x_min": x_hist[rows, lo],
+                    "z_at_max": log.z_hist[rows, hi],
+                    "z_at_min": log.z_hist[rows, lo],
+                    "holders": list(zip(hi.tolist(), lo.tolist()))}
     return RunResult(config=config, log=log,
                      w_hist=np.asarray(w_rows).reshape(len(w_rows), n),
                      interval=interval, summary=summary,
                      certificate=certificate,
-                     branches=tuple(adv.branches) if adv is not None else (),
+                     branches=tuple(plant.branches) if config.adversary else (),
                      explore_log=tuple(controller.branch_log),
                      enhanced=enhanced)
 

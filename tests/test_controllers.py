@@ -28,6 +28,7 @@ from netfeedback import (
     local_witness,
     random_strongly_connected,
     run_experiment,
+    run_extreme_consensus,
     wrap_index,
 )
 from netfeedback import controllers
@@ -221,11 +222,11 @@ def test_dispatcher_matches_direct_call():
     g = build_canonical("cycle", 2)
     log = _log([[1.0, 2.0], [1.0, 2.0]], rows_z=[[10.0, 20.0]])
     ctl = Controller(ControllerSpec("network_flow", epsilon=0.1), g)
-    ctl.ledger.update([1.0, 2.0])
-    ctl.ledger.update([1.0, 2.0])
     u = ctl.controls(log, 1)
     np.testing.assert_array_equal(u, [-20.0, -10.0])
     assert ctl.branch_log == [False]
+    # the Controller fed its own ledger from the rows X(0), X(1) of the log
+    assert (ctl.ledger.low, ctl.ledger.high) == (1.0, 2.0)
 
 
 
@@ -303,18 +304,24 @@ def test_witness_index_rejects_what_it_cannot_order():
     assert len(index) == 1 and index.nearest(3.0) == (2.0, 0, 2.0)
 
 
-def _decide_all(kind, g, log, series=None):
+def _decide_all(kind, g, log):
     """A fresh Controller's decisions at t = 1..log.t, one call per step."""
     ctl = Controller(ControllerSpec(kind), g)
-    out = []
-    for t in range(1, log.t + 1):
-        step = None if series is None else (series[0][:t + 1], series[1][:t + 1],
-                                            series[2][:t], series[3][:t])
-        out.append(ctl.controls(log, t, step))
-    return out
+    return [ctl.controls(log, t) for t in range(1, log.t + 1)]
+
+
+def _extreme_series(log):
+    """The extreme series of control_max_enhanced on the whole log: each
+    row's first argmax/argmin value, and its estimate where Z is known."""
+    x, z = log.x_hist, log.z_hist
+    t = log.t
+    rows = np.arange(t + 1)
+    hi, lo = x.argmax(axis=1), x.argmin(axis=1)
+    return x[rows, hi], x[rows, lo], z[rows[:t], hi[:t]], z[rows[:t], lo[:t]]
 
 
 def _reference_u(kind, g, log, t, series=None):
+    """The reference law's U(t); series defaults to the log's own extremes."""
     if kind == "path_root":
         return control_path_root(log, t)
     if kind == "cycle_global":
@@ -325,15 +332,15 @@ def _reference_u(kind, g, log, t, series=None):
         if kind == "local_flow":
             u[i] = control_local_flow(view, g, i, t)
         else:
-            enh = EnhancedFlowView(view, *series)
+            enh = EnhancedFlowView(view, *(series or _extreme_series(log)))
             u[i] = control_max_enhanced(enh, g, i, t)
     return u
 
 
 def test_controller_matches_per_neighbour_reference():
     # States drawn from a small pool give exact value ties, rounding ties and
-    # signed zeros; extreme records drawn from the same pool tie
-    # neighbourhood states; node 0 has no in-neighbours.
+    # signed zeros; a row's extreme record ties the states of its holder's
+    # neighbourhood; node 0 has no in-neighbours.
     n, T = 5, 12
     seen = dict.fromkeys(("exact", "rounding", "hood_vs_extreme", "no_nbrs"), 0)
     for seed in range(6):
@@ -343,11 +350,10 @@ def test_controller_matches_per_neighbour_reference():
         g = WeightedDigraph(w)
         log = _log(rng.choice(_POOL, size=(T + 1, n)),
                    rows_z=list(rng.normal(size=(T, n))))
-        x_max, x_min = rng.choice(_POOL, size=(2, T + 1))
-        series = (x_max, x_min, *rng.normal(size=(2, T)))
+        x_max, x_min = _extreme_series(log)[:2]
         for kind in ("local_flow", "max_enhanced"):
-            for t, u in enumerate(_decide_all(kind, g, log, series), start=1):
-                ref = _reference_u(kind, g, log, t, series)
+            for t, u in enumerate(_decide_all(kind, g, log), start=1):
+                ref = _reference_u(kind, g, log, t)
                 assert _bits(u) == _bits(ref), (seed, kind, t)
         for i in range(n):
             view = LocalFlowView(log, g, i)
@@ -366,6 +372,25 @@ def test_controller_matches_per_neighbour_reference():
     assert all(seen.values()), seen
 
 
+def test_enhanced_extreme_record_comes_from_the_first_holder():
+    # Nodes 2 and 3 tie for the maximum (then the minimum) of X(0) with
+    # different estimates, both outside node 1's neighbourhood {0, 1} on the
+    # 4-cycle. Node 0's state at t = 1 sits next to that extreme, so node
+    # 1's witness for it is the extreme record, whose estimate must be the
+    # lowest holder's, as in the flooding protocol's limit.
+    g = build_canonical("cycle", 4)
+    for sign in (1.0, -1.0):
+        log = _log([[1.0, 1.0, 5.0 * sign, 5.0 * sign],
+                    [4.9 * sign, 1.0, 1.0, 1.0]], rows_z=[[1.0, 1.0, 7.0, 9.0]])
+        cons = run_extreme_consensus(g, log.x_hist[0], log.z_hist[0])
+        got = ((cons.holder_max, cons.z_at_max) if sign > 0
+               else (cons.holder_min, cons.z_at_min))
+        assert got == (2, 7.0)
+        u = Controller(ControllerSpec("max_enhanced"), g).controls(log, 1)
+        assert _bits(u) == _bits(_reference_u("max_enhanced", g, log, 1))
+        assert u[1] == -7.0 + 0.5 * (5.0 * sign + 1.0)
+
+
 def test_running_extremes_keep_numpy_signed_zero():
     # On an all-zero history with both signs, ndarray.max/min pick a zero by
     # a rule that depends on the array length, and the sign reaches u when
@@ -375,16 +400,15 @@ def test_running_extremes_keep_numpy_signed_zero():
     T = 40
     for seed in range(4):
         rng = np.random.default_rng(seed)
-        signs = rng.integers(0, 2, size=(3, T + 1, 5)).astype(bool)
-        x, z, ext = np.where(signs, -0.0, 0.0)
+        signs = rng.integers(0, 2, size=(2, T + 1, 5)).astype(bool)
+        x, z = np.where(signs, -0.0, 0.0)
         log = _log(x, rows_z=list(z[:T]))
         graphs = {"path_root": build_canonical("path_root_selfloop", 5),
                   "cycle_global": build_canonical("cycle", 5),
                   "max_enhanced": build_canonical("cycle", 5)}
-        series = (ext[:, 0], ext[:, 1], z[:T, 2], z[:T, 3])
         for kind, g in graphs.items():
-            for t, u in enumerate(_decide_all(kind, g, log, series), start=1):
-                ref = _reference_u(kind, g, log, t, series)
+            for t, u in enumerate(_decide_all(kind, g, log), start=1):
+                ref = _reference_u(kind, g, log, t)
                 assert _bits(u) == _bits(ref), (seed, kind, t)
         for t in range(1, T + 1):
             times = np.arange(t + 1)
@@ -469,12 +493,11 @@ def test_controller_is_freed_without_cyclic_gc():
     # and raised the peak memory of long batches of runs.
     g = build_canonical("cycle", 3)
     log = _log([[0.1, 0.2, 0.3], [0.3, 0.1, 0.2]], rows_z=[[1.0, 2.0, 3.0]])
-    series = ([0.3, 0.3], [0.1, 0.1], [3.0], [1.0])
     gc.disable()
     try:
         for kind in _KINDS:
             ctl = Controller(ControllerSpec(kind), g)
-            ctl.controls(log, 1, series)
+            ctl.controls(log, 1)
             ref = weakref.ref(ctl)
             del ctl
             assert ref() is None, kind
@@ -485,7 +508,8 @@ def test_controller_is_freed_without_cyclic_gc():
 def test_enhanced_witness_nan_distance_order():
     # The reference returns argmin's first NaN over the concatenated
     # candidates (neighbourhood first). The Controller's index cannot order
-    # NaN, so it refuses non-finite states rather than answer differently.
+    # NaN, so it refuses non-finite states, past or current, rather than
+    # answer differently.
     g = build_canonical("cycle", 2)
     for hood_x, ext_x, fhat in (([np.nan, 0.0], [0.0, 0.0], 1.0),
                                 ([0.0, 0.0], [np.nan, 0.0], 3.0),
@@ -494,6 +518,7 @@ def test_enhanced_witness_nan_distance_order():
         series = (ext_x, ext_x, [3.0], [4.0])
         view = EnhancedFlowView(LocalFlowView(log, g, 0), *series)
         assert enhanced_witness(view, 1, 1).fhat == fhat
+    for rows in (([np.nan, 0.0], [0.0, 0.0]), ([0.0, 0.0], [0.0, np.nan])):
         ctl = Controller(ControllerSpec("max_enhanced"), g)
         with pytest.raises(ValueError):
-            ctl.controls(log, 1, series)
+            ctl.controls(_log(rows, rows_z=[[1.0, 2.0]]), 1)

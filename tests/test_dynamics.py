@@ -26,17 +26,16 @@ def test_step_two_cycle_oracle():
     g = build_canonical("cycle", 2)
     model = _model(g, LinearFunction(2.0))
     state = PlantState(0, np.array([1.0, -1.0]))
-    nxt, w = step(model, state, np.zeros(2), w=np.zeros(2))
+    nxt = step(model, state, np.zeros(2), w=np.zeros(2))
     assert nxt.t == 1
     np.testing.assert_array_equal(nxt.x, [-2.0, 2.0])
-    np.testing.assert_array_equal(w, [0.0, 0.0])
 
 
 def test_step_applies_control_and_disturbance():
     g = build_canonical("cycle", 2)
     model = _model(g, LinearFunction(1.0))
     state = PlantState(3, np.array([0.5, 0.25]))
-    nxt, _ = step(model, state, np.array([1.0, -1.0]), w=np.array([0.1, 0.2]))
+    nxt = step(model, state, np.array([1.0, -1.0]), w=np.array([0.1, 0.2]))
     np.testing.assert_allclose(nxt.x, [0.25 + 1.0 + 0.1, 0.5 - 1.0 + 0.2])
 
 
@@ -48,13 +47,15 @@ def test_step_shape_validation():
         step(model, state, np.zeros(2), w=np.zeros(3))
     with pytest.raises(ValueError):
         step(model, state, np.zeros(3), w=np.zeros(4))
+    with pytest.raises(TypeError):
+        step(model, state, np.zeros(3))   # W is the caller's draw, never implied
 
 
 def test_step_overflow_is_not_an_error():
     g = build_canonical("single_selfloop", 1, a11=1.0)
     model = _model(g, LinearFunction(1e200))
     state = PlantState(0, np.array([1e200]))
-    nxt, _ = step(model, state, np.zeros(1), w=np.zeros(1))
+    nxt = step(model, state, np.zeros(1), w=np.zeros(1))
     assert not np.isfinite(nxt.x).all()
 
 
@@ -133,7 +134,7 @@ def test_inverse_observer_recovers_f_up_to_disturbance():
         x = rng.uniform(-5, 5, 3)
         u = rng.uniform(-1, 1, 3)
         w = rng.uniform(-0.2, 0.2, 3)
-        nxt, _ = step(model, PlantState(0, x), u, w=w)
+        nxt = step(model, PlantState(0, x), u, w=w)
         z = obs.observe(nxt.x, u)
         assert np.max(np.abs(z - f(x))) <= obs.error_gain * 0.2 + 1e-12
 
@@ -144,7 +145,7 @@ def test_inverse_observer_exact_without_disturbance():
     obs = InverseObserver(g)
     x = np.array([2.0, -1.0, 0.5, 3.0])
     u = np.array([0.1, 0.2, 0.3, 0.4])
-    nxt, _ = step(_model(g, f), PlantState(0, x), u, w=np.zeros(4))
+    nxt = step(_model(g, f), PlantState(0, x), u, w=np.zeros(4))
     np.testing.assert_allclose(obs.observe(nxt.x, u), f(x), atol=1e-12)
 
 

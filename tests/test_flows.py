@@ -12,8 +12,8 @@ from netfeedback import (
     LocalFlowView,
     WeightedDigraph,
     build_canonical,
+    consensus_round,
     control_local_flow,
-    max_consensus_round,
     random_strongly_connected,
     run_extreme_consensus,
 )
@@ -155,11 +155,16 @@ def test_consensus_state_init_validation():
 def test_single_round_adoption():
     g = build_canonical("cycle", 3)  # node i hears node i-1
     st = ConsensusState.init([5.0, 0.0, 1.0], [50.0, 0.0, 10.0])
-    nxt = max_consensus_round(g, st)
+    nxt = consensus_round(g, st, "max")
     # node 1 adopts node 0's record; node 0 keeps its own
     np.testing.assert_array_equal(nxt.x, [5.0, 5.0, 1.0])
     np.testing.assert_array_equal(nxt.origin, [0, 0, 2])
     assert nxt.k == 1
+    low = consensus_round(g, st, "min")
+    np.testing.assert_array_equal(low.x, [1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(low.z, [10.0, 0.0, 0.0])
+    with pytest.raises(ValueError):
+        consensus_round(g, st, "median")
 
 
 def test_duplicate_extreme_resolved_by_origin():

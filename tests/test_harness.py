@@ -51,11 +51,36 @@ def test_field_errors_are_attributed():
         ({"observation": {"mode": "psychic"}}, "observation"),
         ({"guard_cap": -5.0}, "guard_cap"),
         ({"function": {"kind": "cubic"}}, "function.kind"),
+        # wrong-typed JSON values: true is not a number, null not a default
+        ({"guard_cap": "big"}, "guard_cap"),
+        ({"guard_cap": True}, "guard_cap"),
+        ({"horizon": True}, "horizon"),
+        ({"controller": {"kind": "network_flow", "epsilon": "small"}},
+         "controller.epsilon"),
+        ({"controller": ["network_flow"]}, "controller"),
+        ({"disturbance": {"w_star": "0.1", "generator": "seeded_uniform"}},
+         "disturbance.w_star"),
+        ({"disturbance": {"w_star": 0.1, "generator": "seeded_uniform",
+                          "seed": 1.5}}, "disturbance.seed"),
+        ({"observation": {"mode": "direct", "d0": None}}, "observation.d0"),
+        ({"x0": {"seed": "a"}}, "x0.seed"),
+        ({"x0": {"seed": 1, "scale": "wide"}}, "x0.scale"),
+        ({"x0": [0.4, "a", 0.1]}, "x0"),
+        ({"graph": 5}, "graph"),
+        ({"adversary": "no"}, "adversary"),
     ]
     for over, field in cases:
         with pytest.raises(ConfigError) as ei:
             ExperimentConfig(_cfg(**over))
         assert ei.value.field == field, over
+    # ints stand wherever floats are expected
+    cfg = ExperimentConfig(_cfg(
+        guard_cap=500, x0=[1, 0, -1], controller={"kind": "network_flow",
+                                                  "epsilon": 1},
+        disturbance={"w_star": 1, "generator": "seeded_uniform", "seed": 7},
+        observation={"mode": "direct", "d0": 0, "noise_seed": 1}))
+    assert (cfg.guard_cap, cfg.controller.epsilon, cfg.disturbance.w_star) == (
+        500.0, 1, 1)
 
 
 def test_adversary_preconditions_checked():
@@ -238,12 +263,12 @@ def test_closed_form_extremes_match_consensus_protocol():
 
 
 def test_max_enhanced_needs_strong_connectivity_before_any_step(monkeypatch):
-    import netfeedback.runner as runner
+    import netfeedback.dynamics as dynamics
 
     def no_step(*args, **kwargs):
         raise AssertionError("the plant stepped before the connectivity check")
 
-    monkeypatch.setattr(runner, "step", no_step)
+    monkeypatch.setattr(dynamics, "step", no_step)
     cfg = ExperimentConfig(_cfg(
         graph={"kind": "path_root_selfloop", "n": 3},
         controller={"kind": "max_enhanced"}))
@@ -411,6 +436,10 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     del raw["x0"]
     path = _write_cfg(tmp_path, raw, "nox0.json")
     assert main(["simulate", "--config", path]) == 2
+    # wrong-typed field: a ConfigError, not a TypeError traceback
+    path = _write_cfg(tmp_path, _cfg(guard_cap="big"), "bigcap.json")
+    assert main(["simulate", "--config", path]) == 2
+    assert "guard_cap" in capsys.readouterr().err
     # malformed grid
     good = _write_cfg(tmp_path, _cfg(horizon=10), "good.json")
     assert main(["sweep", "--config", good, "--L", "1:2"]) == 2
