@@ -26,41 +26,86 @@ class InvariantError(RuntimeError):
     """A construction-time invariant failed; indicates a bug, not bad input."""
 
 
+def _check_segments(bound: float, pts, full_slope: bool):
+    """Consecutive pins (x, v) need distinct abscissae and |dv| <= bound*dx;
+    with full_slope also |dv| = bound*dx up to rounding."""
+    seg = [(xb - xa, vb - va) for (xa, va), (xb, vb) in zip(pts, pts[1:])]
+    if any(dx <= 0 for dx, _ in seg):
+        raise ValueError("pin abscissae must be distinct")
+    if any(abs(dv) > bound * dx * (1 + 1e-9) + 1e-12 for dx, dv in seg):
+        raise ValueError("pins violate the slope bound")
+    if full_slope and any(abs(abs(dv) - bound * dx) > 1e-9 * max(1.0, bound * dx)
+                          for dx, dv in seg):
+        raise InvariantError("committed pins drifted off the +/-B slopes")
+
+
 class PinnedPiecewiseLinear(PlantFunction):
     """Piecewise-linear function through pins, bounded slope, linear tails.
 
     Adjacent pins must satisfy |dv| <= slope_bound * dx. Between pins the
     function interpolates; beyond the outermost pins it continues with the
     given tail slopes (defaulting to the adjacent segment's slope, or
-    +/-slope_bound around a single pin).
+    +/-slope_bound around a single pin). With full_slope every segment must
+    run at +/-slope_bound, not merely within it (InvariantError otherwise).
     """
 
     def __init__(self, slope_bound: float, pins, left_slope: float | None = None,
-                 right_slope: float | None = None):
+                 right_slope: float | None = None, full_slope: bool = False):
         if slope_bound <= 0:
             raise ValueError("slope_bound must be positive")
         pts = sorted((float(x), float(v)) for x, v in pins)
         if not pts:
             raise ValueError("need at least one pin")
-        xs = np.array([p[0] for p in pts])
-        vs = np.array([p[1] for p in pts])
-        if np.any(np.diff(xs) <= 0):
-            raise ValueError("pin abscissae must be distinct")
-        dx = np.diff(xs)
-        dv = np.diff(vs)
-        if np.any(np.abs(dv) > slope_bound * dx * (1 + 1e-9) + 1e-12):
-            raise ValueError("pins violate the slope bound")
+        _check_segments(slope_bound, pts, full_slope)
         self.slope_bound = float(slope_bound)
-        self._xs = xs
-        self._vs = vs
-        if xs.size == 1:
-            self._lslope = -slope_bound if left_slope is None else float(left_slope)
-            self._rslope = slope_bound if right_slope is None else float(right_slope)
+        self._xs = np.array([p[0] for p in pts])
+        self._vs = np.array([p[1] for p in pts])
+        if len(pts) == 1:
+            self._lslope, self._rslope = -self.slope_bound, self.slope_bound
         else:
-            self._lslope = (dv[0] / dx[0]) if left_slope is None else float(left_slope)
-            self._rslope = (dv[-1] / dx[-1]) if right_slope is None else float(right_slope)
-        if max(abs(self._lslope), abs(self._rslope)) > slope_bound * (1 + 1e-9):
+            self._default_tails()
+        if left_slope is not None:
+            self._lslope = float(left_slope)
+        if right_slope is not None:
+            self._rslope = float(right_slope)
+        self._check_tails()
+
+    def _default_tails(self):
+        xs, vs = self._xs, self._vs
+        self._lslope = (vs[1] - vs[0]) / (xs[1] - xs[0])
+        self._rslope = (vs[-1] - vs[-2]) / (xs[-1] - xs[-2])
+
+    def _check_tails(self):
+        if max(abs(self._lslope), abs(self._rslope)) > self.slope_bound * (1 + 1e-9):
             raise ValueError("tail slopes violate the slope bound")
+
+    def extended(self, pins, full_slope: bool = False) -> "PinnedPiecewiseLinear":
+        """This function with pins added beyond its outermost pins.
+
+        Every new pin must lie strictly outside the current pins
+        (InvariantError otherwise). Only the new end segments are checked, as
+        __init__ checks every segment, and the tails follow the new end
+        segments, as in __init__ without explicit tails.
+        """
+        xs, vs = self._xs, self._vs
+        first, last = (float(xs[0]), float(vs[0])), (float(xs[-1]), float(vs[-1]))
+        left, right = [], []
+        for pin in sorted((float(x), float(v)) for x, v in pins):
+            if pin[0] < first[0]:
+                left.append(pin)
+            elif pin[0] > last[0]:
+                right.append(pin)
+            else:
+                raise InvariantError("new pins must lie strictly outside the current pins")
+        _check_segments(self.slope_bound, left + [first], full_slope)
+        _check_segments(self.slope_bound, [last] + right, full_slope)
+        fn = object.__new__(PinnedPiecewiseLinear)
+        fn.slope_bound = self.slope_bound
+        fn._xs = np.concatenate(([p[0] for p in left], xs, [p[0] for p in right]))
+        fn._vs = np.concatenate(([p[1] for p in left], vs, [p[1] for p in right]))
+        fn._default_tails()
+        fn._check_tails()
+        return fn
 
     @property
     def pins(self) -> tuple:
@@ -68,11 +113,15 @@ class PinnedPiecewiseLinear(PlantFunction):
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        y = np.interp(x, self._xs, self._vs)
-        y = np.where(x < self._xs[0],
-                     self._vs[0] + self._lslope * (x - self._xs[0]), y)
-        y = np.where(x > self._xs[-1],
-                     self._vs[-1] + self._rslope * (x - self._xs[-1]), y)
+        xs, vs = self._xs, self._vs
+        y = np.interp(x, xs, vs)
+        # the tails only where some point lies beyond the pins
+        below = x < xs[0]
+        if below.any():
+            y = np.where(below, vs[0] + self._lslope * (x - xs[0]), y)
+        above = x > xs[-1]
+        if above.any():
+            y = np.where(above, vs[-1] + self._rslope * (x - xs[-1]), y)
         if y.ndim == 0:
             return float(y)
         return y
@@ -179,7 +228,8 @@ class OnlineAdversary:
         X(t+1) = A @ fvals + U(t) + W(t)
     or, as one plant step, X(t+1), Z(t) = adv.advance(t, X(t), U(t), W(t)).
     The committed function only ever gains pins outside the previous hull, so
-    values already revealed never change.
+    values already revealed never change, and each step extends it at its
+    ends (PinnedPiecewiseLinear.extended) instead of rebuilding it.
     """
 
     def __init__(self, graph: WeightedDigraph, x0):
@@ -219,16 +269,15 @@ class OnlineAdversary:
             raise InvariantError("strongly connected graph lost out-neighbors")
         return theta, outs[0]
 
-    def _candidate(self, new_pins_sign: float, extra_pins) -> PinnedPiecewiseLinear:
-        pins = list(extra_pins)
-        lsl = rsl = None
+    def _candidate(self, new_pins_sign: float, new_pins,
+                   commit: bool = False) -> PinnedPiecewiseLinear:
+        """The committed function grown by new_pins; before the first commit,
+        a fresh function whose tails run at -/+B times new_pins_sign."""
         if self._fn is not None:
-            pins.extend(self._fn.pins)
-        else:
-            # tail slopes only matter pre-commit for the degenerate single pin
-            lsl = -new_pins_sign * self.B
-            rsl = new_pins_sign * self.B
-        return PinnedPiecewiseLinear(self.B, pins, left_slope=lsl, right_slope=rsl)
+            return self._fn.extended(new_pins, full_slope=commit)
+        return PinnedPiecewiseLinear(self.B, new_pins, left_slope=-new_pins_sign * self.B,
+                                     right_slope=new_pins_sign * self.B,
+                                     full_slope=commit)
 
     def step(self, t: int, x_t, u_t, w_t) -> np.ndarray:
         """Commit a branch for time t and return f(X(t)) under it."""
@@ -283,8 +332,7 @@ class OnlineAdversary:
         v_p = float(row @ np.asarray(probe(x_t), dtype=float) + u_t[d] + w_t[d])
         take_p = abs(v_p - mid) >= threshold
         chosen = p_pins if take_p else n_pins
-        self._fn = self._candidate(+1.0 if take_p else -1.0, chosen)
-        self._check_feasible()
+        self._fn = self._candidate(+1.0 if take_p else -1.0, chosen, commit=True)
         self.branches.append("p" if take_p else "n")
         self.theta.append(theta)
         self.attacked.append(d)
@@ -297,14 +345,3 @@ class OnlineAdversary:
         fvals = self.step(t, x_t, u_t, w_t)
         with np.errstate(over="ignore", invalid="ignore"):
             return self.graph.weights @ fvals + u_t + w_t, fvals
-
-    def _check_feasible(self):
-        xs = np.array([p[0] for p in self._fn.pins])
-        vs = np.array([p[1] for p in self._fn.pins])
-        if xs.size < 2:
-            return
-        dx = np.diff(xs)
-        dv = np.diff(vs)
-        # committed segments must run at full slope, not merely within it
-        if np.any(np.abs(np.abs(dv) - self.B * dx) > 1e-9 * np.maximum(1.0, self.B * dx)):
-            raise InvariantError("committed pins drifted off the +/-B slopes")

@@ -21,6 +21,8 @@ from scipy.optimize import minimize_scalar
 from .graphs import WeightedDigraph, inf_norm, sharp_metric
 
 TAIL_TOL = 1e-9
+# Steps per block of uniforms drawn by simulate_scalar_recursion.
+SLACK_BLOCK = 4096
 
 
 def xie_guo_constant() -> tuple:
@@ -83,6 +85,7 @@ def simulate_scalar_recursion(M: float, omega: float = 1.0, rho: float = 1.0,
     if mode not in ("equality", "seeded_slack"):
         raise ValueError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(seed)
+    slack = mode == "seeded_slack"
     p = np.zeros(T)
     q = np.zeros(T)
     S = 0.0
@@ -90,30 +93,42 @@ def simulate_scalar_recursion(M: float, omega: float = 1.0, rho: float = 1.0,
     frozen = False
     verdict = None
     n_steps = T
-    for t in range(T):
-        bound = max(M * max(peak, rho) - 0.5 * rho - 0.5 * S + omega, 0.0)
-        if mode == "equality":
-            pv, qv = bound, 0.0
-            if bound == 0.0:
-                # argument went non-positive, so the zero suffix already in
-                # the preallocated arrays is the true continuation
-                verdict = "summable"
+    # Python floats in the loop; uniforms drawn and p, q written a block at a
+    # time (rng.random(k) continues the stream of k rng.random() calls)
+    for start in range(0, T, SLACK_BLOCK):
+        size = min(SLACK_BLOCK, T - start)
+        draws = rng.random(2 * size).tolist() if slack else None
+        ps, qs = [], []
+        for k in range(size):
+            bound = max(M * max(peak, rho) - 0.5 * rho - 0.5 * S + omega, 0.0)
+            if slack:
+                pv, qv = bound * draws[2 * k], bound * draws[2 * k + 1]
+            else:
+                pv, qv = bound, 0.0
+                if bound == 0.0:
+                    # argument went non-positive, so the zero suffix already in
+                    # the preallocated arrays is the true continuation
+                    verdict = "summable"
+                    break
+                if S + bound == S:
+                    # increment below the sum's float resolution: converged
+                    ps.append(bound)
+                    qs.append(0.0)
+                    frozen = True
+                    verdict = "summable"
+                    n_steps = start + k + 1
+                    break
+            ps.append(pv)
+            qs.append(qv)
+            S += pv + qv
+            peak = max(peak, pv, qv)
+            if peak > cap:
+                verdict = "diverging"
+                n_steps = start + k + 1
                 break
-            if S + bound == S:
-                # increment below the sum's float resolution: converged
-                p[t] = bound
-                frozen = True
-                verdict = "summable"
-                n_steps = t + 1
-                break
-        else:
-            pv, qv = bound * rng.random(), bound * rng.random()
-        p[t], q[t] = pv, qv
-        S += pv + qv
-        peak = max(peak, pv, qv)
-        if peak > cap:
-            verdict = "diverging"
-            n_steps = t + 1
+        p[start:start + len(ps)] = ps
+        q[start:start + len(qs)] = qs
+        if verdict is not None:
             break
     p, q = p[:n_steps], q[:n_steps]
     sums = np.cumsum(p + q)

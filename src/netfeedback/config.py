@@ -121,10 +121,11 @@ class ExperimentConfig:
         d = _typed(raw, "disturbance", "", {}, dict)
         w_star = _typed(d, "w_star", "disturbance", 0.0)
         seed = _typed(d, "seed", "disturbance", 0, Integral)
+        sign = _typed(d, "sign", "disturbance", 1, Integral)
         try:
             self.disturbance = DisturbanceSpec(
                 w_star=w_star, generator=d.get("generator", "zero"), seed=seed,
-                sign=d.get("sign", 1))
+                sign=sign)
         except ValueError as exc:
             raise ConfigError("disturbance", str(exc)) from exc
 
@@ -163,10 +164,14 @@ class ExperimentConfig:
             scale = _typed(x0, "scale", "x0", 1.0)
             self.x0 = np.random.default_rng(seed).uniform(-scale, scale, n)
         else:
+            if not isinstance(x0, list) or any(
+                    isinstance(v, bool) or not isinstance(v, Real) for v in x0):
+                raise ConfigError("x0", "must be a list of numbers or an object "
+                                  f"with a seed, got {x0!r}")
             try:
                 self.x0 = np.asarray(x0, dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError("x0", f"entries must be numbers: {exc}") from exc
+            except OverflowError as exc:   # an integer beyond the float range
+                raise ConfigError("x0", "entries must be finite") from exc
             if self.x0.shape != (n,):
                 raise ConfigError("x0", f"needs {n} entries, got {self.x0.shape}")
             if not np.all(np.isfinite(self.x0)):

@@ -177,10 +177,6 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
                      enhanced=enhanced)
 
 
-def _fmt(v) -> str:
-    return "%.17g" % float(v)
-
-
 def write_outputs(result: RunResult, out_dir) -> dict:
     """trajectory.csv, summary.json and, for adversary runs,
     certificate.json. Node ids are 1-based; floats carry 17 significant
@@ -191,12 +187,13 @@ def write_outputs(result: RunResult, out_dir) -> dict:
     steps = log.t
     x, z, u, w = log.x_hist, log.z_hist, log.u_hist, result.w_hist
     lines = ["t,node,x,u,z,w"]
+    # one row at a time: lists of whole histories would raise the peak memory
     for t in range(steps):
-        for i in range(log.n):
-            lines.append(f"{t},{i + 1},{_fmt(x[t, i])},{_fmt(u[t, i])},"
-                         f"{_fmt(z[t, i])},{_fmt(w[t, i])}")
-    for i in range(log.n):
-        lines.append(f"{steps},{i + 1},{_fmt(x[steps, i])},,,")
+        lines.extend(["%d,%d,%.17g,%.17g,%.17g,%.17g" % (t, i, *vals)
+                      for i, vals in enumerate(zip(x[t].tolist(), u[t].tolist(),
+                                                   z[t].tolist(), w[t].tolist()), 1)])
+    lines.extend(["%d,%d,%.17g,,," % (steps, i, v)
+                  for i, v in enumerate(x[steps].tolist(), 1)])
     paths = {"trajectory": os.path.join(out_dir, "trajectory.csv"),
              "summary": os.path.join(out_dir, "summary.json")}
     with open(paths["trajectory"], "w") as fh:

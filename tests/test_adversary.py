@@ -5,12 +5,15 @@ import pytest
 
 from netfeedback import (
     DivergenceCertificate,
+    ExperimentConfig,
     IntervalLedger,
+    InvariantError,
     OnlineAdversary,
     PinnedPiecewiseLinear,
     WeightedDigraph,
     build_canonical,
     build_interval_ledger,
+    run_experiment,
 )
 
 
@@ -45,6 +48,53 @@ def test_pinned_explicit_tails():
 def test_pinned_vector_evaluation():
     f = PinnedPiecewiseLinear(2.0, [(0.0, 0.0), (2.0, 4.0)])
     np.testing.assert_allclose(f(np.array([-1.0, 1.0, 3.0])), [-2.0, 2.0, 6.0])
+
+
+def test_extension_rejects_what_a_rebuild_rejects():
+    f = PinnedPiecewiseLinear(4.0, [(0.0, 1.0), (1.0, 5.0)])
+    for inside in ([(0.5, 3.0)], [(0.0, 1.0)], [(1.0, 5.0)], [(2.0, 9.0), (0.5, 3.0)]):
+        with pytest.raises(InvariantError):
+            f.extended(inside)
+    with pytest.raises(ValueError, match="pins violate"):
+        f.extended([(2.0, 9.5)])           # new segment at slope 4.5
+    with pytest.raises(ValueError, match="pins violate"):
+        f.extended([(-2.0, -7.0), (-1.0, -4.0)])   # slope 5 next to the old pins
+    with pytest.raises(ValueError, match="pins violate"):
+        f.extended([(2.0, 9.0), (3.0, 9.0), (3.5, 11.5)])   # slope 5 at the end
+    with pytest.raises(ValueError, match="distinct"):
+        f.extended([(2.0, 9.0), (2.0, 8.0)])
+    # within the segment slack (1e-12 absolute) but a tail of slope ~10
+    with pytest.raises(ValueError, match="tail"):
+        f.extended([(1.0 + 1e-13, 5.0 + 1e-12)])
+    # full slope: a segment inside the bound is fine unless full slope is asked
+    g = f.extended([(2.0, 8.0)])
+    assert g.pins == ((0.0, 1.0), (1.0, 5.0), (2.0, 8.0))
+    assert g(3.0) == 11.0                  # the right tail follows the new segment
+    with pytest.raises(InvariantError):
+        f.extended([(2.0, 8.0)], full_slope=True)
+    f.extended([(2.0, 9.0), (-1.0, -3.0)], full_slope=True)
+    assert f.pins == ((0.0, 1.0), (1.0, 5.0))   # the original is unchanged
+
+
+def test_extension_matches_a_rebuild():
+    f = PinnedPiecewiseLinear(4.0, [(0.0, 2.0)], left_slope=-4.0, right_slope=4.0)
+    g = f.extended([(0.5, 4.0)])
+    ref = PinnedPiecewiseLinear(4.0, [(0.0, 2.0), (0.5, 4.0)])
+    assert _bits(g) == _bits(ref)          # explicit tails give way to the segment
+    h = g.extended([(-1.0, 6.0), (-0.25, 3.0), (2.0, -2.0)])
+    ref = PinnedPiecewiseLinear(4.0, ref.pins + ((-1.0, 6.0), (-0.25, 3.0), (2.0, -2.0)))
+    assert _bits(h) == _bits(ref)
+
+
+def test_commit_checks_full_slope():
+    g = build_canonical("cycle", 3)
+    x0 = np.array([0.0, 0.5, 1.0])
+    adv = OnlineAdversary(g, x0)
+    zeros = np.zeros(3)
+    x1 = g.weights @ adv.step(0, x0, zeros, zeros)
+    adv.B *= 0.9     # new pins now sit inside the slope budget, not on it
+    with pytest.raises(InvariantError):
+        adv.step(1, x1, zeros, zeros)
 
 
 # ---- interval ledger ----
@@ -238,3 +288,100 @@ def test_function_unavailable_before_first_step():
     adv = OnlineAdversary(g, [0.0, 0.5, 1.0])
     with pytest.raises(ValueError):
         adv.function
+
+
+# ---- end-extension against the full rebuild it replaced ----
+
+def _check_feasible(fn, B):
+    """Every committed segment must run at +/-B, checked over all pins."""
+    xs = np.array([p[0] for p in fn.pins])
+    vs = np.array([p[1] for p in fn.pins])
+    if xs.size < 2:
+        return
+    dx = np.diff(xs)
+    dv = np.diff(vs)
+    if np.any(np.abs(np.abs(dv) - B * dx) > 1e-9 * np.maximum(1.0, B * dx)):
+        raise InvariantError("committed pins drifted off the +/-B slopes")
+
+
+class _RebuildAdversary(OnlineAdversary):
+    """The reference: every candidate is rebuilt from all pins and the
+    committed one is checked segment by segment. Records each probe."""
+
+    def __init__(self, graph, x0):
+        super().__init__(graph, x0)
+        self.probes = []
+
+    def _candidate(self, new_pins_sign, new_pins, commit=False):
+        pins = list(new_pins)
+        lsl = rsl = None
+        if self._fn is not None:
+            pins.extend(self._fn.pins)
+        else:
+            # tail slopes only matter pre-commit for the degenerate single pin
+            lsl = -new_pins_sign * self.B
+            rsl = new_pins_sign * self.B
+        fn = PinnedPiecewiseLinear(self.B, pins, left_slope=lsl, right_slope=rsl)
+        if commit:
+            _check_feasible(fn, self.B)
+        else:
+            self.probes.append(fn)
+        return fn
+
+
+class _ProbedAdversary(OnlineAdversary):
+    """The library adversary, recording each probe."""
+
+    def __init__(self, graph, x0):
+        super().__init__(graph, x0)
+        self.probes = []
+
+    def _candidate(self, new_pins_sign, new_pins, commit=False):
+        fn = super()._candidate(new_pins_sign, new_pins, commit)
+        if not commit:
+            self.probes.append(fn)
+        return fn
+
+
+def _bits(fn):
+    return (fn._xs.tobytes(), fn._vs.tobytes(),
+            np.float64(fn._lslope).tobytes(), np.float64(fn._rslope).tobytes())
+
+
+def _probe_value(adv, probe, d, x, u, w):
+    return float(adv.graph.weights[d] @ np.asarray(probe(x), dtype=float) + u[d] + w[d])
+
+
+def test_extension_replays_full_rebuild_bit_for_bit():
+    both_sides = single_pin = 0
+    branches = set()
+    starts = [(kind, {"seed": 3, "scale": 1.0})
+              for kind in ("zero", "network_flow", "local_flow")]
+    starts.append(("network_flow", [0.3, 0.3, 0.3]))   # |I_0| = 0
+    for kind, x0 in starts:
+        cfg = ExperimentConfig({"graph": {"kind": "cycle", "n": 3}, "adversary": True,
+                                "controller": {"kind": kind}, "horizon": 2000,
+                                "x0": x0})
+        res = run_experiment(cfg)
+        x, u, z, w = res.x_hist, res.u_hist, res.z_hist, res.w_hist
+        new = _ProbedAdversary(cfg.graph, x[0])
+        ref = _RebuildAdversary(cfg.graph, x[0])
+        for t in range(res.summary["steps_run"]):
+            fv_new = new.step(t, x[t], u[t], w[t])
+            fv_ref = ref.step(t, x[t], u[t], w[t])
+            assert fv_new.tobytes() == fv_ref.tobytes() == z[t].tobytes(), (kind, t)
+            assert _bits(new.function) == _bits(ref.function), (kind, t)
+            assert _bits(new.probes[-1]) == _bits(ref.probes[-1]), (kind, t)
+            d = new.attacked[-1]
+            assert _probe_value(new, new.probes[-1], d, x[t], u[t], w[t]) == \
+                _probe_value(ref, ref.probes[-1], d, x[t], u[t], w[t])
+            assert new.branches[-1] == ref.branches[-1], (kind, t)
+            branches.add(new.branches[-1])
+            if t > 0 and new.ledger.R[-1] > 0.0 and new.ledger.L[-1] > 0.0:
+                both_sides += 1
+            single_pin += t == 0 and len(new.function.pins) == 1
+        assert new.function.pins == ref.function.pins
+        assert new.certificate().to_dict() == res.certificate.to_dict()
+    assert both_sides > 0          # new pins at both ends in one step
+    assert branches == {"p", "n"}
+    assert single_pin == 1         # the |I_0| = 0 start

@@ -91,6 +91,86 @@ def test_seeded_slack_mode():
     assert np.all(a.p >= 0.0)
 
 
+def _reference_scalar_recursion(M, mode, T, seed, cap=1e12, omega=1.0, rho=1.0):
+    """The per-draw loop: one rng.random() per update, written per step."""
+    rng = np.random.default_rng(seed)
+    p = np.zeros(T)
+    q = np.zeros(T)
+    S = 0.0
+    peak = 0.0
+    frozen = False
+    verdict = None
+    n_steps = T
+    for t in range(T):
+        bound = max(M * max(peak, rho) - 0.5 * rho - 0.5 * S + omega, 0.0)
+        if mode == "equality":
+            pv, qv = bound, 0.0
+            if bound == 0.0:
+                verdict = "summable"
+                break
+            if S + bound == S:
+                p[t] = bound
+                frozen = True
+                verdict = "summable"
+                n_steps = t + 1
+                break
+        else:
+            pv, qv = bound * rng.random(), bound * rng.random()
+        p[t], q[t] = pv, qv
+        S += pv + qv
+        peak = max(peak, pv, qv)
+        if peak > cap:
+            verdict = "diverging"
+            n_steps = t + 1
+            break
+    p, q = p[:n_steps], q[:n_steps]
+    sums = np.cumsum(p + q)
+    if verdict is None:
+        verdict = nf.capacity._tail_verdict(np.maximum(p, q))
+    return nf.RecursionResult(p, q, sums, verdict, frozen, n_steps)
+
+
+def _assert_same_recursion(got, want):
+    for name in ("p", "q", "partial_sums"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.to_dict() == want.to_dict()
+
+
+def test_block_drawn_recursion_matches_per_draw_loop(monkeypatch):
+    block = nf.capacity.SLACK_BLOCK
+    outcomes = set()
+    for mode in ("equality", "seeded_slack"):
+        for M in (2.85, 2.97, 3.5, 10.0):
+            for T in (60, block - 1, block, block + 1, 5000, 100_000):
+                got = simulate_scalar_recursion(M, mode=mode, T=T, seed=7)
+                want = _reference_scalar_recursion(M, mode, T, seed=7)
+                _assert_same_recursion(got, want)
+                outcomes.add((mode, got.verdict, got.frozen, got.steps == T))
+    assert ("seeded_slack", "summable", False, True) in outcomes   # every block drawn
+    assert ("seeded_slack", "diverging", False, False) in outcomes
+    assert ("equality", "summable", True, False) in outcomes
+    assert ("equality", "diverging", False, False) in outcomes
+    # small blocks put the stops (divergence, freeze) past block boundaries
+    late_stops = set()
+    for size in (1, 2, 7):
+        monkeypatch.setattr(nf.capacity, "SLACK_BLOCK", size)
+        for mode, M, T, cap in (("seeded_slack", 10.0, 100, 1e12),
+                                ("seeded_slack", 2.85, 50, 1e12),
+                                ("seeded_slack", 3.5, 30, 50.0),
+                                ("equality", 2.85, 100, 1e12),
+                                ("equality", 2.97, 100, 1e12)):
+            got = simulate_scalar_recursion(M, mode=mode, T=T, seed=7, cap=cap)
+            want = _reference_scalar_recursion(M, mode, T, seed=7, cap=cap)
+            _assert_same_recursion(got, want)
+            if size == 7 and got.steps < T and got.steps > size and got.steps % size:
+                late_stops.add((got.verdict, got.frozen))
+    assert late_stops == {("diverging", False), ("summable", True)}
+    zero = simulate_scalar_recursion(0.1, omega=0.0, T=20)
+    assert zero.verdict == "summable" and zero.steps == 20   # the zero-bound stop
+    _assert_same_recursion(zero, _reference_scalar_recursion(0.1, "equality", 20, 0,
+                                                             omega=0.0))
+
+
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         simulate_scalar_recursion(2.0, mode="pessimistic")

@@ -1,5 +1,6 @@
 """Config validation, closed-loop runner, output files, and the CLI."""
 
+import dataclasses
 import json
 import math
 
@@ -68,6 +69,14 @@ def test_field_errors_are_attributed():
         ({"x0": [0.4, "a", 0.1]}, "x0"),
         ({"graph": 5}, "graph"),
         ({"adversary": "no"}, "adversary"),
+        # JSON booleans are not numbers in x0 lists or as the sign either
+        ({"x0": [True, False, True]}, "x0"),
+        ({"x0": 0.5}, "x0"),
+        ({"x0": [10 ** 400, 0, 0]}, "x0"),
+        ({"disturbance": {"w_star": 0.1, "generator": "constant_sign",
+                          "sign": True}}, "disturbance.sign"),
+        ({"disturbance": {"w_star": 0.1, "generator": "constant_sign",
+                          "sign": "-1"}}, "disturbance.sign"),
     ]
     for over, field in cases:
         with pytest.raises(ConfigError) as ei:
@@ -328,6 +337,69 @@ def test_adversary_outputs_include_certificate(tmp_path):
     cert = json.load(open(paths["certificate"]))
     assert cert["verdict"] == "pass"
     assert len(cert["chi"]) >= 2
+
+
+def _fmt(v) -> str:
+    return "%.17g" % float(v)
+
+
+def _reference_files(res) -> dict:
+    """trajectory.csv formatted value by value, and certificate.json."""
+    log = res.log
+    steps = log.t
+    x, z, u, w = log.x_hist, log.z_hist, log.u_hist, res.w_hist
+    lines = ["t,node,x,u,z,w"]
+    for t in range(steps):
+        for i in range(log.n):
+            lines.append(f"{t},{i + 1},{_fmt(x[t, i])},{_fmt(u[t, i])},"
+                         f"{_fmt(z[t, i])},{_fmt(w[t, i])}")
+    for i in range(log.n):
+        lines.append(f"{steps},{i + 1},{_fmt(x[steps, i])},,,")
+    files = {"trajectory": "\n".join(lines) + "\n"}
+    if res.certificate is not None:
+        files["certificate"] = json.dumps(res.certificate.to_dict(), indent=2,
+                                          sort_keys=True) + "\n"
+    return files
+
+
+def _with_special_values(res):
+    """res with -0.0, infinities, nan, subnormals and huge values spliced into
+    the first rows of every history."""
+    special = np.array([-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324,
+                        -2.5e-310, 1e300, -1e300, 0.1, 1.0 / 3.0, 2.0 ** 60])
+    x, u, z, w = (np.array(a) for a in (res.x_hist, res.u_hist, res.z_hist,
+                                        res.w_hist))
+    for k, hist in enumerate((x, u, z, w)):
+        hist.flat[:special.size] = np.roll(special, k)
+    log = nf.FlowLog(res.log.n, capacity=len(x))
+    log.append(x[0])
+    for t in range(len(u)):
+        log.append(x[t + 1], z=z[t], u=u[t])
+    return dataclasses.replace(res, log=log, w_hist=w)
+
+
+def test_outputs_match_the_value_by_value_formatter(tmp_path):
+    tripped = run_experiment(ExperimentConfig(_cfg(
+        function={"kind": "linear", "a": 3.0, "b": 0.0},
+        controller={"kind": "zero"}, guard_cap=1e3, horizon=100)))
+    assert tripped.summary["guard_tripped"] and tripped.summary["steps_run"] >= 4
+    raw = _cfg(adversary=True, horizon=30,
+               observation={"mode": "direct", "d0": 0.0},
+               disturbance={"w_star": 0.0, "generator": "zero"})
+    del raw["function"]
+    adversary = run_experiment(ExperimentConfig(raw))
+    assert adversary.certificate is not None
+    for k, res in enumerate((tripped, _with_special_values(tripped), adversary)):
+        paths = write_outputs(res, tmp_path / str(k))
+        want = _reference_files(res)
+        assert set(want) | {"summary"} == set(paths)
+        for key, text in want.items():
+            with open(paths[key], "rb") as fh:
+                assert fh.read() == text.encode(), (k, key)
+    text = _reference_files(_with_special_values(tripped))["trajectory"]
+    for token in (",-0,", ",inf,", ",-inf,", ",nan,", ",4.9406564584124654e-324,",
+                  ",1.0000000000000001e+300,"):
+        assert token in text, token
 
 
 # ---- command line ----
