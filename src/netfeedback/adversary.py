@@ -84,8 +84,8 @@ class PinnedPiecewiseLinear(PlantFunction):
 
         Every new pin must lie strictly outside the current pins
         (InvariantError otherwise). Only the new end segments are checked, as
-        __init__ checks every segment, and the tails follow the new end
-        segments, as in __init__ without explicit tails.
+        __init__ checks every segment (full_slope included), and the tails
+        follow the new end segments, as in __init__ without explicit tails.
         """
         xs, vs = self._xs, self._vs
         first, last = (float(xs[0]), float(vs[0])), (float(xs[-1]), float(vs[-1]))
