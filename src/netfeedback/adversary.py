@@ -169,8 +169,12 @@ class IntervalLedger:
 
     def update(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        hi = max(self.y_high[-1], float(x.max()))
-        lo = min(self.y_low[-1], float(x.min()))
+        return self.push(float(x.max()), float(x.min()))
+
+    def push(self, x_max: float, x_min: float) -> float:
+        """update for a state whose max and min are already taken."""
+        hi = max(self.y_high[-1], x_max)
+        lo = min(self.y_low[-1], x_min)
         r = hi - self.y_high[-1]
         l = self.y_low[-1] - lo
         self.y_high.append(hi)

@@ -7,6 +7,7 @@ config bytes give identical outputs. Node indices in configs and outputs are
 
 import copy
 import json
+import math
 from numbers import Integral, Real
 
 import numpy as np
@@ -37,11 +38,19 @@ _KIND_NAMES = {Real: "a number", Integral: "an integer", int: "an integer",
 
 def _typed(d: dict, field: str, ctx: str, default, kind=Real):
     """d[field], or default when absent, if it is of the kind; JSON true and
-    false are not numbers."""
+    false are not numbers, and a number must be finite as a float (NaN,
+    Infinity and integers beyond the float range are refused)."""
     value = d.get(field, default)
+    name = f"{ctx}.{field}" if ctx else field
     if isinstance(value, bool) or not isinstance(value, kind):
-        raise ConfigError(f"{ctx}.{field}" if ctx else field,
-                          f"must be {_KIND_NAMES[kind]}, got {value!r}")
+        raise ConfigError(name, f"must be {_KIND_NAMES[kind]}, got {value!r}")
+    if kind is Real:
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:   # an integer beyond the float range
+            raise ConfigError(name, "must be within the float range") from None
+        if not finite:
+            raise ConfigError(name, f"must be finite, got {value!r}")
     return value
 
 
@@ -181,7 +190,7 @@ class ExperimentConfig:
         cap = raw.get("guard_cap")
         if cap is None:
             cap = 1e300 if self.adversary else 1e12
-        elif not np.isfinite(_typed(raw, "guard_cap", "", None)) or cap <= 0:
+        elif _typed(raw, "guard_cap", "", None) <= 0:
             raise ConfigError("guard_cap", "must be a positive finite number")
         self.guard_cap = float(cap)
 

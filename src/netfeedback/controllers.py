@@ -263,14 +263,18 @@ class _Track:
 # tie rules agree.
 
 class _NetworkFlow:
-    """One global index, key s*n + v: control_network_flow. It keeps no
-    reference to the Controller: without a cycle, a finished run's indices
-    are freed at once, not at the next cyclic garbage collection."""
+    """One global index, key s*n + v: control_network_flow. It is the one
+    law that recentres on the running hull of all states, so it alone keeps
+    an ExtremeLedger, fed each row X(0..t) once by the first decision that
+    needs it. It keeps no reference to the Controller: without a cycle, a
+    finished run's indices are freed at once, not at the next cyclic garbage
+    collection."""
 
     def __init__(self, ctl):
         self.weights = ctl.graph.weights
         self.epsilon = ctl.spec.epsilon
-        self.ledger = ctl.ledger
+        self.ledger = ExtremeLedger()
+        self._hull_rows = 0    # rows X(0..hull_rows-1) in the ledger
         self.branch_log = ctl.branch_log
         self.index = WitnessIndex()
 
@@ -279,6 +283,9 @@ class _NetworkFlow:
             self.index.insert(x, z)
 
     def decide(self, log, t, q):
+        for row in log.x_hist[self._hull_rows:t + 1]:
+            self.ledger.update(row)
+        self._hull_rows = t + 1
         hits = [self.index.nearest(qj) for qj in q]
         u = -(self.weights @ np.array([h[2] for h in hits]))
         accurate = max(h[0] for h in hits) <= self.epsilon
@@ -397,17 +404,15 @@ class Controller:
     """The feedback law of one run; it reads nothing but the flow log.
 
     Each call controls(log, t) first takes in the log rows it has not seen:
-    X(s) into the network-wide ExtremeLedger and, once X(s+1) has arrived,
-    the completed row (X(s), Z(s)) into the law's sorted witness indices.
-    Each nearest-record query is then a bisection; the decisions equal the
-    control_* reference laws bit for bit. States must be finite, as the
-    runner's divergence guard ensures.
+    once X(s+1) has arrived, the completed row (X(s), Z(s)) goes into the
+    law's sorted witness indices. Each nearest-record query is then a
+    bisection; the decisions equal the control_* reference laws bit for bit.
+    States must be finite, as the runner's divergence guard ensures.
     """
 
     def __init__(self, spec: ControllerSpec, graph: WeightedDigraph):
         self.spec = spec
         self.graph = graph
-        self.ledger = ExtremeLedger()
         self.branch_log = []   # network_flow: True when the recentre branch fired
         law = _LAWS.get(spec.kind)
         self._law = law(self) if law is not None else None   # None: zero
@@ -419,10 +424,8 @@ class Controller:
         if t + 1 < self._seen:
             raise ValueError("a Controller serves one run; time cannot go back")
         x, z = log.x_hist, log.z_hist
-        for s in range(self._seen, t + 1):
-            self.ledger.update(x[s])
-            if s:
-                self._law.ingest(s - 1, x[s - 1].tolist(), z[s - 1].tolist())
+        for s in range(max(self._seen, 1), t + 1):
+            self._law.ingest(s - 1, x[s - 1].tolist(), z[s - 1].tolist())
         self._seen = t + 1
         if t == 0:
             return np.zeros(self.graph.n)

@@ -12,7 +12,14 @@ weight matrix on X(t+1) - U(t); the inverse route inherits an error of at most
 PlantModel.advance(t, X(t), U(t), W(t)) returns (X(t+1), Z(t)): it steps the
 plant and observes through its own channel, whose noise generator and
 factorized inverse it holds for the run. OnlineAdversary.advance has the same
-signature, so the runner drives either plant through one call.
+signature, so the runner drives either plant through one call. advance
+evaluates f(X(t)) once per step, for both the plant equation and the direct
+estimate; step and observe_direct are the same computations one call each.
+
+Disturbances and direct-observation noise are drawn BLOCK values per
+Generator call and handed out n at a time. A uniform draw takes one value of
+the generator's stream per element, so the values are the same stream as one
+call per step, whatever the sequence of n.
 """
 
 from dataclasses import dataclass, field
@@ -21,6 +28,8 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .graphs import WeightedDigraph
+
+BLOCK = 4096   # values drawn per Generator call for disturbances and noise
 
 
 @dataclass(frozen=True)
@@ -52,21 +61,40 @@ class DisturbanceSpec:
         return DisturbanceSource(self)
 
 
+class _Blocks:
+    """Successive n-value slices of one stream whose values come BLOCK at a
+    time from draw(k), the next k values of the stream."""
+
+    def __init__(self, draw):
+        self._draw = draw
+        self._buf = np.empty(0)
+        self._i = 0
+
+    def take(self, n: int) -> np.ndarray:
+        i = self._i
+        if i + n > self._buf.size:
+            self._buf = np.concatenate((self._buf[i:], self._draw(max(BLOCK, n))))
+            i = 0
+        self._i = i + n
+        return self._buf[i:i + n]
+
+
 class DisturbanceSource:
-    """Stateful draw-per-step wrapper so runs are reproducible."""
+    """Stateful draw-per-step wrapper so runs are reproducible; draw(n)
+    returns the values one rng.uniform call of size n would."""
 
     def __init__(self, spec: DisturbanceSpec):
         self.spec = spec
-        self._rng = np.random.default_rng(spec.seed)
+        rng = np.random.default_rng(spec.seed)
+        w_star, sign = spec.w_star, spec.sign
+        self._blocks = _Blocks({
+            "zero": np.zeros,
+            "seeded_uniform": lambda k: rng.uniform(-w_star, w_star, k),
+            "constant_sign": lambda k: sign * rng.uniform(0.0, w_star, k),
+        }[spec.generator])
 
     def draw(self, n: int) -> np.ndarray:
-        s = self.spec
-        if s.generator == "zero":
-            return np.zeros(n)
-        if s.generator == "seeded_uniform":
-            return self._rng.uniform(-s.w_star, s.w_star, n)
-        # constant_sign
-        return s.sign * self._rng.uniform(0.0, s.w_star, n)
+        return self._blocks.take(n)
 
 
 @dataclass(frozen=True)
@@ -96,18 +124,22 @@ class PlantModel:
 
     def __post_init__(self):
         obs = self.observation
-        self._rng = np.random.default_rng(obs.noise_seed)
+        rng = np.random.default_rng(obs.noise_seed)
+        d0 = obs.d0
+        self._noise = (_Blocks(lambda k: rng.uniform(-d0, d0, k))
+                       if d0 > 0.0 else None)
         self._inverse = (InverseObserver(self.graph)
                          if obs.mode == "matrix_inverse" else None)
 
     def advance(self, t: int, x: np.ndarray, u: np.ndarray, w: np.ndarray):
-        """(X(t+1), Z(t)) from X(t), U(t) and W(t)."""
-        x_next = step(self, PlantState(t, x), u, w).x
-        if self._inverse is None:
-            z = observe_direct(self.f, x, self.observation.d0, self._rng)
-        else:
-            z = self._inverse.observe(x_next, u)
-        return x_next, z
+        """(X(t+1), Z(t)) from X(t), U(t) and W(t): step and observe_direct
+        (or InverseObserver.observe) in one, with f(X(t)) evaluated once."""
+        x_next, fx = _plant_equation(self.graph.weights, self.f, x, u, w)
+        if self._inverse is not None:
+            return x_next, self._inverse.observe(x_next, u)
+        if self._noise is None:
+            return x_next, fx
+        return x_next, fx + self._noise.take(fx.size)
 
 
 @dataclass
@@ -129,9 +161,16 @@ def step(model: PlantModel, state: PlantState, u: np.ndarray,
     n = model.graph.n
     if x.shape != (n,) or u.shape != (n,) or w.shape != (n,):
         raise ValueError(f"state/control/disturbance must have shape ({n},)")
+    return PlantState(state.t + 1,
+                      _plant_equation(model.graph.weights, model.f, x, u, w)[0])
+
+
+def _plant_equation(weights, f, x, u, w):
+    """(A f(X) + U + W, f(X)) for float arrays X, U and W: the plant
+    equation of step and PlantModel.advance, overflow ignored as in step."""
     with np.errstate(over="ignore", invalid="ignore"):
-        x_next = model.graph.weights @ np.asarray(model.f(x), dtype=float) + u + w
-    return PlantState(state.t + 1, x_next)
+        fx = np.asarray(f(x), dtype=float)
+        return weights @ fx + u + w, fx
 
 
 def observe_direct(f, x: np.ndarray, d0: float = 0.0,

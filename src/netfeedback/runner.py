@@ -4,8 +4,10 @@ One run is one sequential loop with no branch on the law, the plant or the
 observation channel. Per step t: the controller reads the flow record and
 fixes U(t), the disturbance draws W(t), the plant (the model plant or the
 adversary's committed function) returns X(t+1) and the estimate Z(t), and
-the log takes the new row. The divergence guard stops the loop once states
-leave [-cap, cap] or go non-finite; the partial trajectory is still written.
+the log takes the new row. One max and one min of X(t+1) per step serve
+both the running hull (IntervalLedger) and the divergence guard, which stops
+the loop once states leave [-cap, cap] or go non-finite; the partial
+trajectory is still written.
 
 The max_enhanced law needs a strongly connected graph, so that its
 closed-form extremes are the limit of flows.run_extreme_consensus; that is
@@ -109,8 +111,9 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         x, z = plant.advance(t, x, u, w)
         log.append(x, z=z, u=u)
         w_rows.append(w)
-        interval.update(x)
-        if not np.isfinite(x).all() or float(np.abs(x).max()) > cap:
+        hi, lo = float(x.max()), float(x.min())
+        interval.push(hi, lo)
+        if not (-cap <= lo and hi <= cap):   # a NaN fails both comparisons
             guard_tripped = True
             break
 

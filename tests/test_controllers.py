@@ -225,8 +225,10 @@ def test_dispatcher_matches_direct_call():
     u = ctl.controls(log, 1)
     np.testing.assert_array_equal(u, [-20.0, -10.0])
     assert ctl.branch_log == [False]
-    # the Controller fed its own ledger from the rows X(0), X(1) of the log
-    assert (ctl.ledger.low, ctl.ledger.high) == (1.0, 2.0)
+    # the network_flow law fed its own ledger from the rows X(0), X(1) of
+    # the log; the other laws keep none
+    assert (ctl._law.ledger.low, ctl._law.ledger.high) == (1.0, 2.0)
+    assert not hasattr(Controller(ControllerSpec("local_flow"), g)._law, "ledger")
 
 
 

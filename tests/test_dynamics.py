@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import netfeedback.dynamics as dynamics
 from netfeedback import (
     DisturbanceSpec,
     InverseObserver,
@@ -160,3 +161,92 @@ def test_inverse_observer_condition_limit():
     w = np.array([[1.0, 0.0], [1.0, 1e-13]])
     with pytest.raises(ValueError, match="direct"):
         InverseObserver(WeightedDigraph(w), cond_limit=1e8)
+
+
+# ---- the runner's plant step against its one-call references ----
+
+def _replay_advance(obs, steps):
+    # PlantModel.advance against step plus observe_direct (or the inverse
+    # observer), the noise of each drawn by a fresh generator from one seed
+    g = build_canonical("cycle", 3)
+    f = LinearFunction(0.5, 0.1)
+    model = PlantModel(graph=g, f=f, observation=obs)
+    ref_rng = np.random.default_rng(obs.noise_seed)
+    inverse = InverseObserver(g)
+    inputs = np.random.default_rng(0)
+    x = inputs.uniform(-1, 1, 3)
+    for t in range(steps):
+        u, w = inputs.uniform(-0.5, 0.5, (2, 3))
+        x_next, z = model.advance(t, x, u, w)
+        ref = step(model, PlantState(t, x), u, w)
+        assert ref.t == t + 1
+        if obs.mode == "matrix_inverse":
+            ref_z = inverse.observe(ref.x, u)
+        elif obs.d0 > 0.0:
+            ref_z = observe_direct(f, x, obs.d0, ref_rng)
+        else:
+            ref_z = observe_direct(f, x)
+        assert x_next.tobytes() == ref.x.tobytes(), t
+        assert z.tobytes() == ref_z.tobytes(), t
+        x = x_next
+    # the same stream: the next per-call draw is the plant's next noise
+    if obs.mode == "direct" and obs.d0 > 0.0:
+        _, z = model.advance(steps, x, np.zeros(3), np.zeros(3))
+        want = f(x) + ref_rng.uniform(-obs.d0, obs.d0, 3)
+        assert z.tobytes() == want.tobytes()
+
+
+def test_advance_replays_step_and_observers_across_noise_blocks():
+    steps = 2 * dynamics.BLOCK // 3 + 5     # three blocks of noise
+    for obs in (ObservationSpec("direct", d0=0.05, noise_seed=4),
+                ObservationSpec("direct", d0=0.0, noise_seed=4),
+                ObservationSpec("matrix_inverse", d0=0.05, noise_seed=4)):
+        _replay_advance(obs, steps)
+
+
+def test_advance_replays_with_small_blocks(monkeypatch):
+    for block in (1, 2, 7):
+        monkeypatch.setattr(dynamics, "BLOCK", block)
+        _replay_advance(ObservationSpec("direct", d0=0.05, noise_seed=block), 40)
+
+
+_SIZES = [3] * 10 + [7, 1, 1, 5]
+
+
+def _per_call_draws(spec, sizes):
+    rng = np.random.default_rng(spec.seed)
+    for n in sizes:
+        if spec.generator == "zero":
+            yield np.zeros(n)
+        elif spec.generator == "seeded_uniform":
+            yield rng.uniform(-spec.w_star, spec.w_star, n)
+        else:
+            yield spec.sign * rng.uniform(0.0, spec.w_star, n)
+
+
+def _check_draws(sizes):
+    specs = [DisturbanceSpec(w_star=0.3, generator="seeded_uniform", seed=5),
+             DisturbanceSpec(w_star=0.3, generator="constant_sign", seed=5, sign=1),
+             DisturbanceSpec(w_star=0.3, generator="constant_sign", seed=5, sign=-1),
+             DisturbanceSpec()]
+    for spec in specs:
+        src = spec.make_source()
+        for k, (n, want) in enumerate(zip(sizes, _per_call_draws(spec, sizes))):
+            got = src.draw(n)
+            assert got.shape == (n,)
+            assert got.tobytes() == want.tobytes(), (spec.generator, spec.sign, k)
+
+
+def test_disturbance_draws_match_per_call_uniform_across_blocks():
+    block = dynamics.BLOCK
+    # a draw that ends exactly on the block end, draws that straddle it, a
+    # change of n mid-stream and draws larger than a whole block
+    sizes = [block // 2, block // 2, 3, 3, block - 8, 7, 7, 1,
+             block + 3, 2, 2 * block + 1, 5]
+    _check_draws(sizes)
+
+
+def test_disturbance_draws_match_per_call_uniform_with_small_blocks(monkeypatch):
+    for block in (1, 2, 3, 7):
+        monkeypatch.setattr(dynamics, "BLOCK", block)
+        _check_draws(_SIZES)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,24 @@ def test_field_errors_are_attributed():
                           "sign": True}}, "disturbance.sign"),
         ({"disturbance": {"w_star": 0.1, "generator": "constant_sign",
                           "sign": "-1"}}, "disturbance.sign"),
+        # numbers must be finite floats: NaN, Infinity and integers beyond
+        # the float range raised TypeError or OverflowError, or ran silently
+        ({"guard_cap": 10 ** 400}, "guard_cap"),
+        ({"guard_cap": math.inf}, "guard_cap"),
+        ({"guard_cap": math.nan}, "guard_cap"),
+        ({"disturbance": {"w_star": 10 ** 400, "generator": "seeded_uniform"}},
+         "disturbance.w_star"),
+        ({"disturbance": {"w_star": math.inf, "generator": "seeded_uniform"}},
+         "disturbance.w_star"),
+        ({"observation": {"mode": "direct", "d0": 10 ** 400}}, "observation.d0"),
+        ({"observation": {"mode": "direct", "d0": math.inf}}, "observation.d0"),
+        ({"observation": {"mode": "direct", "d0": math.nan}}, "observation.d0"),
+        ({"controller": {"kind": "network_flow", "epsilon": math.nan}},
+         "controller.epsilon"),
+        ({"controller": {"kind": "network_flow", "epsilon": -math.inf}},
+         "controller.epsilon"),
+        ({"x0": {"seed": 1, "scale": math.inf}}, "x0.scale"),
+        ({"x0": {"seed": 1, "scale": 10 ** 400}}, "x0.scale"),
     ]
     for over, field in cases:
         with pytest.raises(ConfigError) as ei:
@@ -216,6 +235,61 @@ def test_guard_trips_on_divergence():
     assert abs(res.x_hist[-1, 0]) > 1e3
 
 
+class _RowPlant:
+    """A plant whose every next state is one fixed row."""
+
+    def __init__(self, row):
+        self.row = np.asarray(row, dtype=float)
+
+    def advance(self, t, x, u, w):
+        return self.row.copy(), np.zeros_like(self.row)
+
+
+def test_guard_decides_as_the_isfinite_and_abs_max_rule(monkeypatch):
+    # The runner's guard compares one max and one min with -cap and cap; it
+    # must decide as the rule it replaced on NaN, infinities, the cap itself,
+    # the next float beyond it and signed zeros.
+    import netfeedback.runner as runner
+
+    cap = 1e3
+    beyond = np.nextafter(cap, math.inf)
+    values = [math.nan, math.inf, -math.inf, cap, -cap, beyond, -beyond,
+              0.0, -0.0, 1.0, np.nextafter(cap, 0.0)]
+    rows = [[a, b, c] for a in values for b in (0.0, -0.0, -cap, cap)
+            for c in (1.0, math.nan, -beyond, 0.0)]
+    rows += [[v, v, v] for v in values]
+    trips = 0
+    for row in rows:
+        monkeypatch.setattr(runner, "PlantModel", lambda g, f, obs, row=row:
+                            _RowPlant(row))
+        res = run_experiment(ExperimentConfig(_cfg(
+            controller={"kind": "zero"}, horizon=2, guard_cap=cap)))
+        x = np.asarray(row)
+        want = bool(not np.isfinite(x).all() or np.abs(x).max() > cap)
+        assert res.summary["guard_tripped"] == want, row
+        assert res.summary["steps_run"] == (1 if want else 2), row
+        assert res.interval.y_high[1] == max(0.4, float(x.max())), row
+        trips += want
+    assert 0 < trips < len(rows)
+
+
+def test_overflowing_run_trips_the_guard_without_warnings():
+    # f(X) overflows to inf (and inf - inf to NaN) inside the plant step; the
+    # step ignores it, the guard stops the run, and nothing warns
+    for weights, x0 in (([[1.0]], [1e200]),
+                        ([[1.0, 1.0], [1.0, 1.0]], [1e200, -1e200])):
+        cfg = ExperimentConfig(_cfg(
+            graph={"kind": "custom", "weights": weights},
+            function={"kind": "linear", "a": 1e200, "b": 0.0},
+            controller={"kind": "zero"}, x0=x0, horizon=10))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_experiment(cfg)
+        assert res.summary["guard_tripped"] and res.summary["steps_run"] == 1
+        assert not np.isfinite(res.x_hist[1]).any()
+        assert res.summary["verdict"] == "diverged"
+
+
 def test_matrix_inverse_observation_mode():
     cfg = ExperimentConfig(_cfg(
         observation={"mode": "matrix_inverse"}, horizon=60))
@@ -278,6 +352,7 @@ def test_max_enhanced_needs_strong_connectivity_before_any_step(monkeypatch):
         raise AssertionError("the plant stepped before the connectivity check")
 
     monkeypatch.setattr(dynamics, "step", no_step)
+    monkeypatch.setattr(dynamics.PlantModel, "advance", no_step)
     cfg = ExperimentConfig(_cfg(
         graph={"kind": "path_root_selfloop", "n": 3},
         controller={"kind": "max_enhanced"}))
@@ -512,6 +587,21 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     path = _write_cfg(tmp_path, _cfg(guard_cap="big"), "bigcap.json")
     assert main(["simulate", "--config", path]) == 2
     assert "guard_cap" in capsys.readouterr().err
+    # non-finite numbers (JSON NaN and Infinity) and integers beyond the
+    # float range: a ConfigError, not a silent run or an OverflowError
+    for name, over, field in (
+            ("hugecap", {"guard_cap": 10 ** 400}, "guard_cap"),
+            ("infw", {"disturbance": {"w_star": math.inf,
+                                      "generator": "seeded_uniform"}},
+             "disturbance.w_star"),
+            ("nand0", {"observation": {"mode": "direct", "d0": math.nan}},
+             "observation.d0"),
+            ("nanepsilon", {"controller": {"kind": "network_flow",
+                                           "epsilon": math.nan}},
+             "controller.epsilon")):
+        path = _write_cfg(tmp_path, _cfg(**over), f"{name}.json")
+        assert main(["simulate", "--config", path]) == 2, name
+        assert field in capsys.readouterr().err, name
     # malformed grid
     good = _write_cfg(tmp_path, _cfg(horizon=10), "good.json")
     assert main(["sweep", "--config", good, "--L", "1:2"]) == 2
