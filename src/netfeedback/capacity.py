@@ -7,12 +7,19 @@ informative worst case. For the scalar recursion the maximizing schedule
 saturates one sequence and leaves the other at zero (saturating both lets the
 subtracted history grow twice as fast and moves the apparent transition to
 the wrong place). For the coupled recursion both sequences saturate
-literally. Summability verdicts are finite-horizon and therefore heuristic:
-a tail-decile test plus a float-resolution guard (once the running sum stops
-absorbing the increment, the tail is constant forever and the sum has
-converged to machine precision).
+literally; they start at zero and obey the same equation, so q equals p at
+every step and is computed once. Summability verdicts are finite-horizon and
+therefore heuristic: a tail-decile test plus a float-resolution guard (once
+the running sum stops absorbing the increment, the tail is constant forever
+and the sum has converged to machine precision).
+
+In both recursions, in every mode, zero is absorbing: once the bound is 0
+every later update is 0 and the running sums and peaks stop moving, so the
+loops stop there and leave the zero suffix of their preallocated arrays as
+the continuation.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,7 +86,14 @@ def simulate_scalar_recursion(M: float, omega: float = 1.0, rho: float = 1.0,
     mode "equality" saturates p and keeps q at zero (the worst case);
     "seeded_slack" draws both updates uniformly below the bound. The verdict
     flips from summable to diverging as M crosses 3/2 + sqrt(2).
+
+    In both modes a zero bound is absorbing, so the loop stops there: the
+    zero suffix of p and q is the continuation, steps stays T, and the rest
+    of the uniform stream is never drawn. Equality mode calls that stop
+    summable; slack mode still reads the verdict off its last decile.
     """
+    if not (math.isfinite(M) and math.isfinite(omega) and math.isfinite(rho)):
+        raise ValueError("M, omega and rho must be finite")
     if M <= 0 or T < 1:
         raise ValueError("need M > 0 and T >= 1")
     if mode not in ("equality", "seeded_slack"):
@@ -91,6 +105,7 @@ def simulate_scalar_recursion(M: float, omega: float = 1.0, rho: float = 1.0,
     S = 0.0
     peak = 0.0
     frozen = False
+    absorbed = False
     verdict = None
     n_steps = T
     # Python floats in the loop; uniforms drawn and p, q written a block at a
@@ -101,15 +116,15 @@ def simulate_scalar_recursion(M: float, omega: float = 1.0, rho: float = 1.0,
         ps, qs = [], []
         for k in range(size):
             bound = max(M * max(peak, rho) - 0.5 * rho - 0.5 * S + omega, 0.0)
+            if bound == 0.0:
+                # never -0.0: M * max(peak, rho) is not -0.0 for M > 0, and a
+                # round-to-nearest sum is -0.0 only if both terms are
+                absorbed = True
+                break
             if slack:
                 pv, qv = bound * draws[2 * k], bound * draws[2 * k + 1]
             else:
                 pv, qv = bound, 0.0
-                if bound == 0.0:
-                    # argument went non-positive, so the zero suffix already in
-                    # the preallocated arrays is the true continuation
-                    verdict = "summable"
-                    break
                 if S + bound == S:
                     # increment below the sum's float resolution: converged
                     ps.append(bound)
@@ -128,12 +143,13 @@ def simulate_scalar_recursion(M: float, omega: float = 1.0, rho: float = 1.0,
                 break
         p[start:start + len(ps)] = ps
         q[start:start + len(qs)] = qs
-        if verdict is not None:
+        if absorbed or verdict is not None:
             break
     p, q = p[:n_steps], q[:n_steps]
     sums = np.cumsum(p + q)
     if verdict is None:
-        verdict = _tail_verdict(np.maximum(p, q))
+        verdict = ("summable" if absorbed and not slack
+                   else _tail_verdict(np.maximum(p, q)))
     return RecursionResult(p, q, sums, verdict, frozen, n_steps)
 
 
@@ -142,44 +158,42 @@ def simulate_dagger_recursion(g: WeightedDigraph, M: float, omega: float,
     """Coupled per-node recursion behind the dagger capacity metric.
 
     p^i_{t+1} = (M sum_j |a_ij| peak_j + omega - sum_s p^i_s)^+, with peak_j
-    the running max of both sequences at node j; q is symmetric with its own
-    subtracted history. Equality mode saturates both. Rows of the returned
-    arrays are time steps, columns nodes.
+    the running max of both sequences at node j. Equality mode saturates
+    both; q starts at zero and obeys the same equation as p, so q equals p
+    bit for bit and is returned as a copy of it. A zero step is absorbing and
+    ends the run with the zero suffix as its continuation. Rows of the
+    returned arrays are time steps, columns nodes.
     """
-    if M <= 0 or omega <= 0:
-        raise ValueError("need M > 0 and omega > 0")
+    if not (math.isfinite(M) and math.isfinite(omega)):
+        raise ValueError("M and omega must be finite")
+    if M <= 0 or omega <= 0 or T < 1:
+        raise ValueError("need M > 0, omega > 0 and T >= 1")
     absA = np.abs(g.weights)
-    n = g.n
-    p = np.zeros((T, n))
-    q = np.zeros((T, n))
-    Sp = np.zeros(n)
-    Sq = np.zeros(n)
-    peak = np.zeros(n)
+    p = np.zeros((T, g.n))
+    Sp = np.zeros(g.n)
+    peak = np.zeros(g.n)
     frozen = False
     verdict = None
     n_steps = T
     for t in range(T):
-        drive = M * (absA @ peak) + omega
-        pv = np.maximum(drive - Sp, 0.0)
-        qv = np.maximum(drive - Sq, 0.0)
+        pv = np.maximum(M * (absA @ peak) + omega - Sp, 0.0)
         p[t] = pv
-        q[t] = qv
-        if not pv.any() and not qv.any():
+        if not pv.any():
             verdict = "summable"     # zero state is absorbing
             break
-        if np.all(Sp + pv == Sp) and np.all(Sq + qv == Sq):
+        if (Sp + pv == Sp).all():
             frozen = True
             verdict = "summable"
             n_steps = t + 1
             break
         Sp += pv
-        Sq += qv
-        np.maximum(peak, np.maximum(pv, qv), out=peak)
+        np.maximum(peak, pv, out=peak)
         if peak.max() > cap:
             verdict = "diverging"
             n_steps = t + 1
             break
-    p, q = p[:n_steps], q[:n_steps]
+    p = p[:n_steps]
+    q = p.copy()
     sums = np.cumsum(p + q, axis=0)
     if verdict is None:
         verdict = _tail_verdict(np.maximum(p, q).max(axis=1))
@@ -225,6 +239,10 @@ def estimate_dagger(g: WeightedDigraph, bracket: tuple | None = None,
     if bracket is None:
         bracket = (floor, 10.0 * floor)
     lo, hi = float(bracket[0]), float(bracket[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("bracket ends must be finite")
+    if T < 1:
+        raise ValueError("need T >= 1")
     if lo >= hi:
         raise ValueError("bracket must satisfy low < high")
     if nrm > 0 and lo < floor - 1e-12:

@@ -96,7 +96,8 @@ def _cmd_capacity(args) -> int:
             raise ValueError("--dagger needs --graph")
         g = _parse_graph(args.graph)
         bracket = _parse_bracket(args.bracket) if args.bracket else None
-        est = estimate_dagger(g, bracket=bracket, T=args.horizon or 400)
+        est = estimate_dagger(g, bracket=bracket,
+                              T=400 if args.horizon is None else args.horizon)
         _emit(est.to_dict())
         return 0
     if args.scalar_recursion:
@@ -104,7 +105,8 @@ def _cmd_capacity(args) -> int:
             raise ValueError("--scalar-recursion needs --M")
         res = simulate_scalar_recursion(
             args.M, omega=args.omega, rho=args.rho, mode=args.mode,
-            T=args.horizon or 100_000, seed=args.seed or 0)
+            T=100_000 if args.horizon is None else args.horizon,
+            seed=args.seed or 0)
         _emit(res.to_dict())
         return 0
     raise ValueError("choose one of --xie-guo, --dagger, --scalar-recursion")

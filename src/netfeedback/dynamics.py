@@ -200,4 +200,8 @@ class InverseObserver:
         self.error_gain = float(np.abs(np.linalg.inv(a)).sum(axis=1).max())
 
     def observe(self, x_next: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return lu_solve(self._lu, np.asarray(x_next, float) - np.asarray(u, float))
+        """A^{-1} (X(t+1) - U(t)). Overflow is ignored as in step: a
+        non-finite state gives a non-finite estimate for the guard to see."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            rhs = np.asarray(x_next, float) - np.asarray(u, float)
+        return lu_solve(self._lu, rhs, check_finite=False)

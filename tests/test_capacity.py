@@ -136,6 +136,18 @@ def _assert_same_recursion(got, want):
     assert got.to_dict() == want.to_dict()
 
 
+class _CountingRng:
+    """A Generator stand-in that counts the uniforms drawn through it."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.drawn = 0
+
+    def random(self, size=None):
+        self.drawn += 1 if size is None else int(np.prod(size))
+        return self._rng.random(size)
+
+
 def test_block_drawn_recursion_matches_per_draw_loop(monkeypatch):
     block = nf.capacity.SLACK_BLOCK
     outcomes = set()
@@ -146,7 +158,8 @@ def test_block_drawn_recursion_matches_per_draw_loop(monkeypatch):
                 want = _reference_scalar_recursion(M, mode, T, seed=7)
                 _assert_same_recursion(got, want)
                 outcomes.add((mode, got.verdict, got.frozen, got.steps == T))
-    assert ("seeded_slack", "summable", False, True) in outcomes   # every block drawn
+    # absorbed at a zero bound, so steps stays T
+    assert ("seeded_slack", "summable", False, True) in outcomes
     assert ("seeded_slack", "diverging", False, False) in outcomes
     assert ("equality", "summable", True, False) in outcomes
     assert ("equality", "diverging", False, False) in outcomes
@@ -165,15 +178,54 @@ def test_block_drawn_recursion_matches_per_draw_loop(monkeypatch):
             if size == 7 and got.steps < T and got.steps > size and got.steps % size:
                 late_stops.add((got.verdict, got.frozen))
     assert late_stops == {("diverging", False), ("summable", True)}
-    zero = simulate_scalar_recursion(0.1, omega=0.0, T=20)
-    assert zero.verdict == "summable" and zero.steps == 20   # the zero-bound stop
-    _assert_same_recursion(zero, _reference_scalar_recursion(0.1, "equality", 20, 0,
-                                                             omega=0.0))
+    monkeypatch.setattr(nf.capacity, "SLACK_BLOCK", block)
+    # the zero-bound stop in both modes, signed zeros included: the bound is
+    # never -0.0, so the +0.0 suffix matches the reference's products
+    for mode in ("equality", "seeded_slack"):
+        for omega, rho in ((0.0, 1.0), (-0.0, -0.0), (-0.0, 0.0), (0.0, 2.0)):
+            zero = simulate_scalar_recursion(0.1, omega=omega, rho=rho, mode=mode,
+                                             T=20)
+            assert zero.verdict == "summable" and zero.steps == 20
+            _assert_same_recursion(zero, _reference_scalar_recursion(
+                0.1, mode, 20, 0, omega=omega, rho=rho))
+    # a slack run stops at its absorbing zero: one block of uniforms drawn
+    # where running to the horizon would draw 2 T
+    want = _reference_scalar_recursion(2.85, "seeded_slack", 100_000, seed=12345)
+    rngs = []
+    default_rng = np.random.default_rng
+
+    def counting_rng(seed):
+        rngs.append(_CountingRng(default_rng(seed)))
+        return rngs[-1]
+
+    monkeypatch.setattr(nf.capacity.np.random, "default_rng", counting_rng)
+    got = simulate_scalar_recursion(2.85, mode="seeded_slack", T=100_000,
+                                    seed=12345)
+    _assert_same_recursion(got, want)
+    assert got.steps == 100_000 and not got.p[-1000:].any()
+    assert [r.drawn for r in rngs] == [2 * block]
 
 
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         simulate_scalar_recursion(2.0, mode="pessimistic")
+
+
+def test_non_finite_parameters_and_empty_horizons_rejected():
+    for bad in ({"M": math.nan}, {"M": math.inf}, {"omega": math.nan},
+                {"omega": -math.inf}, {"rho": math.nan}, {"rho": math.inf},
+                {"T": 0}):
+        with pytest.raises(ValueError):
+            simulate_scalar_recursion(**{"M": 2.85, "T": 100, **bad})
+    g = nf.build_canonical("cycle", 3)
+    for bad in ({"M": math.nan}, {"M": math.inf}, {"omega": math.nan},
+                {"omega": math.inf}, {"T": 0}):
+        with pytest.raises(ValueError):
+            simulate_dagger_recursion(g, **{"M": 2.0, "omega": 1.0, "T": 50, **bad})
+    for bad in ({"bracket": (1.0, math.inf)}, {"bracket": (math.nan, 2.0)},
+                {"bracket": (1.0, math.nan)}, {"T": 0}):
+        with pytest.raises(ValueError):
+            estimate_dagger(g, **bad)
 
 
 def test_burst_ratios_track_the_minimizer_near_criticality():
@@ -209,6 +261,77 @@ def test_dagger_recursion_first_step_is_omega():
     g = nf.build_canonical("cycle", 3)
     res = simulate_dagger_recursion(g, 1.0, 0.7, T=50)
     np.testing.assert_allclose(res.p[0], 0.7 * np.ones(3))
+
+
+def _reference_dagger_recursion(g, M, omega, T, cap=1e12):
+    """The two-sequence loop: q iterated beside p with its own history."""
+    absA = np.abs(g.weights)
+    n = g.n
+    p = np.zeros((T, n))
+    q = np.zeros((T, n))
+    Sp = np.zeros(n)
+    Sq = np.zeros(n)
+    peak = np.zeros(n)
+    frozen = False
+    verdict = None
+    n_steps = T
+    for t in range(T):
+        drive = M * (absA @ peak) + omega
+        pv = np.maximum(drive - Sp, 0.0)
+        qv = np.maximum(drive - Sq, 0.0)
+        p[t] = pv
+        q[t] = qv
+        if not pv.any() and not qv.any():
+            verdict = "summable"
+            break
+        if np.all(Sp + pv == Sp) and np.all(Sq + qv == Sq):
+            frozen = True
+            verdict = "summable"
+            n_steps = t + 1
+            break
+        Sp += pv
+        Sq += qv
+        np.maximum(peak, np.maximum(pv, qv), out=peak)
+        if peak.max() > cap:
+            verdict = "diverging"
+            n_steps = t + 1
+            break
+    p, q = p[:n_steps], q[:n_steps]
+    sums = np.cumsum(p + q, axis=0)
+    if verdict is None:
+        verdict = nf.capacity._tail_verdict(np.maximum(p, q).max(axis=1))
+    return nf.RecursionResult(p, q, sums, verdict, frozen, n_steps)
+
+
+def _dagger_stop(res, T):
+    if res.frozen:
+        return "frozen"
+    if res.steps < T:
+        return "cap"
+    return "horizon" if res.p[-1].any() else "zero"
+
+
+def test_single_sequence_dagger_matches_two_sequence_loop():
+    graphs = [random_strongly_connected(n, seed=seed)
+              for n in (3, 4, 5, 6) for seed in range(5)]
+    graphs += [nf.build_canonical("single_selfloop", 1, a11=1.0),
+               nf.WeightedDigraph(np.zeros((3, 3)))]
+    stops = set()
+    for g in graphs:
+        nrm = nf.inf_norm(g)
+        floor = 1.0 / nrm if nrm > 0 else 1.0
+        near = estimate_dagger(g, T=50).estimate
+        for M in (floor, near, 10.0):
+            for omega in (0.1, 1.0, 10.0):
+                for T, cap in ((1, 1e12), (50, 1e12), (400, 1e12), (400, 50.0)):
+                    got = simulate_dagger_recursion(g, M, omega, T, cap=cap)
+                    want = _reference_dagger_recursion(g, M, omega, T, cap=cap)
+                    _assert_same_recursion(got, want)
+                    assert got.q is not got.p
+                    stops.add(_dagger_stop(want, T))
+    # the freeze test never fires: where pv > 0, Sp + pv is the drive itself
+    # (Sp <= drive <= 2 Sp makes drive - Sp exact) or above 2 Sp, never Sp
+    assert stops == {"zero", "cap", "horizon"}
 
 
 # ---- dagger estimate ----

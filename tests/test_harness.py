@@ -273,21 +273,30 @@ def test_guard_decides_as_the_isfinite_and_abs_max_rule(monkeypatch):
     assert 0 < trips < len(rows)
 
 
-def test_overflowing_run_trips_the_guard_without_warnings():
+def test_overflowing_run_trips_the_guard_without_warnings(tmp_path):
     # f(X) overflows to inf (and inf - inf to NaN) inside the plant step; the
-    # step ignores it, the guard stops the run, and nothing warns
-    for weights, x0 in (([[1.0]], [1e200]),
-                        ([[1.0, 1.0], [1.0, 1.0]], [1e200, -1e200])):
+    # step and the matrix-inverse observer ignore it, the guard stops the
+    # run, nothing warns, and the partial trajectory is written
+    for k, (graph, x0, over) in enumerate((
+            ({"kind": "custom", "weights": [[1.0]]}, [1e200], {}),
+            ({"kind": "custom", "weights": [[1.0, 1.0], [1.0, 1.0]]},
+             [1e200, -1e200], {}),
+            ({"kind": "cycle", "n": 3}, [1e200, 1.0, -1.0],
+             {"observation": {"mode": "matrix_inverse"},
+              "disturbance": {"w_star": 0.0, "generator": "zero"}}))):
         cfg = ExperimentConfig(_cfg(
-            graph={"kind": "custom", "weights": weights},
-            function={"kind": "linear", "a": 1e200, "b": 0.0},
-            controller={"kind": "zero"}, x0=x0, horizon=10))
+            graph=graph, function={"kind": "linear", "a": 1e200, "b": 0.0},
+            controller={"kind": "zero"}, x0=x0, horizon=10, **over))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = run_experiment(cfg)
+            write_outputs(res, tmp_path / str(k))
         assert res.summary["guard_tripped"] and res.summary["steps_run"] == 1
         assert not np.isfinite(res.x_hist[1]).any()
         assert res.summary["verdict"] == "diverged"
+        assert res.summary["verdict_basis"] == "guard"
+        rows = (tmp_path / str(k) / "trajectory.csv").read_text().splitlines()
+        assert len(rows) == 1 + 2 * len(x0)
 
 
 def test_matrix_inverse_observation_mode():
@@ -607,6 +616,16 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["sweep", "--config", good, "--L", "1:2"]) == 2
     # capacity without a mode
     assert main(["capacity"]) == 2
+    # non-finite recursion parameters and a horizon below one step
+    for argv in (["--scalar-recursion", "--M", "nan", "--horizon", "100"],
+                 ["--scalar-recursion", "--M", "2.85", "--omega", "inf"],
+                 ["--scalar-recursion", "--M", "2.85", "--rho", "nan"],
+                 ["--scalar-recursion", "--M", "2.85", "--horizon", "0"],
+                 ["--dagger", "--graph", "cycle:3", "--bracket", "1:inf"],
+                 ["--dagger", "--graph", "cycle:3", "--bracket", "nan:2"],
+                 ["--dagger", "--graph", "cycle:3", "--horizon", "0"]):
+        assert main(["capacity", *argv]) == 2, argv
+        assert capsys.readouterr().out == "", argv
     capsys.readouterr()
 
 
