@@ -12,12 +12,11 @@ from .capacity import (DaggerEstimate, RecursionResult, burst_ratios,
                        simulate_scalar_recursion, threshold_sweep,
                        xie_guo_constant)
 from .config import ConfigError, ExperimentConfig
-from .controllers import (Controller, ControllerSpec, ExtremeLedger,
-                          WitnessRecord, WitnessSet, control_cycle,
-                          control_local_flow, control_max_enhanced,
-                          control_network_flow, control_path_root,
-                          enhanced_witness, global_witnesses, local_witness,
-                          wrap_index)
+from .controllers import (Controller, ControllerSpec, WitnessRecord,
+                          WitnessSet, control_cycle, control_local_flow,
+                          control_max_enhanced, control_network_flow,
+                          control_path_root, enhanced_witness,
+                          global_witnesses, local_witness, wrap_index)
 from .dynamics import (DisturbanceSpec, InverseObserver, ObservationSpec,
                        PlantModel, PlantState, observe_direct, step)
 from .flows import (ConsensusState, EnhancedFlowView, FlowLog, LocalFlowView,

@@ -161,8 +161,9 @@ def simulate_dagger_recursion(g: WeightedDigraph, M: float, omega: float,
     the running max of both sequences at node j. Equality mode saturates
     both; q starts at zero and obeys the same equation as p, so q equals p
     bit for bit and is returned as a copy of it. A zero step is absorbing and
-    ends the run with the zero suffix as its continuation. Rows of the
-    returned arrays are time steps, columns nodes.
+    ends the run with the zero suffix as its continuation. frozen is always
+    False: where pv_i > 0, Sp_i + pv_i is the drive itself or above 2 Sp_i,
+    never Sp_i. Rows of the returned arrays are time steps, columns nodes.
     """
     if not (math.isfinite(M) and math.isfinite(omega)):
         raise ValueError("M and omega must be finite")
@@ -172,7 +173,6 @@ def simulate_dagger_recursion(g: WeightedDigraph, M: float, omega: float,
     p = np.zeros((T, g.n))
     Sp = np.zeros(g.n)
     peak = np.zeros(g.n)
-    frozen = False
     verdict = None
     n_steps = T
     for t in range(T):
@@ -180,11 +180,6 @@ def simulate_dagger_recursion(g: WeightedDigraph, M: float, omega: float,
         p[t] = pv
         if not pv.any():
             verdict = "summable"     # zero state is absorbing
-            break
-        if (Sp + pv == Sp).all():
-            frozen = True
-            verdict = "summable"
-            n_steps = t + 1
             break
         Sp += pv
         np.maximum(peak, pv, out=peak)
@@ -197,7 +192,7 @@ def simulate_dagger_recursion(g: WeightedDigraph, M: float, omega: float,
     sums = np.cumsum(p + q, axis=0)
     if verdict is None:
         verdict = _tail_verdict(np.maximum(p, q).max(axis=1))
-    return RecursionResult(p, q, sums, verdict, frozen, n_steps)
+    return RecursionResult(p, q, sums, verdict, False, n_steps)
 
 
 @dataclass
@@ -287,6 +282,8 @@ def threshold_sweep(base_config, L_values, trials: int = 1) -> dict:
     """
     from .runner import run_experiment   # local import, runner uses this module
 
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
     L_values = [float(L) for L in L_values]
     points = []
     for L in L_values:

@@ -37,11 +37,15 @@ _KIND_NAMES = {Real: "a number", Integral: "an integer", int: "an integer",
 
 
 def _typed(d: dict, field: str, ctx: str, default, kind=Real):
-    """d[field], or default when absent, if it is of the kind; JSON true and
-    false are not numbers, and a number must be finite as a float (NaN,
-    Infinity and integers beyond the float range are refused)."""
-    value = d.get(field, default)
-    name = f"{ctx}.{field}" if ctx else field
+    """d[field], or default when absent, if _checked passes it."""
+    return _checked(d.get(field, default), f"{ctx}.{field}" if ctx else field,
+                    kind)
+
+
+def _checked(value, name: str, kind=Real):
+    """value if it is of the kind; JSON true and false are not numbers, and
+    a number must be finite as a float (NaN, Infinity and integers beyond
+    the float range are refused)."""
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ConfigError(name, f"must be {_KIND_NAMES[kind]}, got {value!r}")
     if kind is Real:
@@ -52,6 +56,13 @@ def _typed(d: dict, field: str, ctx: str, default, kind=Real):
         if not finite:
             raise ConfigError(name, f"must be finite, got {value!r}")
     return value
+
+
+def _numbers(value, name: str) -> np.ndarray:
+    """value as a float array if it is a list whose entries _checked passes."""
+    if not isinstance(value, list):
+        raise ConfigError(name, f"must be a list of numbers, got {value!r}")
+    return np.array([_checked(v, name) for v in value], dtype=float)
 
 
 def read_json(path) -> dict:
@@ -78,6 +89,9 @@ def _build_graph(spec: dict) -> WeightedDigraph:
             return random_strongly_connected(n, seed, **params)
         if kind == "custom":
             return WeightedDigraph(np.asarray(params["weights"], dtype=float))
+        for field in ("weight", "root_weight", "a11"):
+            if field in params:
+                _typed(params, field, "graph", None)
         return build_canonical(kind, **params)
     except ConfigError:
         raise
@@ -89,12 +103,16 @@ def _build_function(spec: dict) -> PlantFunction:
     kind = _require(spec, "kind", "function")
     try:
         if kind == "linear":
-            return LinearFunction(spec.get("a", 1.0), spec.get("b", 0.0))
+            return LinearFunction(_typed(spec, "a", "function", 1.0),
+                                  _typed(spec, "b", "function", 0.0))
         if kind == "bounded_perturbed_linear":
-            return BoundedPerturbedLinear(spec.get("a", 1.0), spec.get("b", 0.0),
-                                          spec.get("amplitude", 1.0))
+            return BoundedPerturbedLinear(
+                _typed(spec, "a", "function", 1.0),
+                _typed(spec, "b", "function", 0.0),
+                _typed(spec, "amplitude", "function", 1.0))
         if kind == "tabulated":
-            return TabulatedFunction(spec["xs"], spec["ys"])
+            return TabulatedFunction(_numbers(spec.get("xs"), "function.xs"),
+                                     _numbers(spec.get("ys"), "function.ys"))
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -173,18 +191,9 @@ class ExperimentConfig:
             scale = _typed(x0, "scale", "x0", 1.0)
             self.x0 = np.random.default_rng(seed).uniform(-scale, scale, n)
         else:
-            if not isinstance(x0, list) or any(
-                    isinstance(v, bool) or not isinstance(v, Real) for v in x0):
-                raise ConfigError("x0", "must be a list of numbers or an object "
-                                  f"with a seed, got {x0!r}")
-            try:
-                self.x0 = np.asarray(x0, dtype=float)
-            except OverflowError as exc:   # an integer beyond the float range
-                raise ConfigError("x0", "entries must be finite") from exc
+            self.x0 = _numbers(x0, "x0")
             if self.x0.shape != (n,):
                 raise ConfigError("x0", f"needs {n} entries, got {self.x0.shape}")
-            if not np.all(np.isfinite(self.x0)):
-                raise ConfigError("x0", "entries must be finite")
 
         # adversary runs need room to record the full doubling horizon
         cap = raw.get("guard_cap")

@@ -14,10 +14,12 @@ The witness and control_* functions are the reference laws: each decision
 scans the history it may search. The runner's Controller makes the same
 decisions, bit for bit, from the flow log alone: it grows sorted WitnessIndex
 records by one flow row per step, so a nearest-record query costs O(log t),
-and the max_enhanced law takes each row's network extremes in closed form.
+and the ends of those indices are the running extremes that the laws
+recentre on. The max_enhanced law takes each row's network extremes in
+closed form.
 """
 
-import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,23 +50,6 @@ class ControllerSpec:
             raise ValueError("epsilon must be positive")
 
 
-class ExtremeLedger:
-    """Running network-wide state extremes over all nodes and times."""
-
-    def __init__(self):
-        self.high = -np.inf
-        self.low = np.inf
-
-    def update(self, x):
-        x = np.asarray(x, dtype=float)
-        self.high = max(self.high, float(x.max()))
-        self.low = min(self.low, float(x.min()))
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.high + self.low)
-
-
 @dataclass(frozen=True)
 class WitnessRecord:
     """One nearest-neighbour lookup: distance, witness (time, node), value.
@@ -78,18 +63,9 @@ class WitnessRecord:
     fhat: float
 
 
-class WitnessSet:
-    """Global witnesses for every target node at one decision time."""
-
-    def __init__(self, dist, time, node, fhat):
-        self.dist = dist
-        self.time = time
-        self.node = node
-        self.fhat = fhat
-
-    def record(self, j: int) -> WitnessRecord:
-        return WitnessRecord(float(self.dist[j]), int(self.time[j]),
-                             int(self.node[j]), float(self.fhat[j]))
+# Global witnesses for every target node at one decision time: one array
+# entry per target node for each field.
+WitnessSet = namedtuple("WitnessSet", ["dist", "time", "node", "fhat"])
 
 
 def global_witnesses(log: FlowLog, t: int) -> WitnessSet:
@@ -109,12 +85,11 @@ def global_witnesses(log: FlowLog, t: int) -> WitnessSet:
                       fhat=log.z_hist[s, v])
 
 
-def control_network_flow(log: FlowLog, graph: WeightedDigraph,
-                         ledger: ExtremeLedger, epsilon: float,
+def control_network_flow(log: FlowLog, graph: WeightedDigraph, epsilon: float,
                          t: int, branch_log: list | None = None) -> np.ndarray:
-    """Cancel via global witnesses; recentre on the running midpoint whenever
-    any node's witness sits farther than epsilon. branch_log, when given,
-    records True for recentre (explore) steps."""
+    """Cancel via global witnesses; recentre on the midpoint of the running
+    hull of X(0..t) whenever any node's witness sits farther than epsilon.
+    branch_log, when given, records True for recentre (explore) steps."""
     if t == 0:
         return np.zeros(log.n)
     w = global_witnesses(log, t)
@@ -124,7 +99,8 @@ def control_network_flow(log: FlowLog, graph: WeightedDigraph,
         branch_log.append(not accurate)
     if accurate:
         return u
-    return u + ledger.midpoint
+    hull = log.x_hist[:t + 1]
+    return u + 0.5 * (hull.max() + hull.min())
 
 
 def control_path_root(log: FlowLog, t: int) -> np.ndarray:
@@ -228,32 +204,19 @@ def control_max_enhanced(view: EnhancedFlowView, graph: WeightedDigraph,
     return acc + 0.5 * (y_hi + y_lo)
 
 
-class _Track:
-    """One scalar sequence of the flow, one record per time (key = time):
-    its witness index and running extremes over the ingested values."""
-
-    def __init__(self):
-        self.index = WitnessIndex()
-        self.hi = -math.inf
-        self.lo = math.inf
-
-    def add(self, value: float, estimate: float):
-        self.index.insert(value, estimate)
-        self.hi = max(self.hi, value)
-        self.lo = min(self.lo, value)
-
-    def control(self, q: float, seq) -> float:
-        """The scalar law at the current value q: cancel through the nearest
-        record and recentre on 0.5 * (seq().max() + seq().min()), seq() being
-        the sequence through q. ndarray.max/min may return either zero on a
-        +0.0/-0.0 tie, depending on the array length, so a zero extreme is
-        taken from the sequence itself."""
-        hi, lo = max(self.hi, q), min(self.lo, q)
-        if hi == 0.0:
-            hi = float(seq().max())
-        if lo == 0.0:
-            lo = float(seq().min())
-        return -self.index.nearest(q)[2] + 0.5 * (hi + lo)
+def _scalar_control(index: WitnessIndex, q: float, seq) -> float:
+    """The scalar law at the current value q of a sequence whose past values
+    fill index, one record per time (key = time): cancel through the nearest
+    record and recentre on 0.5 * (seq().max() + seq().min()), seq() being
+    the sequence through q. The index's ends and q give those extremes but
+    for the sign of a zero, which reaches the sum only when both extremes
+    are zero; ndarray.max/min may return either zero on a +0.0/-0.0 tie,
+    depending on the array length, so then both are taken from seq()."""
+    hi, lo = max(index.hi, q), min(index.lo, q)
+    if hi == lo == 0.0:
+        seq = seq()
+        hi, lo = float(seq.max()), float(seq.min())
+    return -index.nearest(q)[2] + 0.5 * (hi + lo)
 
 
 # Per-kind fast paths. ingest(s, xs, zs) takes the completed flow row s
@@ -263,18 +226,14 @@ class _Track:
 # tie rules agree.
 
 class _NetworkFlow:
-    """One global index, key s*n + v: control_network_flow. It is the one
-    law that recentres on the running hull of all states, so it alone keeps
-    an ExtremeLedger, fed each row X(0..t) once by the first decision that
-    needs it. It keeps no reference to the Controller: without a cycle, a
-    finished run's indices are freed at once, not at the next cyclic garbage
-    collection."""
+    """One global index, key s*n + v: control_network_flow. The index's
+    ends and X(t) span the running hull of all states. It keeps no reference
+    to the Controller: without a cycle, a finished run's indices are freed
+    at once, not at the next cyclic garbage collection."""
 
     def __init__(self, ctl):
         self.weights = ctl.graph.weights
         self.epsilon = ctl.spec.epsilon
-        self.ledger = ExtremeLedger()
-        self._hull_rows = 0    # rows X(0..hull_rows-1) in the ledger
         self.branch_log = ctl.branch_log
         self.index = WitnessIndex()
 
@@ -283,14 +242,16 @@ class _NetworkFlow:
             self.index.insert(x, z)
 
     def decide(self, log, t, q):
-        for row in log.x_hist[self._hull_rows:t + 1]:
-            self.ledger.update(row)
-        self._hull_rows = t + 1
-        hits = [self.index.nearest(qj) for qj in q]
+        index = self.index
+        hits = [index.nearest(qj) for qj in q]
         u = -(self.weights @ np.array([h[2] for h in hits]))
         accurate = max(h[0] for h in hits) <= self.epsilon
         self.branch_log.append(not accurate)
-        return u if accurate else u + self.ledger.midpoint
+        if accurate:
+            return u
+        # A witness distance above epsilon > 0 puts a nonzero state in the
+        # hull, so no end's zero sign reaches the midpoint.
+        return u + 0.5 * (max(index.hi, max(q)) + min(index.lo, min(q)))
 
 
 class _PathRoot:
@@ -298,14 +259,15 @@ class _PathRoot:
 
     def __init__(self, ctl):
         self.n = ctl.graph.n
-        self.track = _Track()
+        self.index = WitnessIndex()
 
     def ingest(self, s, xs, zs):
-        self.track.add(xs[0], zs[0])
+        self.index.insert(xs[0], zs[0])
 
     def decide(self, log, t, q):
         u = np.zeros(self.n)
-        u[0] = self.track.control(q[0], lambda: log.x_hist[:, 0][:t + 1])
+        u[0] = _scalar_control(self.index, q[0],
+                               lambda: log.x_hist[:, 0][:t + 1])
         return u
 
 
@@ -316,11 +278,11 @@ class _Cycle:
 
     def __init__(self, ctl):
         self.n = ctl.graph.n
-        self.tracks = [_Track() for _ in range(self.n)]
+        self.indices = [WitnessIndex() for _ in range(self.n)]
 
     def ingest(self, s, xs, zs):
         for v, (x, z) in enumerate(zip(xs, zs)):
-            self.tracks[(s - v) % self.n].add(x, z)
+            self.indices[(s - v) % self.n].insert(x, z)
 
     def decide(self, log, t, q):
         n = self.n
@@ -332,14 +294,15 @@ class _Cycle:
                 times = np.arange(t + 1)
                 return log.x_hist[times, (times - c) % n]
 
-            u[i0] = self.tracks[c].control(q[(i0 - 1) % n], diagonal)
+            u[i0] = _scalar_control(self.indices[c], q[(i0 - 1) % n],
+                                    diagonal)
         return u
 
 
 class _Neighbourhood:
     """One index per node over its columns N_i u {i}, key s*k + c:
     control_local_flow. For max_enhanced also one shared index of the
-    extreme records, key 2s (max) or 2s + 1 (min), and the running folded
+    extreme records, key 2s (max) or 2s + 1 (min); its ends are the folded
     extremes: control_max_enhanced. Row s's extremes are taken in closed
     form, the first argmax/argmin of X(s) with its estimate; that is the
     limit of flows.run_extreme_consensus on a strongly connected graph. A
@@ -355,8 +318,6 @@ class _Neighbourhood:
         self.indices = [WitnessIndex() for _ in range(g.n)]
         self.extremes = (WitnessIndex() if ctl.spec.kind == "max_enhanced"
                          else None)
-        self.hi = -math.inf
-        self.lo = math.inf
 
     def ingest(self, s, xs, zs):
         for nodes, index in zip(self.hoods, self.indices):
@@ -367,8 +328,6 @@ class _Neighbourhood:
             hi, lo = xs.index(max(xs)), xs.index(min(xs))
             self.extremes.insert(xs[hi], zs[hi])
             self.extremes.insert(xs[lo], zs[lo])
-            self.hi = max(self.hi, xs[hi])
-            self.lo = min(self.lo, xs[lo])
 
     def decide(self, log, t, q):
         n = len(q)
@@ -376,11 +335,12 @@ class _Neighbourhood:
             ext = None
             anchors = log.x_hist[0].tolist()
         else:
-            ext = [self.extremes.nearest(qj) for qj in q]
-            # No signed-zero fallback as in _Track: acc below starts at +0.0
-            # and a difference is -0.0 only when its minuend is, so acc + mid
-            # has the same bits for either zero mid.
-            mid = 0.5 * (max(self.hi, max(q)) + min(self.lo, min(q)))
+            extremes = self.extremes
+            ext = [extremes.nearest(qj) for qj in q]
+            # No signed-zero fallback as in _scalar_control: acc below starts
+            # at +0.0 and a difference is -0.0 only when its minuend is, so
+            # acc + mid has the same bits for either zero mid.
+            mid = 0.5 * (max(extremes.hi, max(q)) + min(extremes.lo, min(q)))
             anchors = [mid] * n
         u = np.zeros(n)
         for i, (index, nbrs, w) in enumerate(zip(self.indices, self.nbrs,

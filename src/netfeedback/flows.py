@@ -7,7 +7,7 @@ columns in N_i union {i}; the enhanced view adds the network-wide extreme
 series. Confinement is structural: a view physically holds nothing outside
 its columns. A WitnessIndex keeps past (value, estimate) records sorted by
 value, so a nearest-record query is a bisection instead of a scan of the
-history.
+history, and its two ends are the running extremes of the values it holds.
 
 run_extreme_consensus is the flooding protocol by which nodes learn the
 extremes from their neighbours alone. The max_enhanced law takes the same
@@ -174,6 +174,7 @@ class WitnessIndex:
     distance. Values and queries must be finite. Three flat arrays hold 24
     bytes per record; an insert is one bisection plus two memmoves, a query
     one bisection plus a walk over the records tied at the smallest distance.
+    lo and hi are the first and last values: the extremes, up to a zero's sign.
     """
 
     def __init__(self):
@@ -183,6 +184,14 @@ class WitnessIndex:
 
     def __len__(self) -> int:
         return len(self._e)
+
+    @property
+    def lo(self) -> float:
+        return self._v[0]
+
+    @property
+    def hi(self) -> float:
+        return self._v[-1]
 
     def insert(self, value: float, estimate: float):
         if not -_INF < value < _INF:

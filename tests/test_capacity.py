@@ -403,6 +403,16 @@ def test_sweep_empty_grid():
                                  "first_not_stabilized": None}
 
 
+def test_sweep_needs_a_trial(monkeypatch):
+    def refuse(cfg):
+        raise AssertionError("the sweep ran before checking trials")
+
+    monkeypatch.setattr(nf.runner, "run_experiment", refuse)
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials"):
+            threshold_sweep(_selfloop_base(), [1.0], trials=trials)
+
+
 def test_sweep_with_adversary_attached():
     base = nf.ExperimentConfig({
         "graph": {"kind": "single_selfloop", "n": 1, "a11": 1.0},

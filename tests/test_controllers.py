@@ -12,7 +12,6 @@ from netfeedback import (
     ControllerSpec,
     EnhancedFlowView,
     ExperimentConfig,
-    ExtremeLedger,
     FlowLog,
     LocalFlowView,
     WeightedDigraph,
@@ -64,14 +63,6 @@ def test_wrap_index():
         wrap_index(1, 0)
 
 
-def test_extreme_ledger():
-    led = ExtremeLedger()
-    led.update([1.0, -2.0])
-    led.update([0.5, 3.0])
-    assert led.high == 3.0 and led.low == -2.0
-    assert led.midpoint == 0.5
-
-
 # ---- witness selection ----
 
 def test_global_witness_earliest_time_tie():
@@ -87,10 +78,10 @@ def test_global_witness_earliest_time_tie():
 
 def test_global_witness_lowest_node_tie():
     log = _log([[1.0, 3.0], [2.0, 2.0]], rows_z=[[11.0, 22.0]])
-    w = global_witnesses(log, 1).record(0)
+    w = global_witnesses(log, 1)
     # query 2.0 is equidistant from both time-0 states; lowest node wins
-    assert (w.node, w.time) == (0, 0)
-    assert w.fhat == 11.0 and w.dist == 1.0
+    assert (w.node[0], w.time[0]) == (0, 0)
+    assert w.fhat[0] == 11.0 and w.dist[0] == 1.0
 
 
 def test_global_witness_needs_history():
@@ -140,11 +131,8 @@ def test_enhanced_witness_uses_extreme_when_closer():
 def test_network_flow_accurate_branch_cancels():
     g = build_canonical("cycle", 2)
     log = _log([[1.0, 2.0], [1.0, 2.0]], rows_z=[[10.0, 20.0]])
-    led = ExtremeLedger()
-    led.update([1.0, 2.0])
-    led.update([1.0, 2.0])
     branches = []
-    u = control_network_flow(log, g, led, 0.1, 1, branches)
+    u = control_network_flow(log, g, 0.1, 1, branches)
     np.testing.assert_array_equal(u, [-20.0, -10.0])
     assert branches == [False]
 
@@ -152,11 +140,8 @@ def test_network_flow_accurate_branch_cancels():
 def test_network_flow_explore_branch_recentres():
     g = build_canonical("cycle", 2)
     log = _log([[1.0, 2.0], [1.5, 2.0]], rows_z=[[10.0, 20.0]])
-    led = ExtremeLedger()
-    led.update([1.0, 2.0])
-    led.update([1.5, 2.0])
     branches = []
-    u = control_network_flow(log, g, led, 1e-3, 1, branches)
+    u = control_network_flow(log, g, 1e-3, 1, branches)
     # node 0's witness is 0.5 away, so the midpoint 1.5 is added everywhere
     np.testing.assert_allclose(u, [-20.0 + 1.5, -10.0 + 1.5])
     assert branches == [True]
@@ -165,7 +150,7 @@ def test_network_flow_explore_branch_recentres():
 def test_network_flow_time_zero_is_silent():
     g = build_canonical("cycle", 2)
     log = _log([[1.0, 2.0]])
-    u = control_network_flow(log, g, ExtremeLedger(), 0.1, 0)
+    u = control_network_flow(log, g, 0.1, 0)
     np.testing.assert_array_equal(u, [0.0, 0.0])
 
 
@@ -219,16 +204,19 @@ def test_dispatcher_zero_and_time_zero():
 
 
 def test_dispatcher_matches_direct_call():
+    # On the recentre step X(1) = (1.5, 2.5) tops the indexed X(0), so the
+    # hull's upper end comes from the current row: midpoint 0.5 * (2.5 + 1).
     g = build_canonical("cycle", 2)
-    log = _log([[1.0, 2.0], [1.0, 2.0]], rows_z=[[10.0, 20.0]])
-    ctl = Controller(ControllerSpec("network_flow", epsilon=0.1), g)
-    u = ctl.controls(log, 1)
-    np.testing.assert_array_equal(u, [-20.0, -10.0])
-    assert ctl.branch_log == [False]
-    # the network_flow law fed its own ledger from the rows X(0), X(1) of
-    # the log; the other laws keep none
-    assert (ctl._law.ledger.low, ctl._law.ledger.high) == (1.0, 2.0)
-    assert not hasattr(Controller(ControllerSpec("local_flow"), g)._law, "ledger")
+    for x1, eps, want in (([1.0, 2.0], 0.1, [-20.0, -10.0]),
+                          ([1.5, 2.5], 1e-3, [-20.0 + 1.75, -10.0 + 1.75])):
+        log = _log([[1.0, 2.0], x1], rows_z=[[10.0, 20.0]])
+        ctl = Controller(ControllerSpec("network_flow", epsilon=eps), g)
+        branches = []
+        ref = control_network_flow(log, g, eps, 1, branches)
+        u = ctl.controls(log, 1)
+        np.testing.assert_array_equal(u, want)
+        assert u.tobytes() == ref.tobytes()
+        assert ctl.branch_log == branches == [eps < 0.1]
 
 
 
@@ -274,6 +262,8 @@ def test_witness_index_matches_brute_force_argmin():
             ests.append(est)
             assert len(index) == len(values)
             vals = np.array(values)
+            # the ends are the extremes; on a +0.0/-0.0 tie, either zero
+            assert (index.lo, index.hi) == (min(values), max(values))
             for q in np.concatenate([queries, rng.normal(size=3)]).tolist():
                 d = np.abs(vals - q)
                 f = int(d.argmin())
@@ -322,8 +312,12 @@ def _extreme_series(log):
     return x[rows, hi], x[rows, lo], z[rows[:t], hi[:t]], z[rows[:t], lo[:t]]
 
 
-def _reference_u(kind, g, log, t, series=None):
-    """The reference law's U(t); series defaults to the log's own extremes."""
+def _reference_u(kind, g, log, t, series=None, branches=None):
+    """The reference law's U(t); series defaults to the log's own extremes.
+    network_flow runs at the default epsilon and appends to branches."""
+    if kind == "network_flow":
+        return control_network_flow(log, g, ControllerSpec(kind).epsilon, t,
+                                    branches)
     if kind == "path_root":
         return control_path_root(log, t)
     if kind == "cycle_global":
@@ -339,24 +333,55 @@ def _reference_u(kind, g, log, t, series=None):
     return u
 
 
+def _both_zeros(values) -> bool:
+    return len(set(np.signbit(values[values == 0]))) == 2
+
+
 def test_controller_matches_per_neighbour_reference():
     # States drawn from a small pool give exact value ties, rounding ties and
     # signed zeros; a row's extreme record ties the states of its holder's
-    # neighbourhood; node 0 has no in-neighbours.
+    # neighbourhood; node 0 has no in-neighbours. The zero-heavy, one-signed
+    # pools of the last two seeds put both zeros at an end of the hull: a
+    # recentre step then reads a zero end from the index, and a scalar
+    # sequence has one zero end (no fallback) or is zero throughout (the
+    # fallback to numpy).
     n, T = 5, 12
-    seen = dict.fromkeys(("exact", "rounding", "hood_vs_extreme", "no_nbrs"), 0)
-    for seed in range(6):
+    seen = dict.fromkeys(("exact", "rounding", "hood_vs_extreme", "no_nbrs",
+                          "accurate", "recentre", "recentre_zero_end",
+                          "scalar_one_zero_end", "scalar_all_zero"), 0)
+    pools = [_POOL] * 6 + [np.array([-0.5, -0.0, 0.0]),
+                           np.array([-0.0, 0.0, 0.5])]
+    for seed, pool in enumerate(pools):
         rng = np.random.default_rng(seed)
         w = random_strongly_connected(n, seed=seed).weights.copy()
         w[0] = 0.0
         g = WeightedDigraph(w)
-        log = _log(rng.choice(_POOL, size=(T + 1, n)),
+        log = _log(rng.choice(pool, size=(T + 1, n)),
                    rows_z=list(rng.normal(size=(T, n))))
         x_max, x_min = _extreme_series(log)[:2]
-        for kind in ("local_flow", "max_enhanced"):
-            for t, u in enumerate(_decide_all(kind, g, log), start=1):
-                ref = _reference_u(kind, g, log, t)
+        graphs = {"local_flow": g, "max_enhanced": g, "network_flow": g,
+                  "path_root": build_canonical("path_root_selfloop", n),
+                  "cycle_global": build_canonical("cycle", n)}
+        branches = []
+        for kind, kg in graphs.items():
+            for t, u in enumerate(_decide_all(kind, kg, log), start=1):
+                ref = _reference_u(kind, kg, log, t, branches=branches)
                 assert _bits(u) == _bits(ref), (seed, kind, t)
+        x = log.x_hist
+        for t, recentre in enumerate(branches, start=1):
+            hull = x[:t + 1]
+            seen["accurate"] += not recentre
+            seen["recentre"] += recentre
+            seen["recentre_zero_end"] += recentre and _both_zeros(hull) and (
+                hull.max() == 0 or hull.min() == 0)
+            times = np.arange(t + 1)
+            # path_root's column 0, then the diagonals of control_cycle
+            for seq in [x[times, 0]] + [x[times, (times - c) % n]
+                                        for c in range(n)]:
+                if _both_zeros(seq):
+                    seen["scalar_all_zero"] += not seq.any()
+                    seen["scalar_one_zero_end"] += seq.any() and (
+                        seq.max() == 0 or seq.min() == 0)
         for i in range(n):
             view = LocalFlowView(log, g, i)
             nbrs = g.neighbors(i)
@@ -456,15 +481,12 @@ def test_runs_replay_through_fresh_views_and_reference_witnesses():
         x, z, u = res.x_hist, res.z_hist, res.u_hist
         log = FlowLog(g.n)
         log.append(x[0])
-        ledger = ExtremeLedger()
-        ledger.update(x[0])
         branches = []
         for t in range(1, cfg.horizon):
             log.append(x[t], z=z[t - 1], u=u[t - 1])
-            ledger.update(x[t])
             if kind == "network_flow":
-                ref = control_network_flow(log, g, ledger, cfg.controller.epsilon,
-                                           t, branches)
+                ref = control_network_flow(log, g, cfg.controller.epsilon, t,
+                                           branches)
             else:
                 e = res.enhanced
                 series = e and (e["x_max"][:t + 1], e["x_min"][:t + 1],

@@ -96,6 +96,29 @@ def test_field_errors_are_attributed():
          "controller.epsilon"),
         ({"x0": {"seed": 1, "scale": math.inf}}, "x0.scale"),
         ({"x0": {"seed": 1, "scale": 10 ** 400}}, "x0.scale"),
+        # function and graph parameters: strings, booleans and non-finite
+        # numbers ran, and a NaN slope even got a theoretical bound
+        ({"function": {"kind": "linear", "a": 0.8, "b": "1"}}, "function.b"),
+        ({"function": {"kind": "linear", "a": True}}, "function.a"),
+        ({"function": {"kind": "linear", "a": math.nan}}, "function.a"),
+        ({"function": {"kind": "bounded_perturbed_linear", "a": math.inf}},
+         "function.a"),
+        ({"function": {"kind": "bounded_perturbed_linear", "a": 0.8,
+                       "amplitude": math.nan}}, "function.amplitude"),
+        ({"function": {"kind": "bounded_perturbed_linear", "a": 0.8,
+                       "amplitude": -math.inf}}, "function.amplitude"),
+        ({"function": {"kind": "tabulated", "xs": [0.0, True],
+                       "ys": [0.0, 1.0]}}, "function.xs"),
+        ({"function": {"kind": "tabulated", "xs": [0.0, 1.0],
+                       "ys": [0.0, math.nan]}}, "function.ys"),
+        ({"function": {"kind": "tabulated", "xs": [0.0, 1.0],
+                       "ys": "01"}}, "function.ys"),
+        ({"function": {"kind": "tabulated", "ys": [0.0, 1.0]}}, "function.xs"),
+        ({"graph": {"kind": "cycle", "n": 3, "weight": "2"}}, "graph.weight"),
+        ({"graph": {"kind": "path_root_selfloop", "n": 3,
+                    "root_weight": True}}, "graph.root_weight"),
+        ({"graph": {"kind": "single_selfloop", "n": 3, "a11": math.nan}},
+         "graph.a11"),
     ]
     for over, field in cases:
         with pytest.raises(ConfigError) as ei:
@@ -596,6 +619,10 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     path = _write_cfg(tmp_path, _cfg(guard_cap="big"), "bigcap.json")
     assert main(["simulate", "--config", path]) == 2
     assert "guard_cap" in capsys.readouterr().err
+    path = _write_cfg(tmp_path, _cfg(function={"kind": "linear", "a": "2"}),
+                      "stra.json")
+    assert main(["simulate", "--config", path]) == 2
+    assert "function.a" in capsys.readouterr().err
     # non-finite numbers (JSON NaN and Infinity) and integers beyond the
     # float range: a ConfigError, not a silent run or an OverflowError
     for name, over, field in (
@@ -614,6 +641,11 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     # malformed grid
     good = _write_cfg(tmp_path, _cfg(horizon=10), "good.json")
     assert main(["sweep", "--config", good, "--L", "1:2"]) == 2
+    # no trials: refused before any run, not an empty max()
+    for trials in ("0", "-1"):
+        assert main(["sweep", "--config", good, "--L", "1",
+                     "--trials", trials]) == 2
+        assert "trials" in capsys.readouterr().err
     # capacity without a mode
     assert main(["capacity"]) == 2
     # non-finite recursion parameters and a horizon below one step
