@@ -224,6 +224,19 @@ def divergence_certificate(ledger: IntervalLedger) -> DivergenceCertificate:
     return DivergenceCertificate(ledger.i0_width, ledger.chi)
 
 
+def check_adversary_graph(graph: WeightedDigraph) -> float:
+    """The sharp metric of graph if the construction can run on it: an arc,
+    weights of one sign, strong connectivity (ValueError otherwise)."""
+    sharp = sharp_metric(graph)
+    if sharp <= 0.0:
+        raise ValueError("adversary needs at least one arc (sharp metric > 0)")
+    if sign_pattern(graph) == "mixed":
+        raise ValueError("adversary needs a uniform sign pattern")
+    if not is_strongly_connected(graph):
+        raise ValueError("adversary needs a strongly connected graph")
+    return sharp
+
+
 class OnlineAdversary:
     """Implements the branch-probe-commit protocol against any feedback law.
 
@@ -237,19 +250,12 @@ class OnlineAdversary:
     """
 
     def __init__(self, graph: WeightedDigraph, x0):
-        sharp = sharp_metric(graph)
-        if sharp <= 0.0:
-            raise ValueError("adversary needs at least one arc (sharp metric > 0)")
-        if sign_pattern(graph) == "mixed":
-            raise ValueError("adversary needs a uniform sign pattern")
-        if not is_strongly_connected(graph):
-            raise ValueError("adversary needs a strongly connected graph")
+        self.sharp = check_adversary_graph(graph)
         x0 = np.asarray(x0, dtype=float)
         if x0.shape != (graph.n,):
             raise ValueError(f"x0 must have shape ({graph.n},)")
         self.graph = graph
-        self.sharp = sharp
-        self.B = 4.0 / sharp
+        self.B = 4.0 / self.sharp
         self.ledger = IntervalLedger(x0)
         self.branches = []
         self.theta = []    # extreme holder attacked from, per step

@@ -285,6 +285,8 @@ def threshold_sweep(base_config, L_values, trials: int = 1) -> dict:
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     L_values = [float(L) for L in L_values]
+    if not L_values:
+        raise ValueError("need at least one gain")
     points = []
     for L in L_values:
         if base_config.adversary:

@@ -9,7 +9,9 @@ Exit codes: 0 done, 2 bad input or config, 3 internal invariant violation.
 """
 
 import argparse
+import itertools
 import json
+import math
 import sys
 
 from .adversary import InvariantError
@@ -21,14 +23,11 @@ from .runner import run_experiment, write_outputs
 
 
 def _parse_graph(spec: str) -> WeightedDigraph:
+    """kind:N (cycle, path_root_selfloop) or single_selfloop[:weight]."""
     kind, _, arg = spec.partition(":")
-    if kind == "cycle":
-        return build_canonical("cycle", int(arg))
-    if kind == "path_root_selfloop":
-        return build_canonical("path_root_selfloop", int(arg))
     if kind == "single_selfloop":
-        return build_canonical("single_selfloop", 1, a11=float(arg) if arg else 1.0)
-    raise ValueError(f"unknown graph spec {spec!r}; expected kind:arg like cycle:5")
+        return build_canonical(kind, 1, a11=float(arg) if arg else 1.0)
+    return build_canonical(kind, int(arg))
 
 
 def _parse_grid(spec: str) -> list:
@@ -39,17 +38,12 @@ def _parse_grid(spec: str) -> list:
     if len(parts) != 3:
         raise ValueError(f"grid spec {spec!r} needs start:stop:step")
     start, stop, step = (float(p) for p in parts)
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError(f"grid spec {spec!r} needs finite start, stop and step")
     if step <= 0:
         raise ValueError("grid step must be positive")
-    vals = []
-    k = 0
-    while True:
-        v = start + k * step
-        if v > stop + 1e-12:
-            break
-        vals.append(v)
-        k += 1
-    return vals
+    return list(itertools.takewhile(lambda v: v <= stop + 1e-12,
+                                    (start + k * step for k in itertools.count())))
 
 
 def _parse_bracket(spec: str) -> tuple:

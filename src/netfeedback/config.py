@@ -6,18 +6,20 @@ config bytes give identical outputs. Node indices in configs and outputs are
 """
 
 import copy
+import inspect
 import json
 import math
+from functools import partial
 from numbers import Integral, Real
 
 import numpy as np
 
+from .adversary import check_adversary_graph
 from .controllers import ControllerSpec
 from .dynamics import DisturbanceSpec, ObservationSpec
-from .functions import (BoundedPerturbedLinear, LinearFunction, PlantFunction,
-                        TabulatedFunction)
+from .functions import BoundedPerturbedLinear, LinearFunction, TabulatedFunction
 from .graphs import (WeightedDigraph, build_canonical, is_strongly_connected,
-                     random_strongly_connected, sharp_metric, sign_pattern)
+                     random_strongly_connected)
 
 
 class ConfigError(ValueError):
@@ -32,21 +34,73 @@ def _require(d: dict, field: str, ctx: str):
     return d[field]
 
 
+# section ("" is the top level) -> field -> kind, where [k] is a list of k. A
+# field named after a section holds a JSON object of that section's fields;
+# x0 holds either that or a list of numbers.
+_FIELDS = {
+    "": {"label": str, "graph": dict, "function": dict, "controller": dict,
+         "observation": dict, "disturbance": dict, "horizon": int,
+         "x0": [Real], "adversary": bool, "guard_cap": Real},
+    "graph": {"kind": str, "n": Integral, "weight": Real, "root_weight": Real,
+              "a11": Real, "weights": [[Real]], "seed": Integral,
+              "extra_arc_prob": Real, "weight_range": [Real],
+              "allow_negative": bool, "self_arc_prob": Real},
+    "function": {"kind": str, "a": Real, "b": Real, "amplitude": Real,
+                 "xs": [Real], "ys": [Real]},
+    "controller": {"kind": str, "epsilon": Real},
+    "observation": {"mode": str, "d0": Real, "noise_seed": Integral},
+    "disturbance": {"w_star": Real, "generator": str, "seed": Integral,
+                    "sign": Integral},
+    "x0": {"seed": Integral, "scale": Real},
+}
+
 _KIND_NAMES = {Real: "a number", Integral: "an integer", int: "an integer",
-               dict: "a JSON object"}
+               dict: "a JSON object", str: "a string", bool: "true or false"}
+
+# kind -> constructor of the graph and function sections
+_GRAPHS = {"random_strongly_connected": random_strongly_connected,
+           "custom": WeightedDigraph,
+           **{kind: partial(build_canonical, kind)
+              for kind in ("cycle", "path_root_selfloop", "single_selfloop")}}
+_FUNCTIONS = {"linear": partial(LinearFunction, a=1.0),
+              "bounded_perturbed_linear": partial(BoundedPerturbedLinear, a=1.0),
+              "tabulated": TabulatedFunction}
+
+# law -> (what it needs of the graph, test of the graph section and graph)
+_LAW_GRAPHS = {
+    "cycle_global": ("a cycle graph", lambda spec, g: spec["kind"] == "cycle"),
+    "path_root": ("a path_root_selfloop graph",
+                  lambda spec, g: spec["kind"] == "path_root_selfloop"),
+    "max_enhanced": ("a strongly connected graph",
+                     lambda spec, g: is_strongly_connected(g)),
+}
 
 
-def _typed(d: dict, field: str, ctx: str, default, kind=Real):
-    """d[field], or default when absent, if _checked passes it."""
-    return _checked(d.get(field, default), f"{ctx}.{field}" if ctx else field,
-                    kind)
+def _typed(d: dict, section: str = "") -> dict:
+    """d, each field passed by _checked as its kind in _FIELDS[section]; a
+    JSON object in a field that is also a section is walked the same way.
+    A field the section does not list is an error."""
+    kinds = _FIELDS[section]
+    typed = {}
+    for field, value in d.items():
+        name = f"{section}.{field}" if section else field
+        if field not in kinds:
+            raise ConfigError(name, "unknown field")
+        typed[field] = (_typed(value, field)
+                        if field in _FIELDS and isinstance(value, dict)
+                        else _checked(value, name, kinds[field]))
+    return typed
 
 
 def _checked(value, name: str, kind=Real):
-    """value if it is of the kind; JSON true and false are not numbers, and
-    a number must be finite as a float (NaN, Infinity and integers beyond
-    the float range are refused)."""
-    if isinstance(value, bool) or not isinstance(value, kind):
+    """value if it is of the kind ([k]: a list of k); JSON true and false
+    are only of kind bool, and a number must be finite as a float (NaN,
+    Infinity and integers beyond the float range are refused)."""
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(name, f"must be a list, got {value!r}")
+        return [_checked(v, name, kind[0]) for v in value]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
         raise ConfigError(name, f"must be {_KIND_NAMES[kind]}, got {value!r}")
     if kind is Real:
         try:
@@ -58,11 +112,29 @@ def _checked(value, name: str, kind=Real):
     return value
 
 
-def _numbers(value, name: str) -> np.ndarray:
-    """value as a float array if it is a list whose entries _checked passes."""
-    if not isinstance(value, list):
-        raise ConfigError(name, f"must be a list of numbers, got {value!r}")
-    return np.array([_checked(v, name) for v in value], dtype=float)
+def _built(section: str, make, params: dict):
+    """make(**params), its TypeError or ValueError raised as a ConfigError
+    of section, or of the first parameter without default that params
+    lacks, named as a missing field."""
+    try:
+        return make(**params)
+    except (TypeError, ValueError) as exc:
+        missing = [p.name for p in inspect.signature(make).parameters.values()
+                   if p.default is p.empty and p.name not in params
+                   and p.kind is p.POSITIONAL_OR_KEYWORD]
+        if missing:
+            raise ConfigError(f"{section}.{missing[0]}",
+                              "missing required field") from exc
+        raise ConfigError(section, str(exc)) from exc
+
+
+def _kinded(section: str, kinds: dict, spec: dict):
+    """What kinds[spec["kind"]] builds from spec's other fields."""
+    kind = _require(spec, "kind", section)
+    if kind not in kinds:
+        raise ConfigError(f"{section}.kind", f"unknown kind {kind!r}")
+    return _built(section, kinds[kind],
+                  {k: v for k, v in spec.items() if k != "kind"})
 
 
 def read_json(path) -> dict:
@@ -77,131 +149,54 @@ def read_json(path) -> dict:
     return raw
 
 
-def _build_graph(spec: dict) -> WeightedDigraph:
-    kind = _require(spec, "kind", "graph")
-    params = {k: v for k, v in spec.items() if k != "kind"}
-    try:
-        if kind == "random_strongly_connected":
-            n = params.pop("n")
-            seed = params.pop("seed")
-            if "weight_range" in params:
-                params["weight_range"] = tuple(params["weight_range"])
-            return random_strongly_connected(n, seed, **params)
-        if kind == "custom":
-            return WeightedDigraph(np.asarray(params["weights"], dtype=float))
-        for field in ("weight", "root_weight", "a11"):
-            if field in params:
-                _typed(params, field, "graph", None)
-        return build_canonical(kind, **params)
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError("graph", str(exc)) from exc
-
-
-def _build_function(spec: dict) -> PlantFunction:
-    kind = _require(spec, "kind", "function")
-    try:
-        if kind == "linear":
-            return LinearFunction(_typed(spec, "a", "function", 1.0),
-                                  _typed(spec, "b", "function", 0.0))
-        if kind == "bounded_perturbed_linear":
-            return BoundedPerturbedLinear(
-                _typed(spec, "a", "function", 1.0),
-                _typed(spec, "b", "function", 0.0),
-                _typed(spec, "amplitude", "function", 1.0))
-        if kind == "tabulated":
-            return TabulatedFunction(_numbers(spec.get("xs"), "function.xs"),
-                                     _numbers(spec.get("ys"), "function.ys"))
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError("function", str(exc)) from exc
-    raise ConfigError("function.kind", f"unknown kind {kind!r}")
-
-
 class ExperimentConfig:
     """Validated cross-field view of one experiment JSON document."""
 
     def __init__(self, raw: dict):
         self.raw = copy.deepcopy(raw)
-        self.label = raw.get("label", "")
+        c = _typed(raw)
+        self.label = c.get("label", "")
 
-        self.graph = _build_graph(_typed(raw, "graph", "", None, dict))
-        n = self.graph.n
+        spec = _require(c, "graph", "")
+        self.graph = g = _kinded("graph", _GRAPHS, spec)
+        n = g.n
 
-        self.adversary = raw.get("adversary", False)
-        if not isinstance(self.adversary, bool):
-            raise ConfigError("adversary", "must be true or false")
+        self.adversary = c.get("adversary", False)
+        self.f = (_kinded("function", _FUNCTIONS, _require(c, "function", ""))
+                  if "function" in c or not self.adversary else None)
         if self.adversary:
-            self.f = (_build_function(_typed(raw, "function", "", None, dict))
-                      if "function" in raw else None)
-            if sharp_metric(self.graph) <= 0:
-                raise ConfigError("adversary", "graph has no arcs (sharp metric is 0)")
-            if sign_pattern(self.graph) == "mixed":
-                raise ConfigError("adversary", "graph weights must carry a uniform sign")
-            if not is_strongly_connected(self.graph):
-                raise ConfigError("adversary", "graph must be strongly connected")
-        else:
-            self.f = _build_function(_typed(raw, "function", "", None, dict))
+            _built("adversary", check_adversary_graph, {"graph": g})
 
-        d = _typed(raw, "disturbance", "", {}, dict)
-        w_star = _typed(d, "w_star", "disturbance", 0.0)
-        seed = _typed(d, "seed", "disturbance", 0, Integral)
-        sign = _typed(d, "sign", "disturbance", 1, Integral)
-        try:
-            self.disturbance = DisturbanceSpec(
-                w_star=w_star, generator=d.get("generator", "zero"), seed=seed,
-                sign=sign)
-        except ValueError as exc:
-            raise ConfigError("disturbance", str(exc)) from exc
+        self.disturbance = _built("disturbance", DisturbanceSpec,
+                                  c.get("disturbance", {}))
+        self.observation = _built("observation", ObservationSpec,
+                                  c.get("observation", {}))
+        self.controller = _built("controller", ControllerSpec,
+                                 {"kind": "zero", **c.get("controller", {})})
+        kind = self.controller.kind
+        if kind in _LAW_GRAPHS:
+            need, holds = _LAW_GRAPHS[kind]
+            if not holds(spec, g):
+                raise ConfigError("controller", f"{kind} requires {need}")
 
-        o = _typed(raw, "observation", "", {}, dict)
-        d0 = _typed(o, "d0", "observation", 0.0)
-        noise_seed = _typed(o, "noise_seed", "observation", 0, Integral)
-        try:
-            self.observation = ObservationSpec(
-                mode=o.get("mode", "direct"), d0=d0, noise_seed=noise_seed)
-        except ValueError as exc:
-            raise ConfigError("observation", str(exc)) from exc
-
-        c = _typed(raw, "controller", "", {"kind": "zero"}, dict)
-        epsilon = _typed(c, "epsilon", "controller", 1e-3)
-        try:
-            self.controller = ControllerSpec(kind=c.get("kind", "zero"),
-                                             epsilon=epsilon)
-        except ValueError as exc:
-            raise ConfigError("controller", str(exc)) from exc
-
-        if self.controller.kind == "cycle_global" and \
-                raw.get("graph", {}).get("kind") != "cycle":
-            raise ConfigError("controller", "cycle_global requires a cycle graph")
-        if self.controller.kind == "path_root" and \
-                raw.get("graph", {}).get("kind") != "path_root_selfloop":
-            raise ConfigError("controller",
-                              "path_root requires a path_root_selfloop graph")
-
-        self.horizon = _typed(raw, "horizon", "", 100, int)
+        self.horizon = c.get("horizon", 100)
         if self.horizon < 1:
             raise ConfigError("horizon", "must be an integer >= 1")
 
-        x0 = _require(raw, "x0", "")
+        x0 = _require(c, "x0", "")
         if isinstance(x0, dict):
-            seed = _typed(x0, "seed", "x0", None, Integral)
-            scale = _typed(x0, "scale", "x0", 1.0)
-            self.x0 = np.random.default_rng(seed).uniform(-scale, scale, n)
+            self.x0 = _built("x0", lambda seed, scale=1.0:
+                             np.random.default_rng(seed).uniform(-scale, scale, n), x0)
         else:
-            self.x0 = _numbers(x0, "x0")
+            self.x0 = np.array(x0, dtype=float)
             if self.x0.shape != (n,):
                 raise ConfigError("x0", f"needs {n} entries, got {self.x0.shape}")
 
         # adversary runs need room to record the full doubling horizon
-        cap = raw.get("guard_cap")
-        if cap is None:
-            cap = 1e300 if self.adversary else 1e12
-        elif _typed(raw, "guard_cap", "", None) <= 0:
+        self.guard_cap = float(c.get("guard_cap",
+                                     1e300 if self.adversary else 1e12))
+        if self.guard_cap <= 0:
             raise ConfigError("guard_cap", "must be a positive finite number")
-        self.guard_cap = float(cap)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -219,8 +214,6 @@ class ExperimentConfig:
             if fn.get("kind") not in ("linear", "bounded_perturbed_linear"):
                 raise ConfigError("function", "gain sweep needs a parametric slope")
             fn["a"] = float(L)
-        elif not self.adversary:
-            raise ConfigError("function", "gain sweep needs a function spec")
         if seed_offset:
             d = raw.setdefault("disturbance", {})
             d["seed"] = d.get("seed", 0) + seed_offset

@@ -30,21 +30,14 @@ from .graphs import WeightedDigraph
 
 @dataclass(frozen=True)
 class ControllerSpec:
-    """kind in {zero, network_flow, path_root, cycle_global, local_flow,
-    max_enhanced}; epsilon only matters for network_flow."""
+    """kind is "zero" or a law of _LAWS; epsilon only matters for
+    network_flow."""
 
     kind: str
     epsilon: float = 1e-3
 
-    _KINDS = ("zero", "network_flow", "path_root", "cycle_global",
-              "local_flow", "max_enhanced")
-
     def __post_init__(self):
-        kind = self.kind
-        if kind == "network_flow_local_decision":  # long-form alias
-            object.__setattr__(self, "kind", "network_flow")
-            kind = "network_flow"
-        if kind not in self._KINDS:
+        if self.kind not in ("zero", *_LAWS):
             raise ValueError(f"unknown controller kind {self.kind!r}")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")

@@ -31,12 +31,19 @@ from .graphs import WeightedDigraph
 
 BLOCK = 4096   # values drawn per Generator call for disturbances and noise
 
+# disturbance generator -> draw(rng, w_star, sign, k), its next k values
+_GENERATORS = {
+    "zero": lambda rng, w_star, sign, k: np.zeros(k),
+    "seeded_uniform": lambda rng, w_star, sign, k: rng.uniform(-w_star, w_star, k),
+    "constant_sign": lambda rng, w_star, sign, k: sign * rng.uniform(0.0, w_star, k),
+}
+
 
 @dataclass(frozen=True)
 class DisturbanceSpec:
     """Bounded per-step disturbance.
 
-    generator:
+    generator, a name in _GENERATORS:
       * "zero": W identically zero (w_star may be 0 in this case only).
       * "seeded_uniform": iid uniform on [-w_star, w_star], seeded.
       * "constant_sign": uniform magnitude in [0, w_star] times `sign`.
@@ -48,7 +55,7 @@ class DisturbanceSpec:
     sign: int = 1
 
     def __post_init__(self):
-        if self.generator not in ("zero", "seeded_uniform", "constant_sign"):
+        if self.generator not in _GENERATORS:
             raise ValueError(f"unknown disturbance generator {self.generator!r}")
         if self.w_star < 0:
             raise ValueError("w_star must be nonnegative")
@@ -86,12 +93,8 @@ class DisturbanceSource:
     def __init__(self, spec: DisturbanceSpec):
         self.spec = spec
         rng = np.random.default_rng(spec.seed)
-        w_star, sign = spec.w_star, spec.sign
-        self._blocks = _Blocks({
-            "zero": np.zeros,
-            "seeded_uniform": lambda k: rng.uniform(-w_star, w_star, k),
-            "constant_sign": lambda k: sign * rng.uniform(0.0, w_star, k),
-        }[spec.generator])
+        draw = _GENERATORS[spec.generator]
+        self._blocks = _Blocks(lambda k: draw(rng, spec.w_star, spec.sign, k))
 
     def draw(self, n: int) -> np.ndarray:
         return self._blocks.take(n)

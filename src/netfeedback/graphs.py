@@ -105,34 +105,31 @@ def is_strongly_connected(g: WeightedDigraph) -> bool:
     return g._strongly_connected
 
 
-def build_canonical(kind: str, n: int, **params) -> WeightedDigraph:
-    """Construct one of the canonical graph families.
+# kind -> arcs(n, **params): the (j, i, a_ij) of one canonical family
+_CANONICAL = {
+    "cycle": lambda n, weight=1.0: [((i - 1) % n, i, weight) for i in range(n)],
+    "path_root_selfloop": lambda n, weight=1.0, root_weight=1.0: [
+        (0, 0, root_weight), *((i - 1, i, weight) for i in range(1, n))],
+    "single_selfloop": lambda n, a11=1.0: [(0, 0, a11)],
+}
 
-    kind:
-      * "cycle": unit directed cycle, node i fed by node i-1 (weight w).
-      * "path_root_selfloop": directed path rooted at node 0 with a self-arc
-        of weight root_weight at the root; node i>=1 fed by node i-1.
-      * "single_selfloop": a_00 = a11 is the only arc, remaining nodes isolated.
-      * "custom": params["weights"] passed through.
+
+def build_canonical(kind: str, n: int, **params) -> WeightedDigraph:
+    """Construct one of the canonical graph families on n nodes.
+
+    kind (params, each 1.0 by default; any other param is a TypeError):
+      * "cycle" (weight): directed cycle, node i fed by node i-1.
+      * "path_root_selfloop" (weight, root_weight): directed path rooted at
+        node 0 with a self-arc at the root; node i>=1 fed by node i-1.
+      * "single_selfloop" (a11): a_00 = a11 is the only arc.
     """
-    if kind == "custom":
-        return WeightedDigraph(params["weights"])
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    w = np.zeros((n, n))
-    if kind == "cycle":
-        weight = params.get("weight", 1.0)
-        for i in range(n):
-            w[i, (i - 1) % n] = weight
-    elif kind == "path_root_selfloop":
-        w[0, 0] = params.get("root_weight", 1.0)
-        weight = params.get("weight", 1.0)
-        for i in range(1, n):
-            w[i, i - 1] = weight
-    elif kind == "single_selfloop":
-        w[0, 0] = params.get("a11", 1.0)
-    else:
+    if kind not in _CANONICAL:
         raise ValueError(f"unknown canonical graph kind: {kind!r}")
+    w = np.zeros((n, n))
+    for j, i, a in _CANONICAL[kind](n, **params):
+        w[i, j] = a
     return WeightedDigraph(w)
 
 

@@ -10,9 +10,9 @@ the loop once states leave [-cap, cap] or go non-finite; the partial
 trajectory is still written.
 
 The max_enhanced law needs a strongly connected graph, so that its
-closed-form extremes are the limit of flows.run_extreme_consensus; that is
-checked once, before the first step. RunResult.enhanced holds the same
-extremes, taken after the loop from the state history.
+closed-form extremes are the limit of flows.run_extreme_consensus;
+ExperimentConfig checks that when the config is built. RunResult.enhanced
+holds the same extremes, taken after the loop from the state history.
 """
 
 import json
@@ -28,7 +28,7 @@ from .controllers import Controller
 from .dynamics import InverseObserver, PlantModel
 from .flows import FlowLog
 from .functions import certificate_for, residual_bound
-from .graphs import inf_norm, is_strongly_connected, sharp_metric
+from .graphs import inf_norm, sharp_metric
 
 
 @dataclass
@@ -95,8 +95,6 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     source = config.disturbance.make_source()
     plant = (OnlineAdversary(g, x) if config.adversary
              else PlantModel(g, config.f, config.observation))
-    if kind == "max_enhanced" and not is_strongly_connected(g):
-        raise ValueError("extreme consensus needs a strongly connected graph")
 
     log = FlowLog(n, capacity=config.horizon + 1)
     log.append(x)

@@ -396,11 +396,14 @@ def test_sweep_below_critical_all_stabilized():
     assert len(pt["hull_growth"]["R"]) == 6000
 
 
-def test_sweep_empty_grid():
-    rep = threshold_sweep(_selfloop_base(), [])
-    assert rep["points"] == []
-    assert rep["transition"] == {"last_stabilized": None,
-                                 "first_not_stabilized": None}
+def test_sweep_empty_grid(monkeypatch):
+    # an empty grid is refused before any run, not reported as a sweep
+    def refuse(cfg):
+        raise AssertionError("the sweep ran before checking its grid")
+
+    monkeypatch.setattr(nf.runner, "run_experiment", refuse)
+    with pytest.raises(ValueError, match="gain"):
+        threshold_sweep(_selfloop_base(), [])
 
 
 def test_sweep_needs_a_trial(monkeypatch):

@@ -46,7 +46,6 @@ def _log(rows_x, rows_z=None, rows_u=None):
 
 
 def test_controller_spec_validation():
-    assert ControllerSpec("network_flow_local_decision").kind == "network_flow"
     with pytest.raises(ValueError):
         ControllerSpec("pid")
     with pytest.raises(ValueError):

@@ -119,6 +119,34 @@ def test_field_errors_are_attributed():
                     "root_weight": True}}, "graph.root_weight"),
         ({"graph": {"kind": "single_selfloop", "n": 3, "a11": math.nan}},
          "graph.a11"),
+        # every field that reaches a constructor is typed, the random and
+        # custom graph fields included
+        ({"graph": {"kind": "random_strongly_connected", "n": 3, "seed": True}},
+         "graph.seed"),
+        ({"graph": {"kind": "custom", "weights": [[True]]}, "x0": [0.0]},
+         "graph.weights"),
+        ({"graph": {"kind": "random_strongly_connected", "n": 3, "seed": 1,
+                    "allow_negative": "no"}}, "graph.allow_negative"),
+        ({"graph": {"kind": "random_strongly_connected", "n": 3, "seed": 1,
+                    "extra_arc_prob": math.nan}}, "graph.extra_arc_prob"),
+        # a list where a kind name belongs is refused as that field
+        ({"graph": {"kind": ["cycle"], "n": 3}}, "graph.kind"),
+        ({"function": {"kind": ["linear"], "a": 0.8}}, "function.kind"),
+        ({"disturbance": {"w_star": 0.1, "generator": ["seeded_uniform"]}},
+         "disturbance.generator"),
+        # a misspelt or unknown field is refused, not silently ignored
+        ({"horizn": 5000}, "horizn"),
+        ({"observation": {"mode": "direct", "D0": 0.05}}, "observation.D0"),
+        ({"controller": {"kind": "network_flow", "eps": 1e-3}},
+         "controller.eps"),
+        ({"graph": {"kind": "cycle", "n": 3, "bogus": 1}}, "graph.bogus"),
+        # so is a known field the chosen kind does not take, or a null
+        ({"graph": {"kind": "cycle", "n": 3, "seed": 1}}, "graph"),
+        ({"function": {"kind": "linear", "a": 0.8, "amplitude": 0.5}},
+         "function"),
+        ({"guard_cap": None}, "guard_cap"),
+        # a parameter the constructor needs is named when it is missing
+        ({"graph": {"kind": "random_strongly_connected", "n": 3}}, "graph.seed"),
     ]
     for over, field in cases:
         with pytest.raises(ConfigError) as ei:
@@ -377,19 +405,12 @@ def test_closed_form_extremes_match_consensus_protocol():
     assert duplicate_steps > 0 and signed_zero_steps > 0
 
 
-def test_max_enhanced_needs_strong_connectivity_before_any_step(monkeypatch):
-    import netfeedback.dynamics as dynamics
-
-    def no_step(*args, **kwargs):
-        raise AssertionError("the plant stepped before the connectivity check")
-
-    monkeypatch.setattr(dynamics, "step", no_step)
-    monkeypatch.setattr(dynamics.PlantModel, "advance", no_step)
-    cfg = ExperimentConfig(_cfg(
-        graph={"kind": "path_root_selfloop", "n": 3},
-        controller={"kind": "max_enhanced"}))
-    with pytest.raises(ValueError, match="strongly connected"):
-        run_experiment(cfg)
+def test_max_enhanced_needs_strong_connectivity_before_any_step():
+    # checked when the config is built, so no run can start
+    with pytest.raises(ConfigError, match="strongly connected") as ei:
+        ExperimentConfig(_cfg(graph={"kind": "path_root_selfloop", "n": 3},
+                              controller={"kind": "max_enhanced"}))
+    assert ei.value.field == "controller"
 
 
 def test_adversary_run_produces_certificate():
@@ -641,6 +662,10 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     # malformed grid
     good = _write_cfg(tmp_path, _cfg(horizon=10), "good.json")
     assert main(["sweep", "--config", good, "--L", "1:2"]) == 2
+    # a grid that never ends, or has no points, is refused before any run
+    for grid in ("1:inf:1", "nan:1:1", ","):
+        assert main(["sweep", "--config", good, "--L", grid]) == 2, grid
+        assert capsys.readouterr().out == "", grid
     # no trials: refused before any run, not an empty max()
     for trials in ("0", "-1"):
         assert main(["sweep", "--config", good, "--L", "1",
