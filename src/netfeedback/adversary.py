@@ -160,10 +160,6 @@ class IntervalLedger:
     def i0_width(self) -> float:
         return self.y_high[0] - self.y_low[0]
 
-    @property
-    def t(self) -> int:
-        return len(self.y_high) - 1
-
     def interval(self, t: int):
         return self.y_low[t], self.y_high[t]
 
@@ -183,15 +179,6 @@ class IntervalLedger:
         self.L.append(l)
         self.chi.append(max(r, l))
         return self.chi[-1]
-
-
-def build_interval_ledger(x_hist) -> IntervalLedger:
-    """Ledger of an already-recorded trajectory (rows are time snapshots)."""
-    x_hist = np.asarray(x_hist, dtype=float)
-    led = IntervalLedger(x_hist[0])
-    for row in x_hist[1:]:
-        led.update(row)
-    return led
 
 
 class DivergenceCertificate:
@@ -218,10 +205,6 @@ class DivergenceCertificate:
             "E": list(self.E),
             "verdict": "pass" if self.verdict else "fail",
         }
-
-
-def divergence_certificate(ledger: IntervalLedger) -> DivergenceCertificate:
-    return DivergenceCertificate(ledger.i0_width, ledger.chi)
 
 
 def check_adversary_graph(graph: WeightedDigraph) -> float:
@@ -270,7 +253,7 @@ class OnlineAdversary:
         return self._fn
 
     def certificate(self) -> DivergenceCertificate:
-        return divergence_certificate(self.ledger)
+        return DivergenceCertificate(self.ledger.i0_width, self.ledger.chi)
 
     def _pick_target(self, x, prefer_max: bool):
         theta = int(np.argmax(x) if prefer_max else np.argmin(x))

@@ -28,6 +28,8 @@ from scipy.optimize import minimize_scalar
 from .graphs import WeightedDigraph, inf_norm, sharp_metric
 
 TAIL_TOL = 1e-9
+DAGGER_OMEGAS = (0.1, 1.0, 10.0)
+DAGGER_TOL = 1e-3
 # Steps per block of uniforms drawn by simulate_scalar_recursion.
 SLACK_BLOCK = 4096
 
@@ -220,9 +222,13 @@ class DaggerEstimate:
 
 
 def estimate_dagger(g: WeightedDigraph, bracket: tuple | None = None,
-                    T: int = 400, omega_grid=(0.1, 1.0, 10.0),
-                    tol: float = 1e-3) -> DaggerEstimate:
+                    T: int = 400) -> DaggerEstimate:
     """Bisect the summability transition of the coupled recursion over M.
+
+    M counts as summable when the recursion is, for every omega in
+    DAGGER_OMEGAS = (0.1, 1.0, 10.0). Bisection stops when the bracket is
+    narrower than DAGGER_TOL = 1e-3 times max(1, 1/inf_norm), or after 60
+    halvings.
 
     The lower bracket edge defaults to 1/inf_norm, which is always summable,
     so the returned estimate never falls below that floor. A graph with no
@@ -245,32 +251,19 @@ def estimate_dagger(g: WeightedDigraph, bracket: tuple | None = None,
 
     def summable(M):
         return all(simulate_dagger_recursion(g, M, w, T).verdict == "summable"
-                   for w in omega_grid)
+                   for w in DAGGER_OMEGAS)
 
     if summable(hi):
-        return DaggerEstimate(hi, hi, hi, T, tuple(omega_grid), 0, True)
+        return DaggerEstimate(hi, hi, hi, T, DAGGER_OMEGAS, 0, True)
     iters = 0
-    while hi - lo > tol * max(1.0, floor) and iters < 60:
+    while hi - lo > DAGGER_TOL * max(1.0, floor) and iters < 60:
         mid = 0.5 * (lo + hi)
         if summable(mid):
             lo = mid
         else:
             hi = mid
         iters += 1
-    return DaggerEstimate(lo, lo, hi, T, tuple(omega_grid), iters, False)
-
-
-def burst_ratios(r, atol: float = 0.0) -> tuple:
-    """Partial sums over the nonzero increments and their successive ratios.
-
-    Near the critical gain the ratios settle at the minimizer of the
-    objective behind xie_guo_constant.
-    """
-    r = np.asarray(r, dtype=float)
-    vals = r[r > atol]
-    R = np.cumsum(vals)
-    xi = R[1:] / R[:-1] if R.size > 1 else np.empty(0)
-    return R, xi
+    return DaggerEstimate(lo, lo, hi, T, DAGGER_OMEGAS, iters, False)
 
 
 def threshold_sweep(base_config, L_values, trials: int = 1) -> dict:

@@ -21,6 +21,8 @@ from .config import ConfigError, ExperimentConfig, read_json
 from .graphs import WeightedDigraph, build_canonical
 from .runner import run_experiment, write_outputs
 
+MAX_GRID_POINTS = 100_000   # largest start:stop:step grid a sweep accepts
+
 
 def _parse_graph(spec: str) -> WeightedDigraph:
     """kind:N (cycle, path_root_selfloop) or single_selfloop[:weight]."""
@@ -42,6 +44,8 @@ def _parse_grid(spec: str) -> list:
         raise ValueError(f"grid spec {spec!r} needs finite start, stop and step")
     if step <= 0:
         raise ValueError("grid step must be positive")
+    if (stop + 1e-12 - start) / step >= MAX_GRID_POINTS:   # points: floor(this) + 1
+        raise ValueError(f"grid spec {spec!r} has over {MAX_GRID_POINTS} points")
     return list(itertools.takewhile(lambda v: v <= stop + 1e-12,
                                     (start + k * step for k in itertools.count())))
 

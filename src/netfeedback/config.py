@@ -198,10 +198,6 @@ class ExperimentConfig:
         if self.guard_cap <= 0:
             raise ConfigError("guard_cap", "must be a positive finite number")
 
-    @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
-        return cls(read_json(path))
-
     def to_dict(self) -> dict:
         return copy.deepcopy(self.raw)
 

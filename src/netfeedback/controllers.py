@@ -108,13 +108,6 @@ def control_path_root(log: FlowLog, t: int) -> np.ndarray:
     return u
 
 
-def wrap_index(b: int, n: int) -> int:
-    """1-based wrap of an arbitrary integer onto {1, ..., n}."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return (b - 1) % n + 1
-
-
 def control_cycle(log: FlowLog, t: int) -> np.ndarray:
     """Unit-cycle law: each node works on the rotating diagonal of the flow
     so that, in rotated coordinates, every node runs the scalar law."""

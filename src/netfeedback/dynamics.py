@@ -16,10 +16,10 @@ signature, so the runner drives either plant through one call. advance
 evaluates f(X(t)) once per step, for both the plant equation and the direct
 estimate; step and observe_direct are the same computations one call each.
 
-Disturbances and direct-observation noise are drawn BLOCK values per
-Generator call and handed out n at a time. A uniform draw takes one value of
-the generator's stream per element, so the values are the same stream as one
-call per step, whatever the sequence of n.
+Disturbances and direct-observation noise are each one _Blocks stream, which
+draws BLOCK values per Generator call and hands out n at a time by draw(n).
+A uniform draw takes one value of the generator's stream per element, so the
+values are the same stream as one call per step, whatever the sequence of n.
 """
 
 from dataclasses import dataclass, field
@@ -30,6 +30,7 @@ from scipy.linalg import lu_factor, lu_solve
 from .graphs import WeightedDigraph
 
 BLOCK = 4096   # values drawn per Generator call for disturbances and noise
+COND_LIMIT = 1e12   # largest weight-matrix condition number InverseObserver takes
 
 # disturbance generator -> draw(rng, w_star, sign, k), its next k values
 _GENERATORS = {
@@ -63,41 +64,32 @@ class DisturbanceSpec:
             raise ValueError("w_star must be positive for a nonzero generator")
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
-    def make_source(self) -> "DisturbanceSource":
-        return DisturbanceSource(self)
+    def make_source(self) -> "_Blocks":
+        """The disturbance stream; draw(n) returns W(t) for n nodes."""
+        rng = np.random.default_rng(self.seed)
+        gen = _GENERATORS[self.generator]
+        return _Blocks(lambda k: gen(rng, self.w_star, self.sign, k))
 
 
 class _Blocks:
     """Successive n-value slices of one stream whose values come BLOCK at a
-    time from draw(k), the next k values of the stream."""
+    time from fill(k), the next k values of the stream."""
 
-    def __init__(self, draw):
-        self._draw = draw
+    def __init__(self, fill):
+        self._fill = fill
         self._buf = np.empty(0)
         self._i = 0
 
-    def take(self, n: int) -> np.ndarray:
+    def draw(self, n: int) -> np.ndarray:
         i = self._i
         if i + n > self._buf.size:
-            self._buf = np.concatenate((self._buf[i:], self._draw(max(BLOCK, n))))
+            self._buf = np.concatenate((self._buf[i:], self._fill(max(BLOCK, n))))
             i = 0
         self._i = i + n
         return self._buf[i:i + n]
-
-
-class DisturbanceSource:
-    """Stateful draw-per-step wrapper so runs are reproducible; draw(n)
-    returns the values one rng.uniform call of size n would."""
-
-    def __init__(self, spec: DisturbanceSpec):
-        self.spec = spec
-        rng = np.random.default_rng(spec.seed)
-        draw = _GENERATORS[spec.generator]
-        self._blocks = _Blocks(lambda k: draw(rng, spec.w_star, spec.sign, k))
-
-    def draw(self, n: int) -> np.ndarray:
-        return self._blocks.take(n)
 
 
 @dataclass(frozen=True)
@@ -117,6 +109,8 @@ class ObservationSpec:
             raise ValueError(f"unknown observation mode {self.mode!r}")
         if self.d0 < 0:
             raise ValueError("d0 must be nonnegative")
+        if self.noise_seed < 0:
+            raise ValueError("noise_seed must be nonnegative")
 
 
 @dataclass
@@ -142,7 +136,7 @@ class PlantModel:
             return x_next, self._inverse.observe(x_next, u)
         if self._noise is None:
             return x_next, fx
-        return x_next, fx + self._noise.take(fx.size)
+        return x_next, fx + self._noise.draw(fx.size)
 
 
 @dataclass
@@ -190,13 +184,13 @@ def observe_direct(f, x: np.ndarray, d0: float = 0.0,
 class InverseObserver:
     """Matrix-inverse estimate channel with a one-time conditioning check."""
 
-    def __init__(self, graph: WeightedDigraph, cond_limit: float = 1e12):
+    def __init__(self, graph: WeightedDigraph):
         a = graph.weights
         cond = np.linalg.cond(a)
-        if not np.isfinite(cond) or cond > cond_limit:
+        if not np.isfinite(cond) or cond > COND_LIMIT:
             raise ValueError(
                 "weight matrix is singular or ill-conditioned "
-                f"(cond={cond:.3e} > {cond_limit:.1e}); use the direct "
+                f"(cond={cond:.3e} > {COND_LIMIT:.1e}); use the direct "
                 "observation mode instead (a least-squares variant is a "
                 "documented extension point, not implemented)")
         self._lu = lu_factor(a)

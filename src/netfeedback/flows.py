@@ -156,14 +156,6 @@ class EnhancedFlowView:
         self.z_at_max = z_at_max
         self.z_at_min = z_at_min
 
-    @property
-    def i(self) -> int:
-        return self.local.i
-
-    @property
-    def t(self) -> int:
-        return self.local.t
-
 
 class WitnessIndex:
     """Past records (value, estimate), kept sorted by value.
@@ -245,7 +237,6 @@ class ConsensusState:
     x: np.ndarray
     z: np.ndarray
     origin: np.ndarray
-    k: int = 0
 
     @classmethod
     def init(cls, x, z):
@@ -253,7 +244,7 @@ class ConsensusState:
         z = np.asarray(z, dtype=float)
         if x.shape != z.shape or x.ndim != 1:
             raise ValueError("x and z must be matching 1-d arrays")
-        return cls(x.copy(), z.copy(), np.arange(x.size), 0)
+        return cls(x.copy(), z.copy(), np.arange(x.size))
 
 
 def consensus_round(g: WeightedDigraph, state: ConsensusState,
@@ -278,7 +269,7 @@ def consensus_round(g: WeightedDigraph, state: ConsensusState,
         x_new[i] = state.x[j]
         z_new[i] = state.z[j]
         o_new[i] = state.origin[j]
-    return ConsensusState(x_new, z_new, o_new, state.k + 1)
+    return ConsensusState(x_new, z_new, o_new)
 
 
 ExtremeConsensus = namedtuple(

@@ -95,59 +95,39 @@ class TabulatedFunction(PlantFunction):
         return y
 
 
-def quasi_norm(f: PlantFunction) -> float:
-    return f.quasi_norm()
+def _sample_pairs():
+    """Seeded pairs (x, y) for the sampled growth checks.
+
+    Half the pairs are far apart (independent uniforms over [-1000, 1000]),
+    half are near collisions (offset by a uniform on [-1, 1]), so both the
+    slope and the additive constant of a growth bound get exercised.
+    """
+    rng = np.random.default_rng(0)
+    x_far = rng.uniform(-1000.0, 1000.0, 5000)
+    y_far = rng.uniform(-1000.0, 1000.0, 5000)
+    x_near = rng.uniform(-1000.0, 1000.0, 5000)
+    y_near = x_near + rng.uniform(-1.0, 1.0, 5000)
+    return np.concatenate([x_far, x_near]), np.concatenate([y_far, y_near])
 
 
-def sampled_quasi_norm(f, alpha: float, spec: "SampleSpec | None" = None) -> float:
+def sampled_quasi_norm(f, alpha: float) -> float:
     """Empirical sup of |f(x)-f(y)| / (|x-y| + alpha) over sampled pairs.
 
     Grows toward the true quasi-norm as alpha and the sample span increase;
     used as an independent check on the analytic values.
     """
-    spec = spec or SampleSpec()
-    x, y = spec.pairs()
+    x, y = _sample_pairs()
     num = np.abs(np.asarray(f(x)) - np.asarray(f(y)))
     return float(np.max(num / (np.abs(x - y) + alpha)))
 
 
-class SampleSpec:
-    """Seeded pair sampler for the empirical growth checks.
-
-    Half the pairs are far apart (independent uniforms over [-span, span]),
-    half are near collisions (offset by a small perturbation), so both the
-    slope and the additive constant of a growth bound get exercised.
-    """
-
-    def __init__(self, n_pairs: int = 10000, span: float = 1000.0,
-                 near_scale: float = 1.0, seed: int = 0):
-        if n_pairs < 2:
-            raise ValueError("n_pairs must be at least 2")
-        self.n_pairs = int(n_pairs)
-        self.span = float(span)
-        self.near_scale = float(near_scale)
-        self.seed = int(seed)
-
-    def pairs(self):
-        rng = np.random.default_rng(self.seed)
-        half = self.n_pairs // 2
-        x_far = rng.uniform(-self.span, self.span, half)
-        y_far = rng.uniform(-self.span, self.span, half)
-        x_near = rng.uniform(-self.span, self.span, self.n_pairs - half)
-        y_near = x_near + rng.uniform(-self.near_scale, self.near_scale,
-                                      self.n_pairs - half)
-        return np.concatenate([x_far, x_near]), np.concatenate([y_far, y_near])
-
-
-def check_growth_bound(f, L: float, eta: float, c: float,
-                       spec: SampleSpec | None = None) -> bool:
+def check_growth_bound(f, L: float, eta: float, c: float) -> bool:
     """Does |f(x)-f(y)| <= (L+eta)|x-y| + c hold on the sampled pairs?
 
     A sampled check: True certifies nothing beyond the samples, False is a
     concrete refutation.
     """
-    spec = spec or SampleSpec()
-    x, y = spec.pairs()
+    x, y = _sample_pairs()
     lhs = np.abs(np.asarray(f(x)) - np.asarray(f(y)))
     rhs = (L + eta) * np.abs(x - y) + c
     return bool(np.all(lhs <= rhs + 1e-12))
@@ -158,17 +138,15 @@ class GrowthCertificate:
 
     pairs are witnesses that |f(x)-f(y)| <= (L+eta)|x-y| + c. For analytic
     families, analytic_residual(r) gives the exact residual; tabulated pairs
-    alone only support upper estimates, which is flagged by `exact`.
+    alone only support upper estimates.
     """
 
-    def __init__(self, L: float, pairs=(), analytic_residual=None,
-                 exact: bool = False):
+    def __init__(self, L: float, pairs=(), analytic_residual=None):
         self.L = float(L)
         self.pairs = tuple((float(e), float(c)) for (e, c) in pairs)
         if any(e <= 0 or c < 0 for (e, c) in self.pairs):
             raise ValueError("certificate pairs need eta > 0 and c >= 0")
         self.analytic_residual = analytic_residual
-        self.exact = bool(exact)
 
     def residual_bound(self, r: float) -> float:
         """Infimum additive constant over certificates with rate below r.
@@ -191,15 +169,9 @@ class GrowthCertificate:
 def certificate_for(f: PlantFunction) -> GrowthCertificate:
     """Analytic certificate where the family supports one."""
     if isinstance(f, LinearFunction):
-        return GrowthCertificate(abs(f.a), analytic_residual=lambda r: 0.0,
-                                 exact=True)
+        return GrowthCertificate(abs(f.a), analytic_residual=lambda r: 0.0)
     if isinstance(f, BoundedPerturbedLinear):
         s = f.bounded_sup()
-        return GrowthCertificate(abs(f.a), analytic_residual=lambda r: 2.0 * s,
-                                 exact=True)
+        return GrowthCertificate(abs(f.a), analytic_residual=lambda r: 2.0 * s)
     qn = f.quasi_norm()  # raises for unsupported families
-    return GrowthCertificate(qn, analytic_residual=lambda r: 0.0, exact=True)
-
-
-def residual_bound(cert: GrowthCertificate, r: float) -> float:
-    return cert.residual_bound(r)
+    return GrowthCertificate(qn, analytic_residual=lambda r: 0.0)

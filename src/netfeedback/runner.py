@@ -27,7 +27,7 @@ from .config import ExperimentConfig
 from .controllers import Controller
 from .dynamics import InverseObserver, PlantModel
 from .flows import FlowLog
-from .functions import certificate_for, residual_bound
+from .functions import certificate_for
 from .graphs import inf_norm, sharp_metric
 
 
@@ -73,7 +73,7 @@ def theoretical_bound(config: ExperimentConfig) -> float | None:
         return None
     if not np.isfinite(cert.L) or cert.L * nrm >= crit:
         return None
-    resid = residual_bound(cert, crit / nrm)
+    resid = cert.residual_bound(crit / nrm)
     if not np.isfinite(resid):
         return None
     if config.observation.mode == "direct":

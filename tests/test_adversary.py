@@ -12,7 +12,6 @@ from netfeedback import (
     PinnedPiecewiseLinear,
     WeightedDigraph,
     build_canonical,
-    build_interval_ledger,
     run_experiment,
 )
 
@@ -117,19 +116,8 @@ def test_interval_width_is_initial_plus_growth():
     led = IntervalLedger(rng.normal(size=4))
     for _ in range(30):
         led.update(rng.normal(scale=3.0, size=4))
-    lo, hi = led.interval(led.t)
+    lo, hi = led.interval(len(led.chi))
     assert hi - lo == pytest.approx(led.i0_width + sum(led.R) + sum(led.L))
-
-
-def test_build_interval_ledger_matches_sequential():
-    rng = np.random.default_rng(3)
-    xs = rng.normal(size=(9, 3))
-    led = build_interval_ledger(xs)
-    seq = IntervalLedger(xs[0])
-    for row in xs[1:]:
-        seq.update(row)
-    assert led.chi == seq.chi
-    assert led.interval(8) == seq.interval(8)
 
 
 # ---- certificates ----

@@ -28,7 +28,6 @@ from netfeedback import (
     random_strongly_connected,
     run_experiment,
     run_extreme_consensus,
-    wrap_index,
 )
 from netfeedback import controllers
 
@@ -50,16 +49,6 @@ def test_controller_spec_validation():
         ControllerSpec("pid")
     with pytest.raises(ValueError):
         ControllerSpec("network_flow", epsilon=0.0)
-
-
-def test_wrap_index():
-    assert wrap_index(4, 3) == 1
-    assert wrap_index(0, 3) == 3
-    assert wrap_index(-1, 3) == 2
-    assert wrap_index(3, 3) == 3
-    assert wrap_index(1, 5) == 1
-    with pytest.raises(ValueError):
-        wrap_index(1, 0)
 
 
 # ---- witness selection ----

@@ -160,7 +160,7 @@ def test_inverse_observer_rejects_singular_weights():
 def test_inverse_observer_condition_limit():
     w = np.array([[1.0, 0.0], [1.0, 1e-13]])
     with pytest.raises(ValueError, match="direct"):
-        InverseObserver(WeightedDigraph(w), cond_limit=1e8)
+        InverseObserver(WeightedDigraph(w))   # cond ~ 2e13 > COND_LIMIT
 
 
 # ---- the runner's plant step against its one-call references ----

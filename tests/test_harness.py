@@ -10,7 +10,9 @@ import pytest
 
 import netfeedback as nf
 from netfeedback import ConfigError, ExperimentConfig, run_experiment, write_outputs
+from netfeedback import cli
 from netfeedback.cli import main
+from netfeedback.config import read_json
 
 
 def _cfg(**over):
@@ -147,6 +149,13 @@ def test_field_errors_are_attributed():
         ({"guard_cap": None}, "guard_cap"),
         # a parameter the constructor needs is named when it is missing
         ({"graph": {"kind": "random_strongly_connected", "n": 3}}, "graph.seed"),
+        # a negative seed is refused when the config is built, not by numpy
+        # in the first step of the run
+        ({"disturbance": {"w_star": 0.1, "generator": "seeded_uniform",
+                          "seed": -1}}, "disturbance"),
+        ({"disturbance": {"generator": "zero", "seed": -1}}, "disturbance"),
+        ({"observation": {"mode": "direct", "d0": 0.05, "noise_seed": -1}},
+         "observation"),
     ]
     for over, field in cases:
         with pytest.raises(ConfigError) as ei:
@@ -219,11 +228,11 @@ def test_from_json_errors(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")
     with pytest.raises(ConfigError):
-        ExperimentConfig.from_json(p)
+        read_json(p)
     p2 = tmp_path / "list.json"
     p2.write_text("[1, 2]")
     with pytest.raises(ConfigError):
-        ExperimentConfig.from_json(p2)
+        read_json(p2)
 
 
 # ---- runner ----
@@ -684,6 +693,23 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         assert main(["capacity", *argv]) == 2, argv
         assert capsys.readouterr().out == "", argv
     capsys.readouterr()
+
+
+def test_sweep_grid_point_cap(tmp_path, capsys):
+    cap = cli.MAX_GRID_POINTS
+    # counted before any point is built: no MemoryError, exit 2
+    for spec in ("0:1e12:1", f"0:{cap}:1", "-1e308:1e308:1e-300"):
+        with pytest.raises(ValueError, match="points"):
+            cli._parse_grid(spec)
+    good = _write_cfg(tmp_path, _cfg(horizon=10), "good.json")
+    assert main(["sweep", "--config", good, "--L", "0:1e12:1"]) == 2
+    assert capsys.readouterr().out == ""
+    # accepted grids keep their start + k*step values, stop inclusive
+    assert len(cli._parse_grid(f"0:{cap - 1}:1")) == cap
+    for spec, values in (("0.5:3.0:0.5", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]),
+                         ("0:0.3:0.1", [0.0, 0.1, 0.2, 0.1 * 3]),
+                         ("2:1:1", [])):
+        assert cli._parse_grid(spec) == values, spec
 
 
 def test_cli_unknown_subcommand_exits_two():
