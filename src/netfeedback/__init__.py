@@ -16,7 +16,7 @@ from .controllers import (Controller, ControllerSpec, WitnessRecord,
                           control_path_root, enhanced_witness,
                           global_witnesses, local_witness)
 from .dynamics import (DisturbanceSpec, InverseObserver, ObservationSpec,
-                       PlantModel, PlantState, observe_direct, step)
+                       PlantModel, observe_direct, step)
 from .flows import (ConsensusState, EnhancedFlowView, FlowLog, LocalFlowView,
                     WitnessIndex, consensus_round, run_extreme_consensus)
 from .functions import (BoundedPerturbedLinear, GrowthCertificate,

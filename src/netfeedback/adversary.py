@@ -17,7 +17,7 @@ the committed function itself, so every branch decision is reproducible.
 
 import numpy as np
 
-from .functions import PlantFunction
+from .functions import PlantFunction, _end_slopes, _piecewise_linear
 from .graphs import (WeightedDigraph, is_strongly_connected, sharp_metric,
                      sign_pattern)
 
@@ -71,9 +71,7 @@ class PinnedPiecewiseLinear(PlantFunction):
         self._check_tails()
 
     def _default_tails(self):
-        xs, vs = self._xs, self._vs
-        self._lslope = (vs[1] - vs[0]) / (xs[1] - xs[0])
-        self._rslope = (vs[-1] - vs[-2]) / (xs[-1] - xs[-2])
+        self._lslope, self._rslope = _end_slopes(self._xs, self._vs)
 
     def _check_tails(self):
         if max(abs(self._lslope), abs(self._rslope)) > self.slope_bound * (1 + 1e-9):
@@ -112,19 +110,7 @@ class PinnedPiecewiseLinear(PlantFunction):
         return tuple(zip(self._xs.tolist(), self._vs.tolist()))
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        xs, vs = self._xs, self._vs
-        y = np.interp(x, xs, vs)
-        # the tails only where some point lies beyond the pins
-        below = x < xs[0]
-        if below.any():
-            y = np.where(below, vs[0] + self._lslope * (x - xs[0]), y)
-        above = x > xs[-1]
-        if above.any():
-            y = np.where(above, vs[-1] + self._rslope * (x - xs[-1]), y)
-        if y.ndim == 0:
-            return float(y)
-        return y
+        return _piecewise_linear(x, self._xs, self._vs, self._lslope, self._rslope)
 
     def quasi_norm(self) -> float:
         """Sup slope: interior segments and both tails."""
@@ -143,7 +129,7 @@ class PinnedPiecewiseLinear(PlantFunction):
 class IntervalLedger:
     """Running hull of visited states and its per-step growth.
 
-    After update t: interval I_t = [y_low[t], y_high[t]], growths
+    After push t: interval I_t = [y_low[t], y_high[t]], growths
     R[t-1] = y_high[t] - y_high[t-1] and L[t-1] = y_low[t-1] - y_low[t],
     chi[t-1] = max(R, L).
     """
@@ -163,12 +149,8 @@ class IntervalLedger:
     def interval(self, t: int):
         return self.y_low[t], self.y_high[t]
 
-    def update(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return self.push(float(x.max()), float(x.min()))
-
     def push(self, x_max: float, x_min: float) -> float:
-        """update for a state whose max and min are already taken."""
+        """Grow the hull by a state with max x_max and min x_min; its chi."""
         hi = max(self.y_high[-1], x_max)
         lo = min(self.y_low[-1], x_min)
         r = hi - self.y_high[-1]
@@ -297,7 +279,7 @@ class OnlineAdversary:
             mid = 0.5 * (lo + hi)
         else:
             prev_lo, prev_hi = self.ledger.interval(t - 1)
-            chi_t = self.ledger.update(x_t)
+            chi_t = self.ledger.push(float(x_t.max()), float(x_t.min()))
             if chi_t <= 0.0:
                 raise InvariantError(f"hull did not grow at step {t}")
             d_prev = self.attacked[-1]

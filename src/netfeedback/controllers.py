@@ -19,6 +19,7 @@ recentre on. The max_enhanced law takes each row's network extremes in
 closed form.
 """
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -39,8 +40,8 @@ class ControllerSpec:
     def __post_init__(self):
         if self.kind not in ("zero", *_LAWS):
             raise ValueError(f"unknown controller kind {self.kind!r}")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not math.isfinite(self.epsilon) or self.epsilon <= 0:
+            raise ValueError("epsilon must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ A uniform draw takes one value of the generator's stream per element, so the
 values are the same stream as one call per step, whatever the sequence of n.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,8 +59,8 @@ class DisturbanceSpec:
     def __post_init__(self):
         if self.generator not in _GENERATORS:
             raise ValueError(f"unknown disturbance generator {self.generator!r}")
-        if self.w_star < 0:
-            raise ValueError("w_star must be nonnegative")
+        if not math.isfinite(self.w_star) or self.w_star < 0:
+            raise ValueError("w_star must be finite and nonnegative")
         if self.w_star == 0.0 and self.generator != "zero":
             raise ValueError("w_star must be positive for a nonzero generator")
         if self.sign not in (1, -1):
@@ -107,8 +108,8 @@ class ObservationSpec:
     def __post_init__(self):
         if self.mode not in ("direct", "matrix_inverse"):
             raise ValueError(f"unknown observation mode {self.mode!r}")
-        if self.d0 < 0:
-            raise ValueError("d0 must be nonnegative")
+        if not math.isfinite(self.d0) or self.d0 < 0:
+            raise ValueError("d0 must be finite and nonnegative")
         if self.noise_seed < 0:
             raise ValueError("noise_seed must be nonnegative")
 
@@ -139,27 +140,20 @@ class PlantModel:
         return x_next, fx + self._noise.draw(fx.size)
 
 
-@dataclass
-class PlantState:
-    t: int
-    x: np.ndarray
-
-
-def step(model: PlantModel, state: PlantState, u: np.ndarray,
-         w: np.ndarray) -> PlantState:
-    """Advance the plant one step under control u and disturbance w.
+def step(model: PlantModel, x: np.ndarray, u: np.ndarray,
+         w: np.ndarray) -> np.ndarray:
+    """X(t+1) from X(t) = x under control u and disturbance w.
 
     Overflow is not an error here: non-finite states are the runner's guard
     problem, not a crash.
     """
-    x = np.asarray(state.x, dtype=float)
+    x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     w = np.asarray(w, dtype=float)
     n = model.graph.n
     if x.shape != (n,) or u.shape != (n,) or w.shape != (n,):
         raise ValueError(f"state/control/disturbance must have shape ({n},)")
-    return PlantState(state.t + 1,
-                      _plant_equation(model.graph.weights, model.f, x, u, w)[0])
+    return _plant_equation(model.graph.weights, model.f, x, u, w)[0]
 
 
 def _plant_equation(weights, f, x, u, w):

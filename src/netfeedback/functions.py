@@ -6,12 +6,13 @@ most L is equivalent to a family of affine growth bounds
 
     |f(x) - f(y)| <= (L + eta) |x - y| + c        for every eta > 0,
 
-and the residual bound W(r) is the cheapest additive constant c available from
-certificate pairs (eta, c) with L + eta below a given rate r. Linear maps have
-residual 0; a bounded perturbation of amplitude s costs at most 2s.
+and the residual bound W(r) is an additive constant c that serves every rate r
+above L. Each analytic family has a constant one: linear maps have residual 0,
+a bounded perturbation of amplitude s costs 2|s|, and a piecewise-linear map
+with linear tails has residual 0 at its sup slope.
 """
 
-import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,9 +60,6 @@ class BoundedPerturbedLinear(PlantFunction):
     def quasi_norm(self) -> float:
         return abs(self.a)
 
-    def bounded_sup(self) -> float:
-        return abs(self.amplitude)
-
     def __repr__(self):
         return (f"BoundedPerturbedLinear(a={self.a}, b={self.b}, "
                 f"amplitude={self.amplitude})")
@@ -82,17 +80,32 @@ class TabulatedFunction(PlantFunction):
             raise ValueError("xs must be strictly increasing")
         self.xs = xs
         self.ys = ys
-        self._lo_slope = (ys[1] - ys[0]) / (xs[1] - xs[0])
-        self._hi_slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+        self._slopes = _end_slopes(xs, ys)
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        y = np.interp(x, self.xs, self.ys)
-        y = np.where(x < self.xs[0], self.ys[0] + self._lo_slope * (x - self.xs[0]), y)
-        y = np.where(x > self.xs[-1], self.ys[-1] + self._hi_slope * (x - self.xs[-1]), y)
-        if y.ndim == 0:
-            return float(y)
-        return y
+        return _piecewise_linear(x, self.xs, self.ys, *self._slopes)
+
+
+def _end_slopes(xs, vs):
+    """Slopes of the first and the last segment through (xs, vs)."""
+    return (vs[1] - vs[0]) / (xs[1] - xs[0]), (vs[-1] - vs[-2]) / (xs[-1] - xs[-2])
+
+
+def _piecewise_linear(x, xs, vs, left, right):
+    """Interpolation of (xs, vs) at x, continued with slope left below xs[0]
+    and slope right above xs[-1]; a float for a scalar x."""
+    x = np.asarray(x, dtype=float)
+    y = np.interp(x, xs, vs)
+    # the tails only where some point lies beyond the ends
+    below = x < xs[0]
+    if below.any():
+        y = np.where(below, vs[0] + left * (x - xs[0]), y)
+    above = x > xs[-1]
+    if above.any():
+        y = np.where(above, vs[-1] + right * (x - xs[-1]), y)
+    if y.ndim == 0:
+        return float(y)
+    return y
 
 
 def _sample_pairs():
@@ -133,45 +146,25 @@ def check_growth_bound(f, L: float, eta: float, c: float) -> bool:
     return bool(np.all(lhs <= rhs + 1e-12))
 
 
+@dataclass(frozen=True)
 class GrowthCertificate:
-    """Certificate for one plant: quasi-norm level L plus (eta, c) pairs.
+    """Certificate for one plant: |f(x)-f(y)| <= r|x-y| + residual for every
+    rate r above the quasi-norm level L."""
 
-    pairs are witnesses that |f(x)-f(y)| <= (L+eta)|x-y| + c. For analytic
-    families, analytic_residual(r) gives the exact residual; tabulated pairs
-    alone only support upper estimates.
-    """
-
-    def __init__(self, L: float, pairs=(), analytic_residual=None):
-        self.L = float(L)
-        self.pairs = tuple((float(e), float(c)) for (e, c) in pairs)
-        if any(e <= 0 or c < 0 for (e, c) in self.pairs):
-            raise ValueError("certificate pairs need eta > 0 and c >= 0")
-        self.analytic_residual = analytic_residual
+    L: float
+    residual: float
 
     def residual_bound(self, r: float) -> float:
-        """Infimum additive constant over certificates with rate below r.
-
-        Returns math.inf when no pair qualifies and no analytic form exists.
-        Non-increasing in r. Rejects r <= L, where no finite residual can
-        exist.
-        """
+        """The additive constant at rate r; rejects r <= L, where no finite
+        residual can exist."""
         if r <= self.L:
             raise ValueError(f"rate r={r} must exceed the quasi-norm level L={self.L}")
-        best = math.inf
-        if self.analytic_residual is not None:
-            best = float(self.analytic_residual(r))
-        for eta, c in self.pairs:
-            if self.L + eta < r and c < best:
-                best = c
-        return best
+        return self.residual
 
 
 def certificate_for(f: PlantFunction) -> GrowthCertificate:
-    """Analytic certificate where the family supports one."""
-    if isinstance(f, LinearFunction):
-        return GrowthCertificate(abs(f.a), analytic_residual=lambda r: 0.0)
-    if isinstance(f, BoundedPerturbedLinear):
-        s = f.bounded_sup()
-        return GrowthCertificate(abs(f.a), analytic_residual=lambda r: 2.0 * s)
-    qn = f.quasi_norm()  # raises for unsupported families
-    return GrowthCertificate(qn, analytic_residual=lambda r: 0.0)
+    """The constant-residual certificate of f's family; ValueError for a
+    family without a quasi-norm."""
+    return GrowthCertificate(f.quasi_norm(),
+                             2.0 * abs(f.amplitude)
+                             if isinstance(f, BoundedPerturbedLinear) else 0.0)

@@ -140,12 +140,15 @@ def random_strongly_connected(n: int, seed: int, extra_arc_prob: float = 0.35,
 
     A random Hamiltonian cycle guarantees strong connectivity; extra arcs and
     self-arcs are sprinkled on top. Weight magnitudes are uniform in
-    weight_range with random signs when allow_negative.
+    weight_range = (lo, hi) with random signs when allow_negative. The range
+    needs 0 < lo <= hi < inf: a zero magnitude would drop an arc of the cycle.
     """
+    lo, hi = weight_range
+    if not 0 < lo <= hi < np.inf:
+        raise ValueError(f"weight_range needs 0 < lo <= hi < inf, got {weight_range}")
     rng = np.random.default_rng(seed)
     w = np.zeros((n, n))
     order = rng.permutation(n)
-    lo, hi = weight_range
 
     def draw():
         mag = rng.uniform(lo, hi)

@@ -11,8 +11,7 @@ trajectory is still written.
 
 The max_enhanced law needs a strongly connected graph, so that its
 closed-form extremes are the limit of flows.run_extreme_consensus;
-ExperimentConfig checks that when the config is built. RunResult.enhanced
-holds the same extremes, taken after the loop from the state history.
+ExperimentConfig checks that when the config is built.
 """
 
 import json
@@ -41,7 +40,6 @@ class RunResult:
     certificate: DivergenceCertificate | None = None
     branches: tuple = ()
     explore_log: tuple = ()
-    enhanced: dict | None = None
 
     @property
     def x_hist(self) -> np.ndarray:
@@ -71,11 +69,9 @@ def theoretical_bound(config: ExperimentConfig) -> float | None:
         cert = certificate_for(config.f)
     except ValueError:
         return None
-    if not np.isfinite(cert.L) or cert.L * nrm >= crit:
+    if cert.L * nrm >= crit:
         return None
     resid = cert.residual_bound(crit / nrm)
-    if not np.isfinite(resid):
-        return None
     if config.observation.mode == "direct":
         d0 = config.observation.d0
     else:
@@ -160,22 +156,12 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         "explore_steps": (int(sum(controller.branch_log))
                           if kind == "network_flow" else None),
     }
-    enhanced = None
-    if kind == "max_enhanced":
-        # the first argmax/argmin of each decided row, as the law took them
-        rows = np.arange(steps)
-        hi, lo = x_hist[:steps].argmax(axis=1), x_hist[:steps].argmin(axis=1)
-        enhanced = {"x_max": x_hist[rows, hi], "x_min": x_hist[rows, lo],
-                    "z_at_max": log.z_hist[rows, hi],
-                    "z_at_min": log.z_hist[rows, lo],
-                    "holders": list(zip(hi.tolist(), lo.tolist()))}
     return RunResult(config=config, log=log,
                      w_hist=np.asarray(w_rows).reshape(len(w_rows), n),
                      interval=interval, summary=summary,
                      certificate=certificate,
                      branches=tuple(plant.branches) if config.adversary else (),
-                     explore_log=tuple(controller.branch_log),
-                     enhanced=enhanced)
+                     explore_log=tuple(controller.branch_log))
 
 
 def write_outputs(result: RunResult, out_dir) -> dict:

@@ -102,11 +102,11 @@ def test_interval_ledger_growth_accounting():
     led = IntervalLedger([0.0, 0.5, 1.0])
     assert led.i0_width == 1.0
     assert led.interval(0) == (0.0, 1.0)
-    chi = led.update([-5.0, -1.0, -3.0])
+    chi = led.push(-1.0, -5.0)   # the state [-5.0, -1.0, -3.0]
     assert chi == 5.0
     assert led.R[-1] == 0.0 and led.L[-1] == 5.0
     assert led.interval(1) == (-5.0, 1.0)
-    chi = led.update([11.0, 19.0, 3.0])
+    chi = led.push(19.0, 3.0)    # the state [11.0, 19.0, 3.0]
     assert chi == 18.0
     assert led.interval(2) == (-5.0, 19.0)
 
@@ -115,7 +115,8 @@ def test_interval_width_is_initial_plus_growth():
     rng = np.random.default_rng(8)
     led = IntervalLedger(rng.normal(size=4))
     for _ in range(30):
-        led.update(rng.normal(scale=3.0, size=4))
+        x = rng.normal(scale=3.0, size=4)
+        led.push(float(x.max()), float(x.min()))
     lo, hi = led.interval(len(led.chi))
     assert hi - lo == pytest.approx(led.i0_width + sum(led.R) + sum(led.L))
 

@@ -49,6 +49,9 @@ def test_controller_spec_validation():
         ControllerSpec("pid")
     with pytest.raises(ValueError):
         ControllerSpec("network_flow", epsilon=0.0)
+    for eps in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ControllerSpec("network_flow", epsilon=eps)
 
 
 # ---- witness selection ----
@@ -476,9 +479,13 @@ def test_runs_replay_through_fresh_views_and_reference_witnesses():
                 ref = control_network_flow(log, g, cfg.controller.epsilon, t,
                                            branches)
             else:
-                e = res.enhanced
-                series = e and (e["x_max"][:t + 1], e["x_min"][:t + 1],
-                                e["z_at_max"][:t], e["z_at_min"][:t])
+                series = None
+                if kind == "max_enhanced":
+                    # the first argmax/argmin of each row, as the law takes them
+                    rows = np.arange(t + 1)
+                    hi, lo = x[:t + 1].argmax(axis=1), x[:t + 1].argmin(axis=1)
+                    series = (x[rows, hi], x[rows, lo],
+                              z[rows[:t], hi[:t]], z[rows[:t], lo[:t]])
                 ref = _reference_u(kind, g, log, t, series)
             assert _bits(u[t]) == _bits(ref), (kind, t)
         if kind == "network_flow":

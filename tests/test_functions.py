@@ -1,7 +1,5 @@
 """Scalar plant families, quasi-norms, and growth certificates."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -9,6 +7,7 @@ from netfeedback import (
     BoundedPerturbedLinear,
     GrowthCertificate,
     LinearFunction,
+    PinnedPiecewiseLinear,
     TabulatedFunction,
     certificate_for,
     check_growth_bound,
@@ -28,7 +27,7 @@ def test_linear_quasi_norm_is_abs_slope():
 def test_bounded_perturbed_linear():
     f = BoundedPerturbedLinear(1.2, amplitude=0.5)
     assert f.quasi_norm() == 1.2
-    assert f.bounded_sup() == 0.5
+    assert abs(f.amplitude) == 0.5
     x = np.linspace(-10, 10, 101)
     assert np.max(np.abs(f(x) - 1.2 * x)) <= 0.5 + 1e-12
 
@@ -88,36 +87,24 @@ def test_sample_spec_seeded_pairs():
 
 # ---- growth certificates ----
 
-def test_certificate_pair_validation():
-    with pytest.raises(ValueError):
-        GrowthCertificate(1.0, pairs=[(0.0, 1.0)])
-    with pytest.raises(ValueError):
-        GrowthCertificate(1.0, pairs=[(0.5, -1.0)])
+def test_certificate_residual_is_constant_above_L():
+    cert = GrowthCertificate(0.1, 5.0)
+    assert [cert.residual_bound(r) for r in (0.1001, 0.4, 7.0)] == [5.0] * 3
+    for r in (0.1, 0.05):
+        with pytest.raises(ValueError):
+            cert.residual_bound(r)
 
-
-def test_residual_bound_picks_qualifying_pair():
-    cert = GrowthCertificate(0.1, pairs=[(0.1, 5.0), (0.5, 2.0)])
-    # only the first pair has rate below r = L + 0.3
-    assert cert.residual_bound(0.4) == 5.0
-    # both qualify at a larger rate; the smaller constant wins
-    assert cert.residual_bound(0.7) == 2.0
-    # no pair qualifies and no analytic form: infimum over empty set
-    assert cert.residual_bound(0.15) == math.inf
+    lin = certificate_for(LinearFunction(-2.6, 1.0))
+    assert (lin.L, lin.residual) == (2.6, 0.0)
+    bpl = certificate_for(BoundedPerturbedLinear(0.8, amplitude=-1.5))
+    assert (bpl.L, bpl.residual) == (0.8, 3.0)   # twice |amplitude|
+    # a pinned piecewise-linear map: L is the sup slope, tails included
+    pinned = certificate_for(PinnedPiecewiseLinear(
+        3.0, [(0.0, 0.0), (1.0, 2.0)], left_slope=-2.5, right_slope=0.5))
+    assert (pinned.L, pinned.residual) == (2.5, 0.0)
+    assert pinned.residual_bound(2.6) == 0.0
     with pytest.raises(ValueError):
-        cert.residual_bound(0.1)
-    with pytest.raises(ValueError):
-        cert.residual_bound(0.05)
-
-
-def test_residual_bound_non_increasing():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        pairs = [(float(rng.uniform(0.01, 1.0)), float(rng.uniform(0.0, 9.0)))
-                 for _ in range(4)]
-        cert = GrowthCertificate(0.2, pairs=pairs)
-        grid = np.linspace(0.25, 2.0, 12)
-        vals = [cert.residual_bound(float(r)) for r in grid]
-        assert all(a >= b for a, b in zip(vals, vals[1:]))
+        certificate_for(TabulatedFunction([0.0, 1.0], [0.0, 1.0]))
 
 
 def test_certificate_for_analytic_families():
@@ -133,7 +120,82 @@ def test_certificate_for_analytic_families():
         certificate_for(TabulatedFunction([0.0, 1.0], [0.0, 1.0]))
 
 
-def test_analytic_beats_loose_pairs():
-    cert = GrowthCertificate(1.0, pairs=[(0.1, 7.0)],
-                             analytic_residual=lambda r: 0.5)
-    assert cert.residual_bound(1.2) == 0.5
+# ---- the shared piecewise-linear evaluator against its two former copies ----
+
+def _tabulated_oracle(xs, ys, x):
+    # TabulatedFunction.__call__ before the evaluator was shared: both tails
+    # computed on every call
+    lo_slope = (ys[1] - ys[0]) / (xs[1] - xs[0])
+    hi_slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+    x = np.asarray(x, dtype=float)
+    y = np.interp(x, xs, ys)
+    y = np.where(x < xs[0], ys[0] + lo_slope * (x - xs[0]), y)
+    y = np.where(x > xs[-1], ys[-1] + hi_slope * (x - xs[-1]), y)
+    if y.ndim == 0:
+        return float(y)
+    return y
+
+
+def _pinned_oracle(xs, vs, lslope, rslope, x):
+    # PinnedPiecewiseLinear.__call__ before the evaluator was shared
+    x = np.asarray(x, dtype=float)
+    y = np.interp(x, xs, vs)
+    below = x < xs[0]
+    if below.any():
+        y = np.where(below, vs[0] + lslope * (x - xs[0]), y)
+    above = x > xs[-1]
+    if above.any():
+        y = np.where(above, vs[-1] + rslope * (x - xs[-1]), y)
+    if y.ndim == 0:
+        return float(y)
+    return y
+
+
+def _same(got, want):
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (got, want)
+
+
+def _probe_points(xs):
+    # inside the ends, on every end and pin, beyond both ends, and both zeros
+    lo, hi = float(xs[0]), float(xs[-1])
+    mids = [0.5 * (a + b) for a, b in zip(xs, xs[1:])]
+    return [*xs.tolist(), *mids, lo - 1.0, lo - 1e6, hi + 1.0, hi + 1e6,
+            0.0, -0.0, lo - 1e-12, hi + 1e-12]
+
+
+def test_shared_evaluator_matches_both_former_evaluators():
+    pin_sets = [
+        # (slope bound, pins, explicit left and right tail slopes)
+        (2.0, [(-2.0, 1.0), (0.0, -0.0), (1.5, 3.0)], None, None),
+        (2.0, [(0.5, 1.0), (2.0, -0.5)], None, None),   # zero lies outside
+        (2.0, [(-0.0, 0.0), (1.0, 0.0)], None, None),   # a flat segment
+        # -0.0 at an end: a tail taken on the end pin itself would give +0.0
+        (2.0, [(1.0, -0.0), (2.0, 1.0)], None, None),
+        (2.0, [(-2.0, -1.0), (-1.0, -0.0)], None, None),
+        (3.0, [(0.0, 0.5)], None, None),                  # a single pin
+        (3.0, [(-0.0, -0.0)], None, None),
+        (2.0, [(0.25, 1.0), (1.0, 1.75)], -0.5, 1.5),     # explicit tails
+        (3.0, [(0.0, 0.5)], 0.0, -3.0),
+    ]
+    for bound, pins, left, right in pin_sets:
+        f = PinnedPiecewiseLinear(bound, pins, left_slope=left, right_slope=right)
+        xs = np.array([p[0] for p in pins])
+        vs = np.array([p[1] for p in pins])
+        if len(pins) == 1:
+            lslope, rslope = -bound, bound
+        else:
+            lslope = (vs[1] - vs[0]) / (xs[1] - xs[0])
+            rslope = (vs[-1] - vs[-2]) / (xs[-1] - xs[-2])
+        lslope = lslope if left is None else left
+        rslope = rslope if right is None else right
+        points = _probe_points(xs)
+        inside = [p for p in points if xs[0] <= p <= xs[-1]]
+        vectors = [np.array(points), np.array(inside), np.array(points[::-1]),
+                   np.array([xs[0] - 3.0, xs[-1] + 3.0]), np.empty(0)]
+        for x in [*points, *vectors]:
+            _same(f(x), _pinned_oracle(xs, vs, lslope, rslope, x))
+        if len(pins) > 1:
+            tab = TabulatedFunction(xs, vs)
+            for x in [*points, *vectors]:
+                _same(tab(x), _tabulated_oracle(xs, vs, x))

@@ -135,3 +135,16 @@ def test_random_graph_weight_range():
     assert mags.min() >= 0.4 - 1e-12
     assert mags.max() <= 2.0 + 1e-12
     assert sharp_metric(g) >= 0.4 - 1e-12
+
+
+def test_random_graph_refuses_a_range_that_can_draw_no_arc():
+    # a zero magnitude would drop the Hamiltonian cycle's arcs, and with them
+    # strong connectivity
+    for weight_range in ((0.0, 0.0), (0.0, 1.0), (-1.0, 1.0), (2.0, 1.0),
+                         (float("nan"), 1.0), (0.4, float("nan")),
+                         (0.4, float("inf"))):
+        with pytest.raises(ValueError):
+            random_strongly_connected(4, 0, weight_range=weight_range)
+    g = random_strongly_connected(4, 0, weight_range=(0.5, 0.5))
+    assert is_strongly_connected(g)
+    assert set(np.abs(g.weights[g.weights != 0.0]).tolist()) == {0.5}
