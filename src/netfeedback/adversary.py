@@ -15,6 +15,8 @@ fixed up front (zero by default) and the attacked node's estimate channel is
 the committed function itself, so every branch decision is reproducible.
 """
 
+import math
+
 import numpy as np
 
 from .functions import PlantFunction, _end_slopes, _piecewise_linear
@@ -27,8 +29,11 @@ class InvariantError(RuntimeError):
 
 
 def _check_segments(bound: float, pts, full_slope: bool):
-    """Consecutive pins (x, v) need distinct abscissae and |dv| <= bound*dx;
-    with full_slope also |dv| = bound*dx up to rounding."""
+    """Pins (x, v) need finite coordinates, consecutive ones distinct
+    abscissae and |dv| <= bound*dx; with full_slope also |dv| = bound*dx up
+    to rounding."""
+    if not all(math.isfinite(x) and math.isfinite(v) for x, v in pts):
+        raise ValueError("pins must be finite")
     seg = [(xb - xa, vb - va) for (xa, va), (xb, vb) in zip(pts, pts[1:])]
     if any(dx <= 0 for dx, _ in seg):
         raise ValueError("pin abscissae must be distinct")
@@ -51,8 +56,8 @@ class PinnedPiecewiseLinear(PlantFunction):
 
     def __init__(self, slope_bound: float, pins, left_slope: float | None = None,
                  right_slope: float | None = None, full_slope: bool = False):
-        if slope_bound <= 0:
-            raise ValueError("slope_bound must be positive")
+        if not 0 < slope_bound < math.inf:
+            raise ValueError("slope_bound must be positive and finite")
         pts = sorted((float(x), float(v)) for x, v in pins)
         if not pts:
             raise ValueError("need at least one pin")
@@ -169,16 +174,10 @@ class DivergenceCertificate:
     def __init__(self, i0_width: float, chi):
         self.i0_width = float(i0_width)
         self.chi = tuple(float(c) for c in chi)
-        acc = self.i0_width / 2.0
-        e = [acc]
-        run = 0.0
-        for c in self.chi:
-            run += c
-            e.append(acc + run)
-        self.E = tuple(e)
-        self.verdict = (len(self.chi) >= 2 and
-                        all(self.E[t + 1] > 2.0 * self.E[t]
-                            for t in range(1, len(self.E) - 1)))
+        # cumsum adds in order from 0.0, as a running sum does
+        e = self.i0_width / 2.0 + np.cumsum((0.0, *self.chi))
+        self.E = tuple(e.tolist())
+        self.verdict = len(self.chi) >= 2 and bool(np.all(e[2:] > 2.0 * e[1:-1]))
 
     def to_dict(self) -> dict:
         return {

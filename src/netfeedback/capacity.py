@@ -20,12 +20,13 @@ the continuation.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .graphs import WeightedDigraph, inf_norm, sharp_metric
+from .runner import run_experiment
 
 TAIL_TOL = 1e-9
 DAGGER_OMEGAS = (0.1, 1.0, 10.0)
@@ -271,10 +272,10 @@ def threshold_sweep(base_config, L_values, trials: int = 1) -> dict:
 
     For adversary-attached sweeps the constructed slope is pinned at
     4/sharp_metric, so grid points strictly below that budget cannot be
-    realized and are reported as not applicable.
+    realized and are reported as not applicable. A point's bound, hull
+    growth and explore steps are trial 0's; the bound reads no seed, so it
+    is every trial's.
     """
-    from .runner import run_experiment   # local import, runner uses this module
-
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     L_values = [float(L) for L in L_values]
@@ -289,21 +290,17 @@ def threshold_sweep(base_config, L_values, trials: int = 1) -> dict:
                                "bound": None, "verdict": "not_applicable",
                                "note": f"adversary slope is 4/sharp = {B:.6g} > L"})
                 continue
-        sups, verdicts, bounds = [], [], []
-        growth = None
-        explore = None
+        sups, verdicts = [], []
         for trial in range(trials):
-            cfg = base_config.with_gain(L, seed_offset=trial)
-            result = run_experiment(cfg)
+            result = run_experiment(base_config.with_gain(L, seed_offset=trial))
             sups.append(result.summary["sup_state"])
             verdicts.append(result.summary["verdict"])
-            bounds.append(result.summary.get("bound"))
             if trial == 0:
+                bound, explore = (result.summary["bound"],
+                                  result.summary["explore_steps"])
                 growth = {"R": [float(v) for v in result.interval.R],
                           "L": [float(v) for v in result.interval.L]}
-                explore = result.summary.get("explore_steps")
         stab = all(v == "stabilized" for v in verdicts)
-        bound = next((b for b in bounds if b is not None), None)
         points.append({"L": L, "stabilized": stab,
                        "sup_state": max(sups), "bound": bound,
                        "verdict": verdicts[0] if trials == 1 else verdicts,

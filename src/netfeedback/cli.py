@@ -5,13 +5,15 @@ with the adversarially constructed plant function), capacity (critical-gain
 utilities), sweep (gain grid over a base config). Results print as
 deterministic JSON; --out additionally writes the trajectory/summary files.
 
-Exit codes: 0 done, 2 bad input or config, 3 internal invariant violation.
+Exit codes: 0 done, 2 bad input or config (a horizon too large to allocate
+included), 3 internal invariant violation.
 """
 
 import argparse
 import itertools
 import json
 import math
+import os
 import sys
 
 from .adversary import InvariantError
@@ -63,11 +65,11 @@ def _load_config(args) -> ExperimentConfig:
     # overrides are applied to the raw document before any validation, so the
     # adversary subcommand accepts configs that omit the plant function
     raw_cfg = read_json(args.config)
-    if getattr(args, "horizon", None) is not None:
+    if args.horizon is not None:
         raw_cfg["horizon"] = args.horizon
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         raw_cfg.setdefault("disturbance", {})["seed"] = args.seed
-    if getattr(args, "force_adversary", False):
+    if args.force_adversary:
         raw_cfg["adversary"] = True
     return ExperimentConfig(raw_cfg)
 
@@ -85,11 +87,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_capacity(args) -> int:
+    if args.xie_guo + args.dagger + args.scalar_recursion != 1:
+        raise ValueError("choose exactly one of --xie-guo, --dagger, --scalar-recursion")
     if args.xie_guo:
         value, minimizer = xie_guo_constant()
         _emit({"value": value, "minimizer": minimizer})
-        return 0
-    if args.dagger:
+    elif args.dagger:
         if not args.graph:
             raise ValueError("--dagger needs --graph")
         g = _parse_graph(args.graph)
@@ -97,8 +100,7 @@ def _cmd_capacity(args) -> int:
         est = estimate_dagger(g, bracket=bracket,
                               T=400 if args.horizon is None else args.horizon)
         _emit(est.to_dict())
-        return 0
-    if args.scalar_recursion:
+    else:
         if args.M is None:
             raise ValueError("--scalar-recursion needs --M")
         res = simulate_scalar_recursion(
@@ -106,8 +108,7 @@ def _cmd_capacity(args) -> int:
             T=100_000 if args.horizon is None else args.horizon,
             seed=args.seed or 0)
         _emit(res.to_dict())
-        return 0
-    raise ValueError("choose one of --xie-guo, --dagger, --scalar-recursion")
+    return 0
 
 
 def _cmd_sweep(args) -> int:
@@ -115,7 +116,6 @@ def _cmd_sweep(args) -> int:
     grid = _parse_grid(args.L)
     report = threshold_sweep(cfg, grid, trials=args.trials)
     if args.out:
-        import os
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "sweep.json"), "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
@@ -130,21 +130,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Closed-loop network simulation laboratory")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="run one experiment config")
-    sim.add_argument("--config", required=True)
-    sim.add_argument("--out", default=None, help="directory for CSV/JSON outputs")
-    sim.add_argument("--horizon", type=int, default=None)
-    sim.add_argument("--seed", type=int, default=None,
-                     help="override the disturbance seed")
-    sim.set_defaults(func=_cmd_simulate, force_adversary=False)
-
-    adv = sub.add_parser("adversary",
-                         help="run a config against the adversarial plant")
-    adv.add_argument("--config", required=True)
-    adv.add_argument("--out", default=None)
-    adv.add_argument("--horizon", type=int, default=None)
-    adv.add_argument("--seed", type=int, default=None)
-    adv.set_defaults(func=_cmd_simulate, force_adversary=True)
+    for name, help_, func, force_adversary in (
+            ("simulate", "run one experiment config", _cmd_simulate, False),
+            ("adversary", "run a config against the adversarial plant",
+             _cmd_simulate, True),
+            ("sweep", "gain grid over a base config", _cmd_sweep, False)):
+        run = sub.add_parser(name, help=help_)
+        run.add_argument("--config", required=True)
+        run.add_argument("--out", default=None, help="directory for CSV/JSON outputs")
+        run.add_argument("--horizon", type=int, default=None)
+        run.add_argument("--seed", type=int, default=None,
+                         help="override the disturbance seed")
+        run.set_defaults(func=func, force_adversary=force_adversary)
+        if name == "sweep":
+            run.add_argument("--L", required=True,
+                             help="grid: start:stop:step or a,b,c")
+            run.add_argument("--trials", type=int, default=1)
 
     cap = sub.add_parser("capacity", help="critical-gain utilities")
     cap.add_argument("--xie-guo", action="store_true", dest="xie_guo")
@@ -162,15 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     cap.add_argument("--seed", type=int, default=None)
     cap.set_defaults(func=_cmd_capacity)
 
-    sw = sub.add_parser("sweep", help="gain grid over a base config")
-    sw.add_argument("--config", required=True)
-    sw.add_argument("--L", required=True, help="grid: start:stop:step or a,b,c")
-    sw.add_argument("--trials", type=int, default=1)
-    sw.add_argument("--out", default=None)
-    sw.add_argument("--horizon", type=int, default=None)
-    sw.add_argument("--seed", type=int, default=None)
-    sw.set_defaults(func=_cmd_sweep, force_adversary=False)
-
     return ap
 
 
@@ -182,7 +174,7 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -300,8 +300,7 @@ class _Neighbourhood:
         g = ctl.graph
         self.weights = g.weights.tolist()
         self.nbrs = [g.neighbors(i) for i in range(g.n)]
-        self.hoods = [tuple(sorted(set(nb) | {i}))
-                      for i, nb in enumerate(self.nbrs)]
+        self.hoods = [g.closed_neighbors(i) for i in range(g.n)]
         self.indices = [WitnessIndex() for _ in range(g.n)]
         self.extremes = (WitnessIndex() if ctl.spec.kind == "max_enhanced"
                          else None)

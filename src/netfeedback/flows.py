@@ -2,12 +2,14 @@
 extreme consensus.
 
 The full flow at time t is (X(0..t), Z(0..t-1), U(0..t-1)): one more state
-snapshot than estimate/control snapshots. A node's local view copies only the
-columns in N_i union {i}; the enhanced view adds the network-wide extreme
-series. Confinement is structural: a view physically holds nothing outside
-its columns. A WitnessIndex keeps past (value, estimate) records sorted by
-value, so a nearest-record query is a bisection instead of a scan of the
-history, and its two ends are the running extremes of the values it holds.
+snapshot than estimate/control snapshots. A FlowLog starts from X(0) and is
+sized for its run, one row per step up to the horizon. A node's local view
+copies only the columns in N_i union {i}; the enhanced view adds the
+network-wide extreme series. Confinement is structural: a view physically
+holds nothing outside its columns. A WitnessIndex keeps past (value,
+estimate) records sorted by value, so a nearest-record query is a bisection
+instead of a scan of the history, and its two ends are the running extremes
+of the values it holds.
 
 run_extreme_consensus is the flooding protocol by which nodes learn the
 extremes from their neighbours alone. The max_enhanced law takes the same
@@ -29,57 +31,41 @@ _INF = float("inf")
 
 
 class FlowLog:
-    """Append-only flow record.
+    """Append-only flow record of one run, sized for its horizon.
 
-    The first append carries X(0) alone; every later append carries the new
-    state snapshot together with the estimate and control snapshots of the
-    step that produced it.
+    It holds X(0) from construction; each append carries the new state
+    snapshot together with the estimate and control snapshots of the step
+    that produced it, up to X(horizon).
     """
 
-    def __init__(self, n: int, capacity: int = 64):
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        self.n = n
-        self._x = np.empty((max(capacity, 1), n))
-        self._z = np.empty((max(capacity, 1), n))
-        self._u = np.empty((max(capacity, 1), n))
-        self._len = 0  # number of state snapshots
+    def __init__(self, x0, horizon: int):
+        x0 = np.asarray(x0, dtype=float)
+        if x0.ndim != 1 or x0.size < 1:
+            raise ValueError("x0 must be a non-empty 1-d state snapshot")
+        if horizon < 0:
+            raise ValueError(f"horizon must be >= 0, got {horizon}")
+        self.n = n = x0.size
+        self._x = np.empty((horizon + 1, n))
+        self._z = np.empty((horizon, n))
+        self._u = np.empty((horizon, n))
+        self._x[0] = x0
+        self._len = 1  # number of state snapshots
 
     @property
     def t(self) -> int:
         """Current flow time: snapshots 0..t are stored."""
-        if self._len == 0:
-            raise ValueError("log is empty")
         return self._len - 1
 
-    def _grow(self):
-        cap = self._x.shape[0]
-        if self._len == cap:
-            for name in ("_x", "_z", "_u"):
-                old = getattr(self, name)
-                new = np.empty((2 * cap, self.n))
-                new[:cap] = old
-                setattr(self, name, new)
-
-    def append(self, x, z=None, u=None):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"state snapshot must have shape ({self.n},)")
-        if self._len == 0:
-            if z is not None or u is not None:
-                raise ValueError("first append carries the initial state only")
-        else:
-            if z is None or u is None:
-                raise ValueError("appends after the first need z and u snapshots")
-        self._grow()
-        self._x[self._len] = x
-        if self._len > 0:
-            z = np.asarray(z, dtype=float)
-            u = np.asarray(u, dtype=float)
-            if z.shape != (self.n,) or u.shape != (self.n,):
-                raise ValueError(f"z/u snapshots must have shape ({self.n},)")
-            self._z[self._len - 1] = z
-            self._u[self._len - 1] = u
+    def append(self, x, z, u):
+        t = self._len - 1
+        if t == self._z.shape[0]:
+            raise ValueError(f"the log is full at its horizon {t}")
+        x, z, u = (np.asarray(a, dtype=float) for a in (x, z, u))
+        if x.shape != (self.n,) or z.shape != (self.n,) or u.shape != (self.n,):
+            raise ValueError(f"x/z/u snapshots must have shape ({self.n},)")
+        self._x[t + 1] = x
+        self._z[t] = z
+        self._u[t] = u
         self._len += 1
 
     @property
@@ -92,14 +78,14 @@ class FlowLog:
     @property
     def z_hist(self) -> np.ndarray:
         """Estimates Z(0..t-1), shape (t, n)."""
-        v = self._z[:max(self._len - 1, 0)]
+        v = self._z[:self._len - 1]
         v.flags.writeable = False
         return v
 
     @property
     def u_hist(self) -> np.ndarray:
         """Controls U(0..t-1), shape (t, n)."""
-        v = self._u[:max(self._len - 1, 0)]
+        v = self._u[:self._len - 1]
         v.flags.writeable = False
         return v
 
@@ -116,7 +102,7 @@ class LocalFlowView:
         if not (0 <= i < graph.n):
             raise ValueError(f"node index {i} out of range")
         self.i = i
-        self.nodes = tuple(sorted(set(graph.neighbors(i)) | {i}))
+        self.nodes = graph.closed_neighbors(i)
         cols = list(self.nodes)
         self.x = log.x_hist[:, cols]   # fancy indexing copies
         self.z = log.z_hist[:, cols]
@@ -254,14 +240,12 @@ def consensus_round(g: WeightedDigraph, state: ConsensusState,
     if mode not in ("max", "min"):
         raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
     sign = 1.0 if mode == "max" else -1.0
-    n = g.n
     x_new = state.x.copy()
     z_new = state.z.copy()
     o_new = state.origin.copy()
-    for i in range(n):
-        members = sorted(set(g.neighbors(i)) | {i})
+    for i in range(g.n):
         best = None
-        for j in members:
+        for j in g.closed_neighbors(i):
             key = (sign * state.x[j], -state.origin[j])
             if best is None or key > best[0]:
                 best = (key, j)

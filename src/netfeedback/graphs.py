@@ -30,9 +30,11 @@ class WeightedDigraph:
             raise ValueError("weights must be finite")
         w.flags.writeable = False
         self._w = w
-        self._neighbors = tuple(
-            tuple(np.flatnonzero(w[i]).tolist()) for i in range(w.shape[0])
-        )
+        arcs = w != 0.0
+        # rows of arcs, of arcs plus the diagonal, and columns of arcs
+        self._neighbors, self._closed, self._out = (
+            tuple(tuple(np.flatnonzero(r).tolist()) for r in m)
+            for m in (arcs, arcs | np.eye(len(w), dtype=bool), arcs.T))
         self._strongly_connected = None  # filled by is_strongly_connected
 
     @property
@@ -53,9 +55,13 @@ class WeightedDigraph:
         """In-neighbourhood N_i: nodes j whose state enters node i's update."""
         return self._neighbors[i]
 
+    def closed_neighbors(self, i: int) -> tuple:
+        """N_i union {i}, ascending: the columns a local law may read."""
+        return self._closed[i]
+
     def out_neighbors(self, j: int) -> tuple:
         """Nodes i with an arc (j, i), ascending."""
-        return tuple(np.flatnonzero(self._w[:, j]).tolist())
+        return self._out[j]
 
     def __repr__(self):
         return f"WeightedDigraph(n={self.n}, arcs={len(self.arcs)})"

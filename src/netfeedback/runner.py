@@ -15,13 +15,13 @@ ExperimentConfig checks that when the config is built.
 """
 
 import json
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .adversary import DivergenceCertificate, IntervalLedger, OnlineAdversary
-from .capacity import xie_guo_constant
 from .config import ExperimentConfig
 from .controllers import Controller
 from .dynamics import InverseObserver, PlantModel
@@ -64,7 +64,7 @@ def theoretical_bound(config: ExperimentConfig) -> float | None:
     nrm = inf_norm(g)
     if nrm <= 0:
         return None
-    crit, _ = xie_guo_constant()
+    crit = 1.5 + math.sqrt(2)   # the Xie-Guo constant
     try:
         cert = certificate_for(config.f)
     except ValueError:
@@ -92,8 +92,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     plant = (OnlineAdversary(g, x) if config.adversary
              else PlantModel(g, config.f, config.observation))
 
-    log = FlowLog(n, capacity=config.horizon + 1)
-    log.append(x)
+    log = FlowLog(x, config.horizon)
     interval = IntervalLedger(x)
     w_rows = []
     guard_tripped = False
@@ -103,7 +102,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         u = controller.controls(log, t)
         w = source.draw(n)
         x, z = plant.advance(t, x, u, w)
-        log.append(x, z=z, u=u)
+        log.append(x, z, u)
         w_rows.append(w)
         hi, lo = float(x.max()), float(x.min())
         interval.push(hi, lo)

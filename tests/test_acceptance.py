@@ -257,8 +257,7 @@ def test_criterion_8_information_confinement():
         z2 = z.copy()
         x2[:, outside] += 1e6
         z2[:, outside] -= 3e6
-        fake = FlowLog(5)
-        fake.append(x2[0])
+        fake = FlowLog(x2[0], 25)
         for t in range(25):
             fake.append(x2[t + 1], z=z2[t], u=u[t])
         for t in range(1, 25):

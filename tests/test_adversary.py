@@ -1,5 +1,7 @@
 """Online adversarial plant construction and divergence certificates."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,14 @@ def test_pinned_validation():
         PinnedPiecewiseLinear(4.0, [(0.0, 0.0), (0.0, 1.0)])  # duplicate x
     with pytest.raises(ValueError):
         PinnedPiecewiseLinear(1.0, [(0.0, 0.0), (1.0, 5.0)])  # slope 5 > 1
+    # a slope bound must be positive and finite, every pin coordinate finite
+    for bound in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="slope_bound"):
+            PinnedPiecewiseLinear(bound, [(0.0, 0.0)])
+    for pins in ([(0.0, math.nan)], [(math.nan, 0.0)], [(math.inf, 0.0)],
+                 [(0.0, 0.0), (1.0, -math.inf)]):
+        with pytest.raises(ValueError, match="finite"):
+            PinnedPiecewiseLinear(4.0, pins)
 
 
 def test_pinned_interp_and_tails():
@@ -62,6 +72,9 @@ def test_extension_rejects_what_a_rebuild_rejects():
         f.extended([(2.0, 9.0), (3.0, 9.0), (3.5, 11.5)])   # slope 5 at the end
     with pytest.raises(ValueError, match="distinct"):
         f.extended([(2.0, 9.0), (2.0, 8.0)])
+    for pins in ([(5.0, math.nan)], [(math.inf, 9.0)], [(-1.0, -math.inf)]):
+        with pytest.raises(ValueError, match="finite"):
+            f.extended(pins)
     # within the segment slack (1e-12 absolute) but a tail of slope ~10
     with pytest.raises(ValueError, match="tail"):
         f.extended([(1.0 + 1e-13, 5.0 + 1e-12)])
@@ -132,6 +145,45 @@ def test_certificate_energy_series():
 def test_certificate_needs_two_growth_steps():
     assert not DivergenceCertificate(1.0, (4.0,)).verdict
     assert not DivergenceCertificate(1.0, ()).verdict
+
+
+def _certificate_by_running_sum(i0_width, chi):
+    """The certificate's former loop, kept as the oracle of its cumsum."""
+    i0_width = float(i0_width)
+    chi = tuple(float(c) for c in chi)
+    acc = i0_width / 2.0
+    e = [acc]
+    run = 0.0
+    for c in chi:
+        run += c
+        e.append(acc + run)
+    verdict = (len(chi) >= 2 and
+               all(e[t + 1] > 2.0 * e[t] for t in range(1, len(e) - 1)))
+    return {"I0_width": i0_width, "chi": list(chi), "E": e,
+            "verdict": "pass" if verdict else "fail"}
+
+
+def test_certificate_cumsum_matches_the_running_sum():
+    # widths are >= +0.0 (a difference of equal floats is +0.0); chi may
+    # hold zeros of either sign, and sums that round differently when
+    # regrouped, so the order of the additions shows in the bits
+    rng = np.random.default_rng(13)
+    cases = [(0.0, ()), (1.0, (4.0,)), (1.0, (4.0, 11.5)), (0.0, (0.0, 0.0)),
+             (0.0, (-0.0, 0.0, -0.0)), (0.3, (0.1, 0.2, 0.3, 1e16, 1.0, 1.0))]
+    for k in range(200):
+        steps = int(rng.integers(0, 12))
+        chi = rng.exponential(size=steps) * 10.0 ** rng.integers(-3, 4, size=steps)
+        chi[rng.random(steps) < 0.3] = 0.0
+        if k % 2:                          # a doubling series
+            chi = np.cumsum(np.full(steps, 3.0)) * chi.max(initial=1.0) + chi
+        cases.append((float(rng.exponential()) * (k % 3 != 0), chi.tolist()))
+    verdicts = set()
+    for i0_width, chi in cases:
+        got = DivergenceCertificate(i0_width, chi).to_dict()
+        want = _certificate_by_running_sum(i0_width, chi)
+        assert repr(got) == repr(want), (i0_width, chi)
+        verdicts.add(got["verdict"])
+    assert verdicts == {"pass", "fail"}
 
 
 def test_certificate_fails_without_doubling():

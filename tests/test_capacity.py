@@ -401,7 +401,7 @@ def test_sweep_empty_grid(monkeypatch):
     def refuse(cfg):
         raise AssertionError("the sweep ran before checking its grid")
 
-    monkeypatch.setattr(nf.runner, "run_experiment", refuse)
+    monkeypatch.setattr(nf.capacity, "run_experiment", refuse)
     with pytest.raises(ValueError, match="gain"):
         threshold_sweep(_selfloop_base(), [])
 
@@ -410,7 +410,7 @@ def test_sweep_needs_a_trial(monkeypatch):
     def refuse(cfg):
         raise AssertionError("the sweep ran before checking trials")
 
-    monkeypatch.setattr(nf.runner, "run_experiment", refuse)
+    monkeypatch.setattr(nf.capacity, "run_experiment", refuse)
     for trials in (0, -1):
         with pytest.raises(ValueError, match="trials"):
             threshold_sweep(_selfloop_base(), [1.0], trials=trials)

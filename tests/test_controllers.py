@@ -35,8 +35,7 @@ from netfeedback import controllers
 def _log(rows_x, rows_z=None, rows_u=None):
     rows_x = [np.asarray(r, dtype=float) for r in rows_x]
     n = rows_x[0].size
-    log = FlowLog(n)
-    log.append(rows_x[0])
+    log = FlowLog(rows_x[0], len(rows_x) - 1)
     for k, x in enumerate(rows_x[1:]):
         z = rows_z[k] if rows_z else np.zeros(n)
         u = rows_u[k] if rows_u else np.zeros(n)
@@ -470,8 +469,7 @@ def test_runs_replay_through_fresh_views_and_reference_witnesses():
         assert not res.summary["guard_tripped"]
         g = cfg.graph
         x, z, u = res.x_hist, res.z_hist, res.u_hist
-        log = FlowLog(g.n)
-        log.append(x[0])
+        log = FlowLog(x[0], cfg.horizon)
         branches = []
         for t in range(1, cfg.horizon):
             log.append(x[t], z=z[t - 1], u=u[t - 1])

@@ -21,8 +21,7 @@ from netfeedback import (
 
 def _filled_log(n=3, steps=4, seed=0):
     rng = np.random.default_rng(seed)
-    log = FlowLog(n)
-    log.append(rng.normal(size=n))
+    log = FlowLog(rng.normal(size=n), steps + 1)   # room for one more row
     for _ in range(steps):
         log.append(rng.normal(size=n), z=rng.normal(size=n), u=rng.normal(size=n))
     return log
@@ -31,15 +30,18 @@ def _filled_log(n=3, steps=4, seed=0):
 # ---- FlowLog ----
 
 def test_append_protocol():
-    log = FlowLog(2)
-    with pytest.raises(ValueError):
-        log.append([0.0, 0.0], z=[1.0, 1.0], u=[0.0, 0.0])  # first row is state only
-    log.append([0.0, 0.0])
+    log = FlowLog([0.0, 0.0], 3)
+    assert log.t == 0            # X(0) is held from construction
+    assert log.x_hist.tolist() == [[0.0, 0.0]]
+    assert log.z_hist.shape == log.u_hist.shape == (0, 2)
+    for missing in ((), ([0.5, 0.5],)):
+        with pytest.raises(TypeError):
+            log.append([1.0, 1.0], *missing)   # every append needs z and u
     assert log.t == 0
-    with pytest.raises(ValueError):
-        log.append([1.0, 1.0])  # later rows need z and u
     log.append([1.0, 1.0], z=[0.5, 0.5], u=[0.1, 0.1])
     assert log.t == 1
+    assert log.z_hist.tolist() == [[0.5, 0.5]]
+    assert log.u_hist.tolist() == [[0.1, 0.1]]
 
 
 def test_history_shapes():
@@ -56,20 +58,35 @@ def test_histories_are_read_only():
             arr[0, 0] = 99.0
 
 
-def test_log_grows_past_initial_capacity():
-    log = FlowLog(2, capacity=2)
+def test_full_log_refuses_another_row():
     rng = np.random.default_rng(1)
-    log.append(rng.normal(size=2))
+    log = FlowLog(rng.normal(size=2), 10)
     for _ in range(10):
         log.append(rng.normal(size=2), z=rng.normal(size=2), u=rng.normal(size=2))
     assert log.t == 10
     assert log.x_hist.shape == (11, 2)
+    before = log.x_hist.copy()
+    with pytest.raises(ValueError, match="full"):
+        log.append(np.zeros(2), z=np.zeros(2), u=np.zeros(2))
+    assert log.t == 10
+    np.testing.assert_array_equal(log.x_hist, before)
+    empty = FlowLog([1.0], 0)    # a zero horizon holds X(0) alone
+    with pytest.raises(ValueError, match="full"):
+        empty.append([2.0], [0.0], [0.0])
+    assert empty.x_hist.tolist() == [[1.0]]
 
 
 def test_shape_mismatch_rejected():
-    log = FlowLog(3)
-    with pytest.raises(ValueError):
-        log.append([1.0, 2.0])
+    log = FlowLog([0.0, 0.0, 0.0], 5)
+    good = [1.0, 2.0, 3.0]
+    for x, z, u in (([1.0, 2.0], good, good), (good, [1.0, 2.0], good),
+                    (good, good, [[1.0, 2.0, 3.0]])):
+        with pytest.raises(ValueError):
+            log.append(x, z, u)
+    assert log.t == 0
+    for x0, horizon in (([], 5), ([[0.0, 1.0]], 5), ([0.0], -1)):
+        with pytest.raises(ValueError):
+            FlowLog(x0, horizon)
 
 
 # ---- local and enhanced views ----
@@ -104,8 +121,7 @@ def test_neighbourhood_indices_match_fresh_views():
     # gives node i the same bits, since node i's index never holds them.
     g = random_strongly_connected(5, seed=4)
     rng = np.random.default_rng(4)
-    log = FlowLog(5, capacity=2)
-    log.append(rng.normal(size=5))
+    log = FlowLog(rng.normal(size=5), 40)
     for _ in range(40):
         log.append(rng.normal(size=5), z=rng.normal(size=5), u=rng.normal(size=5))
     for i in range(5):
@@ -113,8 +129,7 @@ def test_neighbourhood_indices_match_fresh_views():
         x, z = log.x_hist.copy(), log.z_hist.copy()
         x[:, outside] = rng.normal(size=(41, len(outside)))
         z[:, outside] = 1e6
-        fake = FlowLog(5)
-        fake.append(x[0])
+        fake = FlowLog(x[0], 40)
         for t in range(40):
             fake.append(x[t + 1], z=z[t], u=log.u_hist[t])
         ctl = Controller(ControllerSpec("local_flow"), g)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from netfeedback import (
+    ExperimentConfig,
     WeightedDigraph,
     build_canonical,
     inf_norm,
@@ -12,6 +13,24 @@ from netfeedback import (
     sharp_metric,
     sign_pattern,
 )
+
+
+def test_cached_neighbourhoods_match_the_weights():
+    graphs = [random_strongly_connected(n, seed=s) for n in (1, 2, 5, 9)
+              for s in range(6)]
+    graphs.append(build_canonical("path_root_selfloop", 4))
+    graphs.append(WeightedDigraph([[2.0, 0.0], [0.0, -1.0]]))   # self-loops only
+    # a custom graph whose node 0 has no in-neighbour
+    graphs.append(ExperimentConfig({
+        "graph": {"kind": "custom", "weights": [[0, 0, 0], [1, 0, 0], [0, 2, 3]]},
+        "function": {"kind": "linear", "a": 1.0}, "controller": {"kind": "zero"},
+        "horizon": 1, "x0": [0.0, 0.0, 0.0]}).graph)
+    for g in graphs:
+        for i in range(g.n):
+            assert g.closed_neighbors(i) == tuple(sorted(set(g.neighbors(i)) | {i}))
+            assert g.out_neighbors(i) == tuple(
+                j for j in range(g.n) if g.weights[j, i] != 0.0)
+    assert graphs[-1].neighbors(0) == () and graphs[-1].closed_neighbors(0) == (0,)
 
 
 def test_inf_norm_is_max_abs_row_sum():

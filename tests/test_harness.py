@@ -512,8 +512,7 @@ def _with_special_values(res):
                                         res.w_hist))
     for k, hist in enumerate((x, u, z, w)):
         hist.flat[:special.size] = np.roll(special, k)
-    log = nf.FlowLog(res.log.n, capacity=len(x))
-    log.append(x[0])
+    log = nf.FlowLog(x[0], len(u))
     for t in range(len(u)):
         log.append(x[t + 1], z=z[t], u=u[t])
     return dataclasses.replace(res, log=log, w_hist=w)
@@ -684,8 +683,24 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         assert main(["sweep", "--config", good, "--L", "1",
                      "--trials", trials]) == 2
         assert "trials" in capsys.readouterr().err
-    # capacity without a mode
+    # capacity without a mode, or with more than one
     assert main(["capacity"]) == 2
+    for modes in (["--xie-guo", "--dagger"], ["--dagger", "--scalar-recursion"],
+                  ["--xie-guo", "--dagger", "--scalar-recursion"]):
+        assert main(["capacity", *modes, "--graph", "cycle:3", "--M", "2.85",
+                     "--horizon", "10"]) == 2, modes
+        assert capsys.readouterr().out == "", modes
+    # a horizon too large to allocate (10^17 steps exceed any 57-bit
+    # address space, so the allocation fails before a step runs)
+    huge = str(10 ** 17)
+    for argv in (["simulate", "--config", good, "--horizon", huge],
+                 ["adversary", "--config", good, "--horizon", huge],
+                 ["sweep", "--config", good, "--L", "0.5", "--horizon", huge],
+                 ["capacity", "--dagger", "--graph", "cycle:5", "--horizon", huge],
+                 ["capacity", "--scalar-recursion", "--M", "2.85", "--horizon", huge]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "allocate" in captured.err, argv
     # non-finite recursion parameters and a horizon below one step
     for argv in (["--scalar-recursion", "--M", "nan", "--horizon", "100"],
                  ["--scalar-recursion", "--M", "2.85", "--omega", "inf"],
