@@ -86,14 +86,18 @@ class PinnedPiecewiseLinear(PlantFunction):
         """This function with pins added beyond its outermost pins.
 
         Every new pin must lie strictly outside the current pins
-        (InvariantError otherwise). Only the new end segments are checked, as
-        __init__ checks every segment (full_slope included), and the tails
-        follow the new end segments, as in __init__ without explicit tails.
+        (InvariantError otherwise); a non-finite pin is a ValueError, as in
+        __init__. Only the new end segments are checked, as __init__ checks
+        every segment (full_slope included), and the tails follow the new end
+        segments, as in __init__ without explicit tails.
         """
+        new = sorted((float(x), float(v)) for x, v in pins)
+        if not all(math.isfinite(x) and math.isfinite(v) for x, v in new):
+            raise ValueError("pins must be finite")
         xs, vs = self._xs, self._vs
         first, last = (float(xs[0]), float(vs[0])), (float(xs[-1]), float(vs[-1]))
         left, right = [], []
-        for pin in sorted((float(x), float(v)) for x, v in pins):
+        for pin in new:
             if pin[0] < first[0]:
                 left.append(pin)
             elif pin[0] > last[0]:

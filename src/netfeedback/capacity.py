@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .graphs import WeightedDigraph, inf_norm, sharp_metric
 from .runner import run_experiment
@@ -38,8 +37,11 @@ SLACK_BLOCK = 4096
 def xie_guo_constant() -> tuple:
     """Minimize (x^2 - x/2)/(x - 1) over x > 1; returns (value, minimizer).
 
-    The minimum is 3/2 + sqrt(2), attained at 1 + sqrt(2)/2.
+    The minimum is 3/2 + sqrt(2), attained at 1 + sqrt(2)/2. scipy's
+    optimizer is imported here, so importing the package does not load it.
     """
+    from scipy.optimize import minimize_scalar
+
     def obj(x):
         return (x * x - 0.5 * x) / (x - 1.0)
 

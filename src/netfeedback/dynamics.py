@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .graphs import WeightedDigraph
 
@@ -187,7 +186,10 @@ class InverseObserver:
                 f"(cond={cond:.3e} > {COND_LIMIT:.1e}); use the direct "
                 "observation mode instead (a least-squares variant is a "
                 "documented extension point, not implemented)")
+        # imported here, so that only matrix-inverse runs load scipy.linalg
+        from scipy.linalg import lu_factor, lu_solve
         self._lu = lu_factor(a)
+        self._lu_solve = lu_solve
         self.error_gain = float(np.abs(np.linalg.inv(a)).sum(axis=1).max())
 
     def observe(self, x_next: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -195,4 +197,4 @@ class InverseObserver:
         non-finite state gives a non-finite estimate for the guard to see."""
         with np.errstate(over="ignore", invalid="ignore"):
             rhs = np.asarray(x_next, float) - np.asarray(u, float)
-        return lu_solve(self._lu, rhs, check_finite=False)
+        return self._lu_solve(self._lu, rhs, check_finite=False)

@@ -9,8 +9,6 @@ column, JSON certificates) converts to 1-based ids.
 """
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 
 class WeightedDigraph:
@@ -96,19 +94,31 @@ def sign_pattern(g: WeightedDigraph) -> str:
 def is_strongly_connected(g: WeightedDigraph) -> bool:
     """True iff every node reaches every other along arcs.
 
-    Self-arcs are irrelevant to reachability; a single-node graph is strongly
-    connected with or without one. The graph is immutable, so the answer is
-    computed on the first call and cached on it.
+    Two reachability sweeps from node 0 over the boolean arc matrix decide
+    it: one forward along the arcs (j, i), one backward along their
+    reverses. The graph is strongly connected iff both sweeps reach every
+    node. Self-arcs are irrelevant to reachability; a single-node graph is
+    strongly connected with or without one. The graph is immutable, so the
+    answer is computed on the first call and cached on it.
     """
     if g._strongly_connected is None:
-        if g.n == 1:
-            g._strongly_connected = True
-        else:
-            adj = csr_matrix((g.weights.T != 0.0).astype(np.int8))
-            ncomp, _ = connected_components(adj, directed=True,
-                                            connection="strong")
-            g._strongly_connected = ncomp == 1
+        g._strongly_connected = _reaches_all_both_ways(g.weights != 0.0)
     return g._strongly_connected
+
+
+def _reaches_all_both_ways(arcs: np.ndarray) -> bool:
+    """Whether node 0 reaches every node along arcs[i, j] (an arc j -> i)
+    and every node reaches node 0, by two frontier sweeps."""
+    for m in (arcs, arcs.T):
+        seen = np.zeros(len(m), dtype=bool)
+        seen[0] = True
+        frontier = seen.copy()
+        while frontier.any():
+            frontier = m[:, frontier].any(axis=1) & ~seen
+            seen |= frontier
+        if not seen.all():
+            return False
+    return True
 
 
 # kind -> arcs(n, **params): the (j, i, a_ij) of one canonical family

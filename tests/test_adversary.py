@@ -72,9 +72,16 @@ def test_extension_rejects_what_a_rebuild_rejects():
         f.extended([(2.0, 9.0), (3.0, 9.0), (3.5, 11.5)])   # slope 5 at the end
     with pytest.raises(ValueError, match="distinct"):
         f.extended([(2.0, 9.0), (2.0, 8.0)])
-    for pins in ([(5.0, math.nan)], [(math.inf, 9.0)], [(-1.0, -math.inf)]):
-        with pytest.raises(ValueError, match="finite"):
-            f.extended(pins)
+    # a non-finite pin is refused as the constructor refuses it, wherever it
+    # would sort: a NaN abscissa is neither left nor right of the old pins
+    for bad in (math.nan, math.inf, -math.inf):
+        for pin in ((bad, 3.0), (-1.0, bad), (0.5, bad), (2.0, bad), (bad, bad)):
+            with pytest.raises(ValueError) as built:
+                PinnedPiecewiseLinear(4.0, [(0.0, 1.0), (1.0, 5.0), pin])
+            with pytest.raises(ValueError) as ext:
+                f.extended([pin])
+            assert type(ext.value) is type(built.value)
+            assert str(ext.value) == str(built.value) == "pins must be finite"
     # within the segment slack (1e-12 absolute) but a tail of slope ~10
     with pytest.raises(ValueError, match="tail"):
         f.extended([(1.0 + 1e-13, 5.0 + 1e-12)])

@@ -97,18 +97,58 @@ def test_strong_connectivity():
 def test_strong_connectivity_is_computed_once(monkeypatch):
     import netfeedback.graphs as graphs
     calls = []
-    real = graphs.connected_components
+    real = graphs._reaches_all_both_ways
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(graphs, "connected_components", counting)
+    monkeypatch.setattr(graphs, "_reaches_all_both_ways", counting)
     g = build_canonical("cycle", 4)
     h = build_canonical("path_root_selfloop", 3)
     assert [is_strongly_connected(g) for _ in range(3)] == [True] * 3
     assert [is_strongly_connected(h) for _ in range(3)] == [False] * 3
     assert len(calls) == 2  # one per graph; repeats read the cached answer
+
+
+def _scipy_strongly_connected(w):
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+    ncomp, _ = connected_components(csr_matrix((w != 0.0).astype(np.int8)),
+                                    directed=True, connection="strong")
+    return ncomp == 1
+
+
+def test_strong_connectivity_matches_scipy_on_random_digraphs():
+    rng = np.random.default_rng(20171)
+    verdicts = []
+    for trial in range(4000):
+        n = int(rng.integers(1, 10))
+        # the first 40 graphs are empty or complete, the rest of any density
+        density = float(trial % 4 >= 2) if trial < 40 else rng.uniform()
+        arcs = rng.random((n, n)) < density        # the diagonal gives self-arcs
+        w = rng.normal(size=(n, n))                 # signs of both kinds
+        # half the graphs write their missing arcs as -0.0, which is no arc
+        w = np.where(arcs, w, -0.0 if trial % 2 else 0.0)
+        want = _scipy_strongly_connected(w)
+        assert is_strongly_connected(WeightedDigraph(w)) == want, w
+        verdicts.append(want)
+    # both answers are common, so neither sweep can pass by always agreeing
+    assert 1000 < sum(verdicts) < 3000
+
+
+def test_strong_connectivity_counts_every_four_node_digraph():
+    pairs = [(i, j) for i in range(4) for j in range(4) if i != j]
+    count = 0
+    for mask in range(1 << len(pairs)):
+        w = np.zeros((4, 4))
+        for b, (i, j) in enumerate(pairs):
+            if mask >> b & 1:
+                w[j, i] = 1.0
+        got = is_strongly_connected(WeightedDigraph(w))
+        assert got == _scipy_strongly_connected(w), mask
+        count += got
+    assert count == 1606   # the count criterion 5 enumerates
 
 
 def test_self_arcs_do_not_create_connectivity():
