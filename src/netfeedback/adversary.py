@@ -48,38 +48,31 @@ class PinnedPiecewiseLinear(PlantFunction):
     """Piecewise-linear function through pins, bounded slope, linear tails.
 
     Adjacent pins must satisfy |dv| <= slope_bound * dx. Between pins the
-    function interpolates; beyond the outermost pins it continues with the
-    given tail slopes (defaulting to the adjacent segment's slope, or
-    +/-slope_bound around a single pin). With full_slope every segment must
-    run at +/-slope_bound, not merely within it (InvariantError otherwise).
+    function interpolates; beyond the outermost pins it continues the end
+    segments, and around a single pin it is the V of slopes -/+slope_bound.
+    With full_slope every segment must run at +/-slope_bound, not merely
+    within it (InvariantError otherwise).
     """
 
-    def __init__(self, slope_bound: float, pins, left_slope: float | None = None,
-                 right_slope: float | None = None, full_slope: bool = False):
+    def __init__(self, slope_bound: float, pins, full_slope: bool = False):
         if not 0 < slope_bound < math.inf:
             raise ValueError("slope_bound must be positive and finite")
         pts = sorted((float(x), float(v)) for x, v in pins)
         if not pts:
             raise ValueError("need at least one pin")
         _check_segments(slope_bound, pts, full_slope)
-        self.slope_bound = float(slope_bound)
-        self._xs = np.array([p[0] for p in pts])
-        self._vs = np.array([p[1] for p in pts])
-        if len(pts) == 1:
-            self._lslope, self._rslope = -self.slope_bound, self.slope_bound
+        self._set_pins(float(slope_bound), np.array([p[0] for p in pts]),
+                       np.array([p[1] for p in pts]))
+
+    def _set_pins(self, slope_bound: float, xs, vs):
+        """Hold the checked pins (xs, vs) and the tails they imply."""
+        self.slope_bound = slope_bound
+        self._xs, self._vs = xs, vs
+        if xs.size == 1:
+            self._lslope, self._rslope = -slope_bound, slope_bound
         else:
-            self._default_tails()
-        if left_slope is not None:
-            self._lslope = float(left_slope)
-        if right_slope is not None:
-            self._rslope = float(right_slope)
-        self._check_tails()
-
-    def _default_tails(self):
-        self._lslope, self._rslope = _end_slopes(self._xs, self._vs)
-
-    def _check_tails(self):
-        if max(abs(self._lslope), abs(self._rslope)) > self.slope_bound * (1 + 1e-9):
+            self._lslope, self._rslope = _end_slopes(xs, vs)
+        if max(abs(self._lslope), abs(self._rslope)) > slope_bound * (1 + 1e-9):
             raise ValueError("tail slopes violate the slope bound")
 
     def extended(self, pins, full_slope: bool = False) -> "PinnedPiecewiseLinear":
@@ -89,7 +82,7 @@ class PinnedPiecewiseLinear(PlantFunction):
         (InvariantError otherwise); a non-finite pin is a ValueError, as in
         __init__. Only the new end segments are checked, as __init__ checks
         every segment (full_slope included), and the tails follow the new end
-        segments, as in __init__ without explicit tails.
+        segments, as in __init__.
         """
         new = sorted((float(x), float(v)) for x, v in pins)
         if not all(math.isfinite(x) and math.isfinite(v) for x, v in new):
@@ -107,11 +100,9 @@ class PinnedPiecewiseLinear(PlantFunction):
         _check_segments(self.slope_bound, left + [first], full_slope)
         _check_segments(self.slope_bound, [last] + right, full_slope)
         fn = object.__new__(PinnedPiecewiseLinear)
-        fn.slope_bound = self.slope_bound
-        fn._xs = np.concatenate(([p[0] for p in left], xs, [p[0] for p in right]))
-        fn._vs = np.concatenate(([p[1] for p in left], vs, [p[1] for p in right]))
-        fn._default_tails()
-        fn._check_tails()
+        fn._set_pins(self.slope_bound,
+                     np.concatenate(([p[0] for p in left], xs, [p[0] for p in right])),
+                     np.concatenate(([p[1] for p in left], vs, [p[1] for p in right])))
         return fn
 
     @property
@@ -122,12 +113,11 @@ class PinnedPiecewiseLinear(PlantFunction):
         return _piecewise_linear(x, self._xs, self._vs, self._lslope, self._rslope)
 
     def quasi_norm(self) -> float:
-        """Sup slope: interior segments and both tails."""
-        slopes = [abs(self._lslope), abs(self._rslope)]
-        if self._xs.size > 1:
-            seg = np.abs(np.diff(self._vs) / np.diff(self._xs))
-            slopes.append(float(seg.max()))
-        return float(max(slopes))
+        """Sup slope: the steepest segment, which the tails continue, or
+        slope_bound around a single pin."""
+        if self._xs.size == 1:
+            return self.slope_bound
+        return float(np.abs(np.diff(self._vs) / np.diff(self._xs)).max())
 
     def __repr__(self):
         return (f"PinnedPiecewiseLinear(slope_bound={self.slope_bound}, "
@@ -214,7 +204,9 @@ class OnlineAdversary:
     or, as one plant step, X(t+1), Z(t) = adv.advance(t, X(t), U(t), W(t)).
     The committed function only ever gains pins outside the previous hull, so
     values already revealed never change, and each step extends it at its
-    ends (PinnedPiecewiseLinear.extended) instead of rebuilding it.
+    ends (PinnedPiecewiseLinear.extended) instead of rebuilding it. Its tails
+    follow the end segments and are never read: the pins span the hull, and
+    every point evaluated (X(t), and the previous hull ends) lies in it.
     """
 
     def __init__(self, graph: WeightedDigraph, x0):
@@ -247,15 +239,12 @@ class OnlineAdversary:
             raise InvariantError("strongly connected graph lost out-neighbors")
         return theta, outs[0]
 
-    def _candidate(self, new_pins_sign: float, new_pins,
-                   commit: bool = False) -> PinnedPiecewiseLinear:
+    def _candidate(self, new_pins, commit: bool = False) -> PinnedPiecewiseLinear:
         """The committed function grown by new_pins; before the first commit,
-        a fresh function whose tails run at -/+B times new_pins_sign."""
+        the function through new_pins alone."""
         if self._fn is not None:
             return self._fn.extended(new_pins, full_slope=commit)
-        return PinnedPiecewiseLinear(self.B, new_pins, left_slope=-new_pins_sign * self.B,
-                                     right_slope=new_pins_sign * self.B,
-                                     full_slope=commit)
+        return PinnedPiecewiseLinear(self.B, new_pins, full_slope=commit)
 
     def step(self, t: int, x_t, u_t, w_t) -> np.ndarray:
         """Commit a branch for time t and return f(X(t)) under it."""
@@ -272,12 +261,8 @@ class OnlineAdversary:
         if t == 0:
             lo, hi = self.ledger.interval(0)
             theta, d = self._pick_target(x_t, prefer_max=True)
-            if i0 > 0.0:
-                p_pins = [(lo, 1.0), (hi, 1.0 + self.B * i0)]
-                n_pins = [(lo, -1.0), (hi, -(1.0 + self.B * i0))]
-            else:
-                p_pins = [(hi, 1.0)]
-                n_pins = [(hi, -1.0)]
+            p_pins = [(lo, 1.0), (hi, 1.0 + self.B * i0)] if i0 > 0.0 else [(hi, 1.0)]
+            n_pins = [(x, -v) for x, v in p_pins]
             threshold = self.sharp + 4.0 * i0
             mid = 0.5 * (lo + hi)
         else:
@@ -305,12 +290,11 @@ class OnlineAdversary:
             threshold = 4.0 * chi_t
             mid = 0.5 * (lo + hi)
 
-        probe = self._candidate(+1.0, p_pins)
+        probe = self._candidate(p_pins)
         row = self.graph.weights[d]
         v_p = float(row @ np.asarray(probe(x_t), dtype=float) + u_t[d] + w_t[d])
         take_p = abs(v_p - mid) >= threshold
-        chosen = p_pins if take_p else n_pins
-        self._fn = self._candidate(+1.0 if take_p else -1.0, chosen, commit=True)
+        self._fn = self._candidate(p_pins if take_p else n_pins, commit=True)
         self.branches.append("p" if take_p else "n")
         self.theta.append(theta)
         self.attacked.append(d)

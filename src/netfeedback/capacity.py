@@ -283,6 +283,8 @@ def threshold_sweep(base_config, L_values, trials: int = 1) -> dict:
     L_values = [float(L) for L in L_values]
     if not L_values:
         raise ValueError("need at least one gain")
+    if not all(map(math.isfinite, L_values)):
+        raise ValueError("gains must be finite")
     points = []
     for L in L_values:
         if base_config.adversary:

@@ -54,6 +54,9 @@ _FIELDS = {
     "x0": {"seed": Integral, "scale": Real},
 }
 
+# fields drawn as uniform(-value, value): the span 2 * value must be a float
+_SPANS = {"x0.scale", "disturbance.w_star", "observation.d0"}
+
 _KIND_NAMES = {Real: "a number", Integral: "an integer", int: "an integer",
                dict: "a JSON object", str: "a string", bool: "true or false"}
 
@@ -95,7 +98,8 @@ def _typed(d: dict, section: str = "") -> dict:
 def _checked(value, name: str, kind=Real):
     """value if it is of the kind ([k]: a list of k); JSON true and false
     are only of kind bool, and a number must be finite as a float (NaN,
-    Infinity and integers beyond the float range are refused)."""
+    Infinity and integers beyond the float range are refused), as must
+    twice a number named in _SPANS."""
     if isinstance(kind, list):
         if not isinstance(value, list):
             raise ConfigError(name, f"must be a list, got {value!r}")
@@ -109,6 +113,8 @@ def _checked(value, name: str, kind=Real):
             raise ConfigError(name, "must be within the float range") from None
         if not finite:
             raise ConfigError(name, f"must be finite, got {value!r}")
+        if name in _SPANS and not math.isfinite(2.0 * value):
+            raise ConfigError(name, f"span 2 * {value!r} exceeds the float range")
     return value
 
 

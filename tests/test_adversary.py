@@ -47,8 +47,9 @@ def test_pinned_interp_and_tails():
     assert f.pins == ((0.0, 1.0), (1.0, 5.0))
 
 
-def test_pinned_explicit_tails():
-    f = PinnedPiecewiseLinear(4.0, [(0.0, 2.0)], left_slope=-4.0, right_slope=4.0)
+def test_pinned_single_pin_tails():
+    # around a single pin the tails form the -/+slope_bound V
+    f = PinnedPiecewiseLinear(4.0, [(0.0, 2.0)])
     assert f(-1.0) == 6.0
     assert f(1.0) == 6.0
     assert f.quasi_norm() == 4.0
@@ -96,10 +97,10 @@ def test_extension_rejects_what_a_rebuild_rejects():
 
 
 def test_extension_matches_a_rebuild():
-    f = PinnedPiecewiseLinear(4.0, [(0.0, 2.0)], left_slope=-4.0, right_slope=4.0)
+    f = PinnedPiecewiseLinear(4.0, [(0.0, 2.0)])
     g = f.extended([(0.5, 4.0)])
     ref = PinnedPiecewiseLinear(4.0, [(0.0, 2.0), (0.5, 4.0)])
-    assert _bits(g) == _bits(ref)          # explicit tails give way to the segment
+    assert _bits(g) == _bits(ref)          # the V gives way to the segment
     h = g.extended([(-1.0, 6.0), (-0.25, 3.0), (2.0, -2.0)])
     ref = PinnedPiecewiseLinear(4.0, ref.pins + ((-1.0, 6.0), (-0.25, 3.0), (2.0, -2.0)))
     assert _bits(h) == _bits(ref)
@@ -360,16 +361,11 @@ class _RebuildAdversary(OnlineAdversary):
         super().__init__(graph, x0)
         self.probes = []
 
-    def _candidate(self, new_pins_sign, new_pins, commit=False):
+    def _candidate(self, new_pins, commit=False):
         pins = list(new_pins)
-        lsl = rsl = None
         if self._fn is not None:
             pins.extend(self._fn.pins)
-        else:
-            # tail slopes only matter pre-commit for the degenerate single pin
-            lsl = -new_pins_sign * self.B
-            rsl = new_pins_sign * self.B
-        fn = PinnedPiecewiseLinear(self.B, pins, left_slope=lsl, right_slope=rsl)
+        fn = PinnedPiecewiseLinear(self.B, pins)
         if commit:
             _check_feasible(fn, self.B)
         else:
@@ -384,8 +380,8 @@ class _ProbedAdversary(OnlineAdversary):
         super().__init__(graph, x0)
         self.probes = []
 
-    def _candidate(self, new_pins_sign, new_pins, commit=False):
-        fn = super()._candidate(new_pins_sign, new_pins, commit)
+    def _candidate(self, new_pins, commit=False):
+        fn = super()._candidate(new_pins, commit)
         if not commit:
             self.probes.append(fn)
         return fn
@@ -424,6 +420,10 @@ def test_extension_replays_full_rebuild_bit_for_bit():
             assert _probe_value(new, new.probes[-1], d, x[t], u[t], w[t]) == \
                 _probe_value(ref, ref.probes[-1], d, x[t], u[t], w[t])
             assert new.branches[-1] == ref.branches[-1], (kind, t)
+            # X(t) lies between the outermost pins of the probe and of the
+            # committed function, so neither reads its tails
+            for fn in (new.probes[-1], new.function):
+                assert fn._xs[0] <= x[t].min() and x[t].max() <= fn._xs[-1], (kind, t)
             branches.add(new.branches[-1])
             if t > 0 and new.ledger.R[-1] > 0.0 and new.ledger.L[-1] > 0.0:
                 both_sides += 1

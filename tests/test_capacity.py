@@ -397,13 +397,22 @@ def test_sweep_below_critical_all_stabilized():
 
 
 def test_sweep_empty_grid(monkeypatch):
-    # an empty grid is refused before any run, not reported as a sweep
+    # an empty grid, or a non-finite gain, is refused before any run, not
+    # reported as a sweep; an adversary config has no slope for with_gain to
+    # check, so the sweep checks its gains itself
     def refuse(cfg):
         raise AssertionError("the sweep ran before checking its grid")
 
     monkeypatch.setattr(nf.capacity, "run_experiment", refuse)
     with pytest.raises(ValueError, match="gain"):
         threshold_sweep(_selfloop_base(), [])
+    adversary = nf.ExperimentConfig({
+        "graph": {"kind": "cycle", "n": 3}, "adversary": True, "horizon": 20,
+        "x0": [0.1, 0.2, 0.3]})
+    for base in (adversary, _selfloop_base()):
+        for gains in ([math.nan], [math.inf], [5.0, -math.inf], [5.0, math.nan]):
+            with pytest.raises(ValueError, match="finite"):
+                threshold_sweep(base, gains)
 
 
 def test_sweep_needs_a_trial(monkeypatch):

@@ -98,9 +98,9 @@ def test_certificate_residual_is_constant_above_L():
     assert (lin.L, lin.residual) == (2.6, 0.0)
     bpl = certificate_for(BoundedPerturbedLinear(0.8, amplitude=-1.5))
     assert (bpl.L, bpl.residual) == (0.8, 3.0)   # twice |amplitude|
-    # a pinned piecewise-linear map: L is the sup slope, tails included
+    # a pinned piecewise-linear map: L is the sup slope, here an inner segment's
     pinned = certificate_for(PinnedPiecewiseLinear(
-        3.0, [(0.0, 0.0), (1.0, 2.0)], left_slope=-2.5, right_slope=0.5))
+        3.0, [(-1.0, -0.5), (0.0, 0.0), (1.0, 2.5), (2.0, 3.0)]))
     assert (pinned.L, pinned.residual) == (2.5, 0.0)
     assert pinned.residual_bound(2.6) == 0.0
     with pytest.raises(ValueError):
@@ -166,20 +166,18 @@ def _probe_points(xs):
 
 def test_shared_evaluator_matches_both_former_evaluators():
     pin_sets = [
-        # (slope bound, pins, explicit left and right tail slopes)
-        (2.0, [(-2.0, 1.0), (0.0, -0.0), (1.5, 3.0)], None, None),
-        (2.0, [(0.5, 1.0), (2.0, -0.5)], None, None),   # zero lies outside
-        (2.0, [(-0.0, 0.0), (1.0, 0.0)], None, None),   # a flat segment
+        # (slope bound, pins)
+        (2.0, [(-2.0, 1.0), (0.0, -0.0), (1.5, 3.0)]),
+        (2.0, [(0.5, 1.0), (2.0, -0.5)]),     # zero lies outside
+        (2.0, [(-0.0, 0.0), (1.0, 0.0)]),     # a flat segment
         # -0.0 at an end: a tail taken on the end pin itself would give +0.0
-        (2.0, [(1.0, -0.0), (2.0, 1.0)], None, None),
-        (2.0, [(-2.0, -1.0), (-1.0, -0.0)], None, None),
-        (3.0, [(0.0, 0.5)], None, None),                  # a single pin
-        (3.0, [(-0.0, -0.0)], None, None),
-        (2.0, [(0.25, 1.0), (1.0, 1.75)], -0.5, 1.5),     # explicit tails
-        (3.0, [(0.0, 0.5)], 0.0, -3.0),
+        (2.0, [(1.0, -0.0), (2.0, 1.0)]),
+        (2.0, [(-2.0, -1.0), (-1.0, -0.0)]),
+        (3.0, [(0.0, 0.5)]),                  # a single pin
+        (3.0, [(-0.0, -0.0)]),
     ]
-    for bound, pins, left, right in pin_sets:
-        f = PinnedPiecewiseLinear(bound, pins, left_slope=left, right_slope=right)
+    for bound, pins in pin_sets:
+        f = PinnedPiecewiseLinear(bound, pins)
         xs = np.array([p[0] for p in pins])
         vs = np.array([p[1] for p in pins])
         if len(pins) == 1:
@@ -187,8 +185,6 @@ def test_shared_evaluator_matches_both_former_evaluators():
         else:
             lslope = (vs[1] - vs[0]) / (xs[1] - xs[0])
             rslope = (vs[-1] - vs[-2]) / (xs[-1] - xs[-2])
-        lslope = lslope if left is None else left
-        rslope = rslope if right is None else right
         points = _probe_points(xs)
         inside = [p for p in points if xs[0] <= p <= xs[-1]]
         vectors = [np.array(points), np.array(inside), np.array(points[::-1]),

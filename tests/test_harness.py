@@ -159,6 +159,11 @@ def test_field_errors_are_attributed():
         ({"disturbance": {"generator": "zero", "seed": -1}}, "disturbance"),
         ({"observation": {"mode": "direct", "d0": 0.05, "noise_seed": -1}},
          "observation"),
+        # a uniform draw on [-v, v] needs a finite span 2 * v
+        ({"x0": {"seed": 1, "scale": 1e308}}, "x0.scale"),
+        ({"disturbance": {"w_star": 1e308, "generator": "seeded_uniform"}},
+         "disturbance.w_star"),
+        ({"observation": {"mode": "direct", "d0": 1e308}}, "observation.d0"),
     ]
     for over, field in cases:
         with pytest.raises(ConfigError) as ei:
@@ -667,7 +672,14 @@ def test_cli_error_exit_codes(tmp_path, capsys):
              "observation.d0"),
             ("nanepsilon", {"controller": {"kind": "network_flow",
                                            "epsilon": math.nan}},
-             "controller.epsilon")):
+             "controller.epsilon"),
+            # spans 2 * value beyond the float range
+            ("hugescale", {"x0": {"seed": 1, "scale": 1e308}}, "x0.scale"),
+            ("hugew", {"disturbance": {"w_star": 1e308,
+                                       "generator": "seeded_uniform"}},
+             "disturbance.w_star"),
+            ("huged0", {"observation": {"mode": "direct", "d0": 1e308}},
+             "observation.d0")):
         path = _write_cfg(tmp_path, _cfg(**over), f"{name}.json")
         assert main(["simulate", "--config", path]) == 2, name
         assert field in capsys.readouterr().err, name
@@ -678,6 +690,14 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     for grid in ("1:inf:1", "nan:1:1", ","):
         assert main(["sweep", "--config", good, "--L", grid]) == 2, grid
         assert capsys.readouterr().out == "", grid
+    # so is a listed non-finite gain, on a config without a slope to check
+    adv = _write_cfg(tmp_path, {"graph": {"kind": "cycle", "n": 3},
+                                "adversary": True, "horizon": 20,
+                                "x0": [0.1, 0.2, 0.3]}, "adv.json")
+    for grid in ("nan,inf", "5,nan", "5,-inf"):
+        assert main(["sweep", "--config", adv, "--L", grid]) == 2, grid
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite" in captured.err, grid
     # no trials: refused before any run, not an empty max()
     for trials in ("0", "-1"):
         assert main(["sweep", "--config", good, "--L", "1",
