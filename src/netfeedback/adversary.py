@@ -130,20 +130,16 @@ class IntervalLedger:
 
     After push t: interval I_t = [y_low[t], y_high[t]], growths
     R[t-1] = y_high[t] - y_high[t-1] and L[t-1] = y_low[t-1] - y_low[t],
-    chi[t-1] = max(R, L).
+    chi[t-1] = max(R, L). The adversary's online ledger, and the oracle of
+    hull_growth, the closed form of R and L that sweeps read.
     """
 
     def __init__(self, x0):
         x0 = np.asarray(x0, dtype=float)
         self.y_high = [float(x0.max())]
         self.y_low = [float(x0.min())]
-        self.R = []
-        self.L = []
-        self.chi = []
-
-    @property
-    def i0_width(self) -> float:
-        return self.y_high[0] - self.y_low[0]
+        self.i0_width = self.y_high[0] - self.y_low[0]
+        self.R, self.L, self.chi = [], [], []
 
     def interval(self, t: int):
         return self.y_low[t], self.y_high[t]
@@ -160,6 +156,16 @@ class IntervalLedger:
         self.L.append(l)
         self.chi.append(max(r, l))
         return self.chi[-1]
+
+
+def hull_growth(x_hist) -> dict:
+    """R and L of an IntervalLedger fed each row's finite max and min, bit for
+    bit (+ 0.0 makes a signed-zero tie +0.0); a row with no finite state adds 0."""
+    finite = np.isfinite(x_hist)
+    hi = np.maximum.accumulate(np.where(finite, x_hist, -np.inf).max(axis=1))
+    lo = np.minimum.accumulate(np.where(finite, x_hist, np.inf).min(axis=1))
+    return {"R": (hi[1:] - hi[:-1] + 0.0).tolist(),
+            "L": (lo[:-1] - lo[1:] + 0.0).tolist()}
 
 
 class DivergenceCertificate:
@@ -180,6 +186,11 @@ class DivergenceCertificate:
             "E": list(self.E),
             "verdict": "pass" if self.verdict else "fail",
         }
+
+
+def slope_budget(graph: WeightedDigraph) -> float:
+    """The adversary's slope B = 4 / sharp_metric(graph)."""
+    return 4.0 / sharp_metric(graph)
 
 
 def check_adversary_graph(graph: WeightedDigraph) -> float:
@@ -215,7 +226,7 @@ class OnlineAdversary:
         if x0.shape != (graph.n,):
             raise ValueError(f"x0 must have shape ({graph.n},)")
         self.graph = graph
-        self.B = 4.0 / self.sharp
+        self.B = slope_budget(graph)
         self.ledger = IntervalLedger(x0)
         self.branches = []
         self.theta = []    # extreme holder attacked from, per step
@@ -264,7 +275,6 @@ class OnlineAdversary:
             p_pins = [(lo, 1.0), (hi, 1.0 + self.B * i0)] if i0 > 0.0 else [(hi, 1.0)]
             n_pins = [(x, -v) for x, v in p_pins]
             threshold = self.sharp + 4.0 * i0
-            mid = 0.5 * (lo + hi)
         else:
             prev_lo, prev_hi = self.ledger.interval(t - 1)
             chi_t = self.ledger.push(float(x_t.max()), float(x_t.min()))
@@ -288,8 +298,8 @@ class OnlineAdversary:
                 p_pins.append((lo, base + self.B * l_t))
                 n_pins.append((lo, base - self.B * l_t))
             threshold = 4.0 * chi_t
-            mid = 0.5 * (lo + hi)
 
+        mid = 0.5 * (lo + hi)
         probe = self._candidate(p_pins)
         row = self.graph.weights[d]
         v_p = float(row @ np.asarray(probe(x_t), dtype=float) + u_t[d] + w_t[d])

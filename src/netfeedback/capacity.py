@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import WeightedDigraph, inf_norm, sharp_metric
+from .adversary import hull_growth, slope_budget
+from .graphs import WeightedDigraph, inf_norm
 from .runner import run_experiment
 
 TAIL_TOL = 1e-9
@@ -273,10 +274,10 @@ def threshold_sweep(base_config, L_values, trials: int = 1) -> dict:
     """Re-run base_config across a gain grid and tabulate the verdicts.
 
     For adversary-attached sweeps the constructed slope is pinned at
-    4/sharp_metric, so grid points strictly below that budget cannot be
-    realized and are reported as not applicable. A point's bound, hull
-    growth and explore steps are trial 0's; the bound reads no seed, so it
-    is every trial's.
+    slope_budget(graph), so grid points strictly below that budget cannot be
+    realized and are reported as not applicable. A point's bound, hull growth
+    (over the finite states) and explore steps are trial 0's; the bound reads
+    no seed, so it is every trial's.
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
@@ -285,38 +286,32 @@ def threshold_sweep(base_config, L_values, trials: int = 1) -> dict:
         raise ValueError("need at least one gain")
     if not all(map(math.isfinite, L_values)):
         raise ValueError("gains must be finite")
+    B = slope_budget(base_config.graph) if base_config.adversary else -math.inf
     points = []
     for L in L_values:
-        if base_config.adversary:
-            B = 4.0 / sharp_metric(base_config.graph)
-            if L < B * (1.0 - 1e-12):
-                points.append({"L": L, "stabilized": None, "sup_state": None,
-                               "bound": None, "verdict": "not_applicable",
-                               "note": f"adversary slope is 4/sharp = {B:.6g} > L"})
-                continue
-        sups, verdicts = [], []
-        for trial in range(trials):
-            result = run_experiment(base_config.with_gain(L, seed_offset=trial))
-            sups.append(result.summary["sup_state"])
-            verdicts.append(result.summary["verdict"])
-            if trial == 0:
-                bound, explore = (result.summary["bound"],
-                                  result.summary["explore_steps"])
-                growth = {"R": [float(v) for v in result.interval.R],
-                          "L": [float(v) for v in result.interval.L]}
-        stab = all(v == "stabilized" for v in verdicts)
-        points.append({"L": L, "stabilized": stab,
-                       "sup_state": max(sups), "bound": bound,
+        if L < B * (1.0 - 1e-12):
+            points.append({"L": L, "stabilized": None, "sup_state": None,
+                           "bound": None, "verdict": "not_applicable",
+                           "note": f"adversary slope is 4/sharp = {B:.6g} > L"})
+            continue
+        runs = (run_experiment(base_config.with_gain(L, seed_offset=trial))
+                for trial in range(trials))
+        first = next(runs)
+        summaries = [first.summary] + [run.summary for run in runs]
+        verdicts = [s["verdict"] for s in summaries]
+        points.append({"L": L, "stabilized": all(v == "stabilized" for v in verdicts),
+                       "sup_state": max(s["sup_state"] for s in summaries),
+                       "bound": first.summary["bound"],
                        "verdict": verdicts[0] if trials == 1 else verdicts,
-                       "hull_growth": growth, "explore_steps": explore})
+                       "hull_growth": hull_growth(first.x_hist),
+                       "explore_steps": first.summary["explore_steps"]})
     stabilized_L = [pt["L"] for pt in points if pt.get("stabilized") is True]
     diverged_L = [pt["L"] for pt in points if pt.get("stabilized") is False]
-    report = {
+    return {
         "points": points,
         "transition": {
-            "last_stabilized": max(stabilized_L) if stabilized_L else None,
-            "first_not_stabilized": min(diverged_L) if diverged_L else None,
+            "last_stabilized": max(stabilized_L, default=None),
+            "first_not_stabilized": min(diverged_L, default=None),
         },
         "note": "finite-horizon verdicts; the transition region is empirical",
     }
-    return report

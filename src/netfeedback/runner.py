@@ -4,10 +4,10 @@ One run is one sequential loop with no branch on the law, the plant or the
 observation channel. Per step t: the controller reads the flow record and
 fixes U(t), the disturbance draws W(t), the plant (the model plant or the
 adversary's committed function) returns X(t+1) and the estimate Z(t), and
-the log takes the new row. One max and one min of X(t+1) per step serve
-both the running hull (IntervalLedger) and the divergence guard, which stops
-the loop once states leave [-cap, cap] or go non-finite; the partial
-trajectory is still written.
+the log takes the new row. One max and one min of X(t+1) per step feed the
+divergence guard, which stops the loop once states leave [-cap, cap] or go
+non-finite; the partial trajectory is still written. The loop records only
+the flow log and W: a sweep derives the hull from the log after the run.
 
 The max_enhanced law needs a strongly connected graph, so that its
 closed-form extremes are the limit of flows.run_extreme_consensus;
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adversary import DivergenceCertificate, IntervalLedger, OnlineAdversary
+from .adversary import DivergenceCertificate, OnlineAdversary
 from .config import ExperimentConfig
 from .controllers import Controller
 from .dynamics import InverseObserver, PlantModel
@@ -35,7 +35,6 @@ class RunResult:
     config: ExperimentConfig
     log: FlowLog
     w_hist: np.ndarray
-    interval: IntervalLedger
     summary: dict
     certificate: DivergenceCertificate | None = None
     branches: tuple = ()
@@ -93,7 +92,6 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
              else PlantModel(g, config.f, config.observation))
 
     log = FlowLog(x, config.horizon)
-    interval = IntervalLedger(x)
     w_rows = []
     guard_tripped = False
     cap = config.guard_cap
@@ -104,9 +102,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         x, z = plant.advance(t, x, u, w)
         log.append(x, z, u)
         w_rows.append(w)
-        hi, lo = float(x.max()), float(x.min())
-        interval.push(hi, lo)
-        if not (-cap <= lo and hi <= cap):   # a NaN fails both comparisons
+        if not (-cap <= float(x.min()) and float(x.max()) <= cap):  # NaN fails both
             guard_tripped = True
             break
 
@@ -157,8 +153,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     }
     return RunResult(config=config, log=log,
                      w_hist=np.asarray(w_rows).reshape(len(w_rows), n),
-                     interval=interval, summary=summary,
-                     certificate=certificate,
+                     summary=summary, certificate=certificate,
                      branches=tuple(plant.branches) if config.adversary else (),
                      explore_log=tuple(controller.branch_log))
 

@@ -16,6 +16,7 @@ from netfeedback import (
     build_canonical,
     run_experiment,
 )
+from netfeedback.adversary import hull_growth
 
 
 # ---- pinned piecewise-linear functions ----
@@ -140,6 +141,51 @@ def test_interval_width_is_initial_plus_growth():
         led.push(float(x.max()), float(x.min()))
     lo, hi = led.interval(len(led.chi))
     assert hi - lo == pytest.approx(led.i0_width + sum(led.R) + sum(led.L))
+
+
+def _hull_by_push(x_hist) -> IntervalLedger:
+    """The ledger fed each row's finite max and min (-inf and +inf, which
+    grow nothing, for a row with no finite state)."""
+    rows = [[v for v in row if math.isfinite(v)] for row in np.asarray(x_hist).tolist()]
+    led = IntervalLedger(rows[0])
+    for row in rows[1:]:
+        led.push(max(row, default=-math.inf), min(row, default=math.inf))
+    return led
+
+
+def test_hull_growth_matches_the_push_oracle():
+    # seeded rows over signed zeros, ties and the smallest subnormal, with
+    # n = 1 and single steps among them; the last row may hold NaN or +-inf
+    rng = np.random.default_rng(16)
+    values = np.array([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324])
+    cases = []
+    for _ in range(400):
+        x = rng.choice(values, size=(int(rng.integers(2, 7)), int(rng.integers(1, 4))))
+        cases.append(x)
+        for bad in (math.nan, math.inf, -math.inf):
+            one, whole = x.copy(), x.copy()
+            one[-1, rng.integers(x.shape[1])] = bad
+            whole[-1] = bad
+            cases += [one, whole]
+    assert any(x.shape == (2, 1) for x in cases)
+    # one step from x0 = [0.4, -0.2, 0.1] to rows of NaN, infinities, the cap
+    # 1e3, the next float beyond it and signed zeros (the runner's guard
+    # cases): the hull's top grows to the largest finite state
+    cap = 1e3
+    beyond = np.nextafter(cap, math.inf)
+    picks = [math.nan, math.inf, -math.inf, cap, -cap, beyond, -beyond,
+             0.0, -0.0, 1.0, np.nextafter(cap, 0.0)]
+    rows = [[a, b, c] for a in picks for b in (0.0, -0.0, -cap, cap)
+            for c in (1.0, math.nan, -beyond, 0.0)]
+    rows += [[v, v, v] for v in picks]
+    for row in rows:
+        x = np.array([[0.4, -0.2, 0.1], row])
+        top = max([0.4] + [v for v in row if math.isfinite(v)])
+        assert hull_growth(x)["R"] == [top - 0.4], row
+        cases.append(x)
+    for x in cases:
+        led = _hull_by_push(x)
+        assert repr(hull_growth(x)) == repr({"R": led.R, "L": led.L}), x
 
 
 # ---- certificates ----

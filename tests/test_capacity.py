@@ -1,6 +1,7 @@
 """Critical-constant machinery: scalar and coupled recursions, the dagger
 estimate, and gain sweeps."""
 
+import json
 import math
 
 import numpy as np
@@ -426,18 +427,36 @@ def test_sweep_needs_a_trial(monkeypatch):
 
 
 def test_sweep_with_adversary_attached():
+    # the adversary's slope budget 4/sharp is the cut-off: 4 at a11 = 1, 8 at 0.5
+    for a11 in (1.0, 0.5):
+        base = nf.ExperimentConfig({
+            "graph": {"kind": "single_selfloop", "n": 1, "a11": a11},
+            "controller": {"kind": "network_flow", "epsilon": 1e-3},
+            "observation": {"mode": "direct", "d0": 0.0, "noise_seed": 2},
+            "disturbance": {"w_star": 0.0, "generator": "zero"},
+            "adversary": True,
+            "horizon": 40,
+            "x0": [0.3],
+        })
+        budget = 4.0 / a11
+        assert nf.OnlineAdversary(base.graph, base.x0).B == budget
+        rep = threshold_sweep(base, [0.5 * budget, budget])
+        below, at = rep["points"]
+        assert below["verdict"] == "not_applicable", a11
+        assert below["stabilized"] is None
+        assert at["verdict"] == "diverged", a11
+        assert at["stabilized"] is False
+
+
+def test_sweep_output_is_strict_json_when_the_last_state_overflows():
+    # trial 0's last row overflows to inf; the hull takes finite states only,
+    # so that row adds no growth and the report holds no Infinity
     base = nf.ExperimentConfig({
-        "graph": {"kind": "single_selfloop", "n": 1, "a11": 1.0},
-        "controller": {"kind": "network_flow", "epsilon": 1e-3},
-        "observation": {"mode": "direct", "d0": 0.0, "noise_seed": 2},
-        "disturbance": {"w_star": 0.0, "generator": "zero"},
-        "adversary": True,
-        "horizon": 40,
-        "x0": [0.3],
-    })
-    rep = threshold_sweep(base, [2.0, 4.0])
-    below, at = rep["points"]
-    assert below["verdict"] == "not_applicable"
-    assert below["stabilized"] is None
-    assert at["verdict"] == "diverged"
-    assert at["stabilized"] is False
+        "graph": {"kind": "single_selfloop", "n": 1},
+        "function": {"kind": "linear", "a": 1.0}, "horizon": 60,
+        "x0": [0.3], "guard_cap": 1e308})
+    rep = threshold_sweep(base, [1e10])
+    pt = rep["points"][0]
+    assert pt["verdict"] == "diverged"
+    assert pt["hull_growth"]["R"][-1] == 0.0
+    json.dumps(rep, allow_nan=False)

@@ -336,7 +336,6 @@ def test_guard_decides_as_the_isfinite_and_abs_max_rule(monkeypatch):
         want = bool(not np.isfinite(x).all() or np.abs(x).max() > cap)
         assert res.summary["guard_tripped"] == want, row
         assert res.summary["steps_run"] == (1 if want else 2), row
-        assert res.interval.y_high[1] == max(0.4, float(x.max())), row
         trips += want
     assert 0 < trips < len(rows)
 
