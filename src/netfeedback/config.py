@@ -16,7 +16,7 @@ import numpy as np
 
 from .adversary import check_adversary_graph
 from .controllers import ControllerSpec
-from .dynamics import DisturbanceSpec, ObservationSpec
+from .dynamics import DisturbanceSpec, ObservationSpec, SpanError
 from .functions import BoundedPerturbedLinear, LinearFunction, TabulatedFunction
 from .graphs import (WeightedDigraph, build_canonical, is_strongly_connected,
                      random_strongly_connected)
@@ -54,8 +54,9 @@ _FIELDS = {
     "x0": {"seed": Integral, "scale": Real},
 }
 
-# fields drawn as uniform(-value, value): the span 2 * value must be a float
-_SPANS = {"x0.scale", "disturbance.w_star", "observation.d0"}
+# fields drawn as uniform(-value, value) here: the span 2 * value must be a
+# float (the specs check their own, raising SpanError)
+_SPANS = {"x0.scale"}
 
 _KIND_NAMES = {Real: "a number", Integral: "an integer", int: "an integer",
                dict: "a JSON object", str: "a string", bool: "true or false"}
@@ -121,9 +122,11 @@ def _checked(value, name: str, kind=Real):
 def _built(section: str, make, params: dict):
     """make(**params), its TypeError or ValueError raised as a ConfigError
     of section, or of the first parameter without default that params
-    lacks, named as a missing field."""
+    lacks, named as a missing field; a SpanError names its field."""
     try:
         return make(**params)
+    except SpanError as exc:
+        raise ConfigError(f"{section}.{exc.field}", str(exc)) from exc
     except (TypeError, ValueError) as exc:
         missing = [p.name for p in inspect.signature(make).parameters.values()
                    if p.default is p.empty and p.name not in params

@@ -40,6 +40,15 @@ _GENERATORS = {
 }
 
 
+class SpanError(ValueError):
+    """A parameter v drawn from as uniform(-v, v) whose span 2 * v exceeds
+    the float range, so that numpy cannot draw; field names it."""
+
+    def __init__(self, field: str, value: float):
+        super().__init__(f"span 2 * {value!r} exceeds the float range")
+        self.field = field
+
+
 @dataclass(frozen=True)
 class DisturbanceSpec:
     """Bounded per-step disturbance.
@@ -62,6 +71,9 @@ class DisturbanceSpec:
             raise ValueError("w_star must be finite and nonnegative")
         if self.w_star == 0.0 and self.generator != "zero":
             raise ValueError("w_star must be positive for a nonzero generator")
+        if self.generator == "seeded_uniform" and not math.isfinite(
+                2.0 * self.w_star):
+            raise SpanError("w_star", self.w_star)
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         if self.seed < 0:
@@ -109,6 +121,8 @@ class ObservationSpec:
             raise ValueError(f"unknown observation mode {self.mode!r}")
         if not math.isfinite(self.d0) or self.d0 < 0:
             raise ValueError("d0 must be finite and nonnegative")
+        if not math.isfinite(2.0 * self.d0):
+            raise SpanError("d0", self.d0)
         if self.noise_seed < 0:
             raise ValueError("noise_seed must be nonnegative")
 

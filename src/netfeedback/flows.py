@@ -9,7 +9,10 @@ network-wide extreme series. Confinement is structural: a view physically
 holds nothing outside its columns. A WitnessIndex keeps past (value,
 estimate) records sorted by value, so a nearest-record query is a bisection
 instead of a scan of the history, and its two ends are the running extremes
-of the values it holds.
+of the values it holds. Fed whole flow rows, one index serves many nodes:
+nearest_among answers each node over its own columns alone, by a column
+mask (key % n), so there confinement rests on the mask, with the views as
+the structural oracle.
 
 run_extreme_consensus is the flooding protocol by which nodes learn the
 extremes from their neighbours alone. The max_enhanced law takes the same
@@ -210,6 +213,58 @@ class WitnessIndex:
             j -= 1
         key = k[best]
         return abs(d), key, self._e[key]
+
+    def nearest_among(self, qs, askers, readers) -> list:
+        """Masked nearest-record queries for n nodes over an index fed whole
+        flow rows, record v of row s under key s*n + v (column v = key % n,
+        n = len(readers)). Node i asks for qs[j] when bit i of askers[j] is
+        set, and reads the records of column c when bit i of readers[c] is.
+        hits[i*n + j] is then nearest(qs[j]) over the records node i reads,
+        by nearest's rule (the smallest rounded distance, then the lowest
+        key), so it is argmin over node i's columns of the rows in
+        time-major order; it is None where node i did not ask. One walk
+        outward from the bisection of qs[j] serves all its askers: it takes
+        the records in order of distance, ties by key, and hands each to the
+        askers that read it and are not yet served."""
+        v, k, e = self._v, self._k, self._e
+        m, n = len(v), len(readers)
+        hits = [None] * (n * n)
+        for j, pending in enumerate(askers):
+            if not pending:
+                continue
+            q = qs[j]
+            if not -_INF < q < _INF:
+                raise ValueError("queries must be finite")
+            r = bisect_left(v, q)   # v[:r] < q <= v[r:]
+            lo = r - 1
+            while pending:
+                # the next distance outward, and every record at it
+                if r < m:
+                    d = v[r] - q
+                    if lo >= 0 and q - v[lo] < d:
+                        d = q - v[lo]
+                elif lo >= 0:
+                    d = q - v[lo]
+                else:
+                    raise ValueError("an asker reads no record")
+                keys = []
+                while r < m and v[r] - q == d:
+                    keys.append(k[r])
+                    r += 1
+                while lo >= 0 and q - v[lo] == d:
+                    keys.append(k[lo])
+                    lo -= 1
+                keys.sort()
+                for key in keys:
+                    served = pending & readers[key % n]
+                    if served:
+                        pending ^= served
+                        hit = (abs(d), key, e[key])
+                        while served:
+                            low = served & -served
+                            hits[(low.bit_length() - 1) * n + j] = hit
+                            served ^= low
+        return hits
 
 
 @dataclass

@@ -234,12 +234,18 @@ def test_witness_index_matches_brute_force_argmin():
     # and estimate of argmin over |value - q| with the records in insertion
     # order, bit for bit. Without _Q stored, the query _Q ties _A and
     # _B; far from the queries +-1, the tiny values round to the same
-    # distance on one side of the query.
+    # distance on one side of the query. nearest_among must give the same
+    # over the records of a node's columns (key % n) alone, for random
+    # column masks: members nearer than, or at the distance of, a
+    # non-member, and members on one side of the query only.
     pools = (_POOL, _POOL[_POOL != _Q],
              np.array([-0.0, 0.0, 1e-17, 3e-17, -2e-17]))
     queries = np.concatenate([_POOL, [-7.0, 7.0]])
     seen = dict.fromkeys(("exact", "rounding", "one_side_rounding",
-                          "signed_zero", "stored", "below_all", "above_all"), 0)
+                          "signed_zero", "stored", "below_all", "above_all",
+                          "nonmember_nearer", "nonmember_tie_lower_key",
+                          "members_one_side", "not_asked"), 0)
+    n = 4
     for seed in range(9):
         rng = np.random.default_rng(seed)
         pool = pools[seed % 3]
@@ -270,6 +276,39 @@ def test_witness_index_matches_brute_force_argmin():
                 seen["stored"] += q in values
                 seen["below_all"] += q < vals.min()
                 seen["above_all"] += q > vals.max()
+            if len(values) < n:
+                continue   # a column without records
+            for _ in range(3):
+                # node i reads column c when bit i of readers[c] is set, its
+                # own column always; it asks for qs[j] by bit i of askers[j]
+                readers = [int(r) | 1 << c for c, r in
+                           enumerate(rng.integers(0, 1 << n, size=n))]
+                askers = [int(a) for a in rng.integers(0, 1 << n, size=n)]
+                qs = rng.choice(np.concatenate([queries, rng.normal(size=2)]),
+                                size=n).tolist()
+                hits = index.nearest_among(qs, askers, readers)
+                for i in range(n):
+                    member = np.array([readers[key % n] >> i & 1
+                                       for key in range(len(values))], bool)
+                    keys = np.flatnonzero(member)
+                    for j, q in enumerate(qs):
+                        if not askers[j] >> i & 1:
+                            assert hits[i * n + j] is None
+                            seen["not_asked"] += 1
+                            continue
+                        dm = np.abs(vals[keys] - q)
+                        f = int(keys[dm.argmin()])
+                        dist, key, est_f = hits[i * n + j]
+                        assert _bits(dist) == _bits(dm.min()), (seed, i, j)
+                        assert key == f and _bits(est_f) == _bits(ests[f])
+                        d_out = np.abs(vals[~member] - q)
+                        seen["nonmember_nearer"] += bool(
+                            (d_out < dm.min()).any())
+                        seen["nonmember_tie_lower_key"] += bool(
+                            (np.flatnonzero(~member)[d_out == dm.min()]
+                             < f).any())
+                        seen["members_one_side"] += bool(
+                            (vals[keys] > q).all() or (vals[keys] < q).all())
     assert all(seen.values()), seen
 
 
@@ -284,6 +323,30 @@ def test_witness_index_rejects_what_it_cannot_order():
         with pytest.raises(ValueError):
             index.nearest(bad)
     assert len(index) == 1 and index.nearest(3.0) == (2.0, 0, 2.0)
+    # two columns: node 1 asks, but its column 1 holds no record yet
+    with pytest.raises(ValueError):
+        index.nearest_among([1.0, 1.0], [0b10, 0], [0b01, 0b10])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            index.nearest_among([bad], [0b1], [0b1])
+    assert index.nearest_among([3.0], [0b1], [0b1]) == [(2.0, 0, 2.0)]
+
+
+def _mixed_twelve() -> np.ndarray:
+    """Weights on n = 12: a cycle, whose nodes are sparse (|N_i u {i}|^2 =
+    4 < 12) and keep their own indices, with two dense in-neighbourhoods
+    (6^2 >= 12), rows 3 and 8, that read the shared one."""
+    w = np.zeros((12, 12))
+    w[np.arange(12), np.arange(12) - 1] = 0.3
+    w[3, [0, 6, 9, 11]] = 0.1
+    w[8, [1, 2, 4, 5]] = 0.2
+    return w
+
+
+def _dense_nodes(ctl) -> list:
+    """Whether each node of a neighbourhood law's Controller reads the
+    shared index (True) or its own (False), as the Controller chose."""
+    return [index is None for _, _, _, index in ctl._law.nodes]
 
 
 def _decide_all(kind, g, log):
@@ -334,11 +397,15 @@ def test_controller_matches_per_neighbour_reference():
     # pools of the last two seeds put both zeros at an end of the hull: a
     # recentre step then reads a zero end from the index, and a scalar
     # sequence has one zero end (no fallback) or is zero throughout (the
-    # fallback to numpy).
+    # fallback to numpy). The neighbourhood laws also run on _mixed_twelve,
+    # whose sparse and dense nodes must both decide as the reference does;
+    # the Controller's own choice of index is counted.
     n, T = 5, 12
     seen = dict.fromkeys(("exact", "rounding", "hood_vs_extreme", "no_nbrs",
                           "accurate", "recentre", "recentre_zero_end",
-                          "scalar_one_zero_end", "scalar_all_zero"), 0)
+                          "scalar_one_zero_end", "scalar_all_zero",
+                          "sparse_decided", "dense_decided"), 0)
+    mixed = WeightedDigraph(_mixed_twelve())
     pools = [_POOL] * 6 + [np.array([-0.5, -0.0, 0.0]),
                            np.array([-0.0, 0.0, 0.5])]
     for seed, pool in enumerate(pools):
@@ -357,6 +424,18 @@ def test_controller_matches_per_neighbour_reference():
             for t, u in enumerate(_decide_all(kind, kg, log), start=1):
                 ref = _reference_u(kind, kg, log, t, branches=branches)
                 assert _bits(u) == _bits(ref), (seed, kind, t)
+        log12 = _log(rng.choice(pool, size=(T + 1, 12)),
+                     rows_z=list(rng.normal(size=(T, 12))))
+        for kind in ("local_flow", "max_enhanced"):
+            ctl = Controller(ControllerSpec(kind), mixed)
+            for t in range(1, T + 1):
+                ref = _reference_u(kind, mixed, log12, t)
+                assert _bits(ctl.controls(log12, t)) == _bits(ref), (
+                    seed, kind, t, "n = 12")
+            for i, dense in enumerate(_dense_nodes(ctl)):
+                # nodes that cancel through a witness
+                seen["dense_decided" if dense else "sparse_decided"] += bool(
+                    mixed.neighbors(i))
         x = log.x_hist
         for t, recentre in enumerate(branches, start=1):
             hull = x[:t + 1]
@@ -489,6 +568,47 @@ def test_runs_replay_through_fresh_views_and_reference_witnesses():
         if kind == "network_flow":
             assert tuple(branches) == res.explore_log[:cfg.horizon - 1]
             assert len(set(branches)) == 2   # both branches replayed
+
+
+def test_runner_local_flow_reads_only_its_neighbourhood():
+    # The dense nodes read a shared index that holds every column, so their
+    # confinement rests on the column mask. Overwriting every column outside
+    # N_i u {i}, states and estimates, with states that lure the search
+    # (nearer than any member) must leave u_i unchanged, bit for bit, for
+    # sparse and dense nodes alike.
+    cfg = ExperimentConfig({
+        "graph": {"kind": "custom", "weights": _mixed_twelve().tolist()},
+        "function": {"kind": "bounded_perturbed_linear", "a": 0.8,
+                     "amplitude": 0.5},
+        "controller": {"kind": "local_flow"},
+        "observation": {"mode": "direct", "d0": 0.02, "noise_seed": 1},
+        "disturbance": {"w_star": 0.05, "generator": "seeded_uniform",
+                        "seed": 3},
+        "horizon": 30,
+        "x0": {"seed": 4},
+    })
+    res = run_experiment(cfg)
+    g, T = cfg.graph, cfg.horizon
+    x, z, u = res.x_hist, res.z_hist, res.u_hist
+    assert not res.summary["guard_tripped"]
+    dense = []
+    later = np.minimum(np.arange(T + 1) + 1, T)
+    for i in range(12):
+        hood = g.closed_neighbors(i)
+        outside = [c for c in range(12) if c not in hood]
+        x2, z2 = x.copy(), z.copy()
+        # row s of each outside column holds x_j(s + 1) of a neighbour j,
+        # so the query x_j(t) sits at distance 0 from row t - 1
+        x2[:, outside] = x[later, g.neighbors(i)[-1]][:, None]
+        z2[:, outside] = -3e6
+        fake = FlowLog(x2[0], T)
+        for t in range(T):
+            fake.append(x2[t + 1], z=z2[t], u=u[t])
+        ctl = Controller(cfg.controller, g)
+        for t in range(1, T):
+            assert _bits(ctl.controls(fake, t)[i]) == _bits(u[t, i]), (i, t)
+        dense.append(_dense_nodes(ctl)[i])
+    assert set(dense) == {False, True}   # sparse and dense nodes both checked
 
 
 def test_runner_never_calls_the_reference_laws(monkeypatch):

@@ -75,6 +75,24 @@ def test_disturbance_validation():
         DisturbanceSpec(w_star=1.0, generator="constant_sign", sign=0)
 
 
+def test_spans_that_overflow_are_refused_when_built():
+    # uniform(-v, v) needs its span 2 * v to be a float: a spec that cannot
+    # draw is refused when it is built, not by numpy's OverflowError at the
+    # first draw, whoever builds it
+    with pytest.raises(ValueError, match="span"):
+        DisturbanceSpec(w_star=1e308, generator="seeded_uniform")
+    with pytest.raises(ValueError, match="span"):
+        ObservationSpec(d0=1e308)
+    # the largest amplitudes whose span is a float still draw
+    top = np.finfo(float).max / 2
+    w = DisturbanceSpec(w_star=top, generator="seeded_uniform").make_source()
+    assert np.all(np.abs(w.draw(4)) <= top)
+    # constant_sign draws uniform(0, w_star), which needs no span
+    w = DisturbanceSpec(w_star=1e308, generator="constant_sign").make_source()
+    drawn = w.draw(4)
+    assert np.all((drawn >= 0.0) & (drawn <= 1e308))
+
+
 def test_disturbance_draws_bounded_and_seeded():
     spec = DisturbanceSpec(w_star=0.3, generator="seeded_uniform", seed=9)
     a = spec.make_source()
