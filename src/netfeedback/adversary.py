@@ -313,7 +313,8 @@ class OnlineAdversary:
 
     def advance(self, t: int, x_t, u_t, w_t):
         """(X(t+1), Z(t)) under the branch committed for time t; the committed
-        values f(X(t)) are the exact estimates."""
+        values f(X(t)) are the exact estimates. Overflow is not silenced
+        here: run_experiment enters one np.errstate for its whole loop, and
+        a direct caller that may overflow enters its own."""
         fvals = self.step(t, x_t, u_t, w_t)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self.graph.weights @ fvals + u_t + w_t, fvals
+        return self.graph.weights @ fvals + u_t + w_t, fvals

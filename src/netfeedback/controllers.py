@@ -281,7 +281,7 @@ class _Cycle:
 
     def decide(self, log, t, q):
         n = self.n
-        u = np.zeros(n)
+        u = []
         for i0 in range(n):
             c = (t - i0 + 1) % n
 
@@ -289,9 +289,9 @@ class _Cycle:
                 times = np.arange(t + 1)
                 return log.x_hist[times, (times - c) % n]
 
-            u[i0] = _scalar_control(self.indices[c], q[(i0 - 1) % n],
-                                    diagonal)
-        return u
+            u.append(_scalar_control(self.indices[c], q[(i0 - 1) % n],
+                                     diagonal))
+        return np.array(u)
 
 
 class _Neighbourhood:
@@ -334,10 +334,13 @@ class _Neighbourhood:
             for c in hood:
                 self.readers[c] |= 1 << i
         self.shared = WitnessIndex() if any(self.readers) else None
+        self.x0 = None   # X(0), local_flow's anchors, from the first ingest
         self.extremes = (WitnessIndex() if ctl.spec.kind == "max_enhanced"
                          else None)
 
     def ingest(self, s, xs, zs):
+        if s == 0:
+            self.x0 = xs
         for hood, index in self.own:
             for v in hood:
                 index.insert(xs[v], zs[v])
@@ -354,7 +357,7 @@ class _Neighbourhood:
         n = len(q)
         if self.extremes is None:
             ext = None
-            anchors = log.x_hist[0].tolist()
+            anchors = self.x0
         else:
             extremes = self.extremes
             ext = [extremes.nearest(qj) for qj in q]
@@ -366,7 +369,7 @@ class _Neighbourhood:
         # hits[i*n + j]: dense node i's local witness of x_j(t)
         hits = (self.shared.nearest_among(q, self.askers, self.readers)
                 if self.shared is not None else None)
-        u = np.zeros(n)
+        u = []
         for i, nbrs, w, index in self.nodes:
             acc = 0.0
             for j in nbrs:
@@ -375,8 +378,8 @@ class _Neighbourhood:
                 if ext is not None and ext[j][0] < d:   # ties: neighbourhood
                     fhat = ext[j][2]
                 acc -= w[j] * fhat
-            u[i] = acc + anchors[i]
-        return u
+            u.append(acc + anchors[i])
+        return np.array(u)
 
 
 _LAWS = {"network_flow": _NetworkFlow, "path_root": _PathRoot,
@@ -389,8 +392,11 @@ class Controller:
 
     Each call controls(log, t) first takes in the log rows it has not seen:
     once X(s+1) has arrived, the completed row (X(s), Z(s)) goes into the
-    law's sorted witness indices. Each nearest-record query is then a
-    bisection; the decisions equal the control_* reference laws bit for bit.
+    law's sorted witness indices. The rows are read as lists of floats
+    (FlowLog.row and state), with no history view built per step, and a
+    time t the log has not reached is refused (IndexError) before any row is
+    taken in. Each nearest-record query is then a bisection; the decisions
+    equal the control_* reference laws bit for bit.
     States must be finite, as the runner's divergence guard ensures.
     """
 
@@ -407,10 +413,10 @@ class Controller:
             return np.zeros(self.graph.n)
         if t + 1 < self._seen:
             raise ValueError("a Controller serves one run; time cannot go back")
-        x, z = log.x_hist, log.z_hist
+        q = log.state(t)
         for s in range(max(self._seen, 1), t + 1):
-            self._law.ingest(s - 1, x[s - 1].tolist(), z[s - 1].tolist())
+            self._law.ingest(s - 1, *log.row(s - 1))
         self._seen = t + 1
         if t == 0:
             return np.zeros(self.graph.n)
-        return self._law.decide(log, t, x[t].tolist())
+        return self._law.decide(log, t, q)

@@ -15,6 +15,8 @@ factorized inverse it holds for the run. OnlineAdversary.advance has the same
 signature, so the runner drives either plant through one call. advance
 evaluates f(X(t)) once per step, for both the plant equation and the direct
 estimate; step and observe_direct are the same computations one call each.
+step and InverseObserver.observe silence overflow themselves; advance
+leaves it to its caller, the runner, which enters one np.errstate per run.
 
 Disturbances and direct-observation noise are each one _Blocks stream, which
 draws BLOCK values per Generator call and hands out n at a time by draw(n).
@@ -144,7 +146,10 @@ class PlantModel:
 
     def advance(self, t: int, x: np.ndarray, u: np.ndarray, w: np.ndarray):
         """(X(t+1), Z(t)) from X(t), U(t) and W(t): step and observe_direct
-        (or InverseObserver.observe) in one, with f(X(t)) evaluated once."""
+        (or InverseObserver.observe) in one, with f(X(t)) evaluated once.
+        Unlike step, it does not silence overflow itself: run_experiment
+        enters one np.errstate for its whole loop, and a direct caller that
+        may overflow enters its own."""
         x_next, fx = _plant_equation(self.graph.weights, self.f, x, u, w)
         if self._inverse is not None:
             return x_next, self._inverse.observe(x_next, u)
@@ -166,15 +171,15 @@ def step(model: PlantModel, x: np.ndarray, u: np.ndarray,
     n = model.graph.n
     if x.shape != (n,) or u.shape != (n,) or w.shape != (n,):
         raise ValueError(f"state/control/disturbance must have shape ({n},)")
-    return _plant_equation(model.graph.weights, model.f, x, u, w)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _plant_equation(model.graph.weights, model.f, x, u, w)[0]
 
 
 def _plant_equation(weights, f, x, u, w):
     """(A f(X) + U + W, f(X)) for float arrays X, U and W: the plant
-    equation of step and PlantModel.advance, overflow ignored as in step."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        fx = np.asarray(f(x), dtype=float)
-        return weights @ fx + u + w, fx
+    equation of step and PlantModel.advance, under its caller's errstate."""
+    fx = np.asarray(f(x), dtype=float)
+    return weights @ fx + u + w, fx
 
 
 def observe_direct(f, x: np.ndarray, d0: float = 0.0,

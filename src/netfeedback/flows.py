@@ -48,6 +48,7 @@ class FlowLog:
         if horizon < 0:
             raise ValueError(f"horizon must be >= 0, got {horizon}")
         self.n = n = x0.size
+        self._row = (n,)
         self._x = np.empty((horizon + 1, n))
         self._z = np.empty((horizon, n))
         self._u = np.empty((horizon, n))
@@ -60,16 +61,43 @@ class FlowLog:
         return self._len - 1
 
     def append(self, x, z, u):
+        """Store X(t+1) with the Z(t) and U(t) of the step that produced it.
+
+        Each must be an n-vector, stored as float64. An array of shape (n,),
+        what the runner passes, is written as it is, cast to float64 as
+        np.asarray would cast it; anything else goes through np.asarray
+        first, so that a (1, n) array, a scalar or a ragged list is refused,
+        never broadcast. It does no arithmetic, so it has no overflow to
+        silence, and values are not checked: non-finite states are the
+        runner's guard to see."""
         t = self._len - 1
         if t == self._z.shape[0]:
             raise ValueError(f"the log is full at its horizon {t}")
-        x, z, u = (np.asarray(a, dtype=float) for a in (x, z, u))
-        if x.shape != (self.n,) or z.shape != (self.n,) or u.shape != (self.n,):
-            raise ValueError(f"x/z/u snapshots must have shape ({self.n},)")
+        row = self._row
+        try:
+            fits = x.shape == row == z.shape == u.shape
+        except AttributeError:   # not an array: np.asarray decides
+            fits = False
+        if not fits:
+            x, z, u = (np.asarray(a, dtype=float) for a in (x, z, u))
+            if x.shape != row or z.shape != row or u.shape != row:
+                raise ValueError(f"x/z/u snapshots must have shape ({self.n},)")
         self._x[t + 1] = x
         self._z[t] = z
         self._u[t] = u
         self._len += 1
+
+    def state(self, s: int) -> list:
+        """X(s) as a list of floats, for 0 <= s <= t; no view is built."""
+        if not 0 <= s < self._len:
+            raise IndexError(f"no state X({s}) at flow time {self._len - 1}")
+        return self._x[s].tolist()
+
+    def row(self, s: int) -> tuple:
+        """(X(s), Z(s)) as lists of floats, for a completed step 0 <= s < t."""
+        if not 0 <= s < self._len - 1:
+            raise IndexError(f"no completed step {s} at flow time {self._len - 1}")
+        return self._x[s].tolist(), self._z[s].tolist()
 
     @property
     def x_hist(self) -> np.ndarray:

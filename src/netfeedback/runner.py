@@ -4,10 +4,16 @@ One run is one sequential loop with no branch on the law, the plant or the
 observation channel. Per step t: the controller reads the flow record and
 fixes U(t), the disturbance draws W(t), the plant (the model plant or the
 adversary's committed function) returns X(t+1) and the estimate Z(t), and
-the log takes the new row. One max and one min of X(t+1) per step feed the
-divergence guard, which stops the loop once states leave [-cap, cap] or go
-non-finite; the partial trajectory is still written. The loop records only
-the flow log and W: a sweep derives the hull from the log after the run.
+the log takes the new row. The divergence guard reads X(t+1) as a list of
+floats and stops the loop unless -cap <= v <= cap for every state v, so a
+NaN fails; the partial trajectory is still written. The loop records only
+the flow log and W, which it writes into an array sized for the horizon: a
+sweep derives the hull from the log after the run.
+
+The runner owns overflow: it enters one np.errstate (overflow and invalid
+ignored) around the whole loop, and the plants' advance methods enter none
+of their own (InverseObserver.observe, public on its own, keeps its one),
+so a state that overflows reaches the guard without a RuntimeWarning.
 
 The max_enhanced law needs a strongly connected graph, so that its
 closed-form extremes are the limit of flows.run_extreme_consensus;
@@ -85,27 +91,41 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     g = config.graph
     n = g.n
     x = np.array(config.x0, dtype=float)
-    kind = config.controller.kind
     controller = Controller(config.controller, g)
     source = config.disturbance.make_source()
     plant = (OnlineAdversary(g, x) if config.adversary
              else PlantModel(g, config.f, config.observation))
 
     log = FlowLog(x, config.horizon)
-    w_rows = []
+    w_hist = np.empty((config.horizon, n))
     guard_tripped = False
     cap = config.guard_cap
 
-    for t in range(config.horizon):
-        u = controller.controls(log, t)
-        w = source.draw(n)
-        x, z = plant.advance(t, x, u, w)
-        log.append(x, z, u)
-        w_rows.append(w)
-        if not (-cap <= float(x.min()) and float(x.max()) <= cap):  # NaN fails both
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(config.horizon):
+            u = controller.controls(log, t)
+            w = source.draw(n)
+            x, z = plant.advance(t, x, u, w)
+            log.append(x, z, u)
+            w_hist[t] = w
+            for v in x.tolist():
+                if not -cap <= v <= cap:   # NaN fails
+                    break
+            else:
+                continue   # every state within the cap: next step
             guard_tripped = True
             break
+    return _run_result(config, controller, plant, log, w_hist[:log.t],
+                       guard_tripped)
 
+
+def _run_result(config: ExperimentConfig, controller: Controller, plant,
+                log: FlowLog, w_hist: np.ndarray,
+                guard_tripped: bool) -> RunResult:
+    """The RunResult of a finished loop: the verdict and summary from the
+    flow log, the certificate and branches of an adversary plant."""
+    g = config.graph
+    kind = config.controller.kind
     steps = log.t
     x_hist = log.x_hist
     finite = np.isfinite(x_hist)
@@ -140,10 +160,10 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         "horizon": config.horizon,
         "steps_run": steps,
         "guard_tripped": guard_tripped,
-        "guard_cap": cap,
+        "guard_cap": config.guard_cap,
         "controller": kind,
         "adversary": config.adversary,
-        "n": n,
+        "n": g.n,
         "inf_norm": inf_norm(g),
         "sharp_metric": sharp_metric(g),
         "label": config.label,
@@ -151,8 +171,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
         "explore_steps": (int(sum(controller.branch_log))
                           if kind == "network_flow" else None),
     }
-    return RunResult(config=config, log=log,
-                     w_hist=np.asarray(w_rows).reshape(len(w_rows), n),
+    return RunResult(config=config, log=log, w_hist=w_hist,
                      summary=summary, certificate=certificate,
                      branches=tuple(plant.branches) if config.adversary else (),
                      explore_log=tuple(controller.branch_log))

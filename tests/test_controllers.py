@@ -191,6 +191,11 @@ def test_dispatcher_zero_and_time_zero():
     np.testing.assert_array_equal(zero.controls(log, 1), [0.0, 0.0])
     nf = Controller(ControllerSpec("network_flow"), g)
     np.testing.assert_array_equal(nf.controls(log, 0), [0.0, 0.0])
+    # a time the log has not reached is refused before any row is taken in
+    with pytest.raises(IndexError):
+        nf.controls(log, 2)
+    assert nf.controls(log, 1).tobytes() == control_network_flow(
+        log, g, nf.spec.epsilon, 1).tobytes()
 
 
 def test_dispatcher_matches_direct_call():

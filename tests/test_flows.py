@@ -44,6 +44,23 @@ def test_append_protocol():
     assert log.u_hist.tolist() == [[0.1, 0.1]]
 
 
+def test_rows_read_as_lists():
+    # state(s) and row(s) read what x_hist and z_hist hold, as lists, and
+    # refuse a time the log has not reached (the arrays behind them are
+    # allocated to the horizon, so an unchecked read would return garbage)
+    log = _filled_log(n=3, steps=4)
+    for s in range(log.t + 1):
+        assert log.state(s) == log.x_hist[s].tolist()
+    for s in range(log.t):
+        assert log.row(s) == (log.x_hist[s].tolist(), log.z_hist[s].tolist())
+    for s in (-1, log.t + 1):
+        with pytest.raises(IndexError):
+            log.state(s)
+    for s in (-1, log.t):
+        with pytest.raises(IndexError):
+            log.row(s)
+
+
 def test_history_shapes():
     log = _filled_log(n=3, steps=5)
     assert log.x_hist.shape == (6, 3)
@@ -79,11 +96,30 @@ def test_full_log_refuses_another_row():
 def test_shape_mismatch_rejected():
     log = FlowLog([0.0, 0.0, 0.0], 5)
     good = [1.0, 2.0, 3.0]
-    for x, z, u in (([1.0, 2.0], good, good), (good, [1.0, 2.0], good),
-                    (good, good, [[1.0, 2.0, 3.0]])):
+    row = np.array(good)
+    # a (1, n) array, which a numpy row assignment would broadcast, and 0-d
+    # scalars, in every position and alongside ndarray rows
+    bad = [np.array([good]), np.float64(2.0), np.array(2.0), 2.0]
+    cases = [([1.0, 2.0], good, good), (good, [1.0, 2.0], good),
+             (good, good, [[1.0, 2.0, 3.0]])]
+    cases += [(b, row, row) for b in bad] + [(row, b, row) for b in bad]
+    cases += [(row, row, b) for b in bad]
+    for x, z, u in cases:
         with pytest.raises(ValueError):
             log.append(x, z, u)
     assert log.t == 0
+    # int and float32 n-vectors are stored as exact float64
+    ints = np.array([1, -2, 3])
+    singles = np.array([0.1, -1e-3, 3e38], dtype=np.float32)
+    for x, z, u in ((ints, singles, row), (singles, row, ints),
+                    (list(ints), list(singles), row)):
+        log.append(x, z, u)
+        t = log.t - 1
+        for got, sent in ((log.x_hist[t + 1], x), (log.z_hist[t], z),
+                          (log.u_hist[t], u)):
+            assert got.dtype == np.float64
+            assert got.tolist() == [float(v) for v in sent]
+    assert log.t == 3
     for x0, horizon in (([], 5), ([[0.0, 1.0]], 5), ([0.0], -1)):
         with pytest.raises(ValueError):
             FlowLog(x0, horizon)

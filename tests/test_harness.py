@@ -366,6 +366,113 @@ def test_overflowing_run_trips_the_guard_without_warnings(tmp_path):
         assert len(rows) == 1 + 2 * len(x0)
 
 
+def _reference_run(config):
+    """The closed loop as written before the lean step, kept as the oracle
+    of run_experiment's loop: every row goes through np.asarray and a shape
+    check before FlowLog.append, np.errstate is entered around each plant
+    step, the guard takes one numpy max and min of X(t+1), and W is a list
+    of per-step draws stacked at the end. The result is built by the
+    runner's own _run_result, so the comparison covers the loop alone."""
+    import netfeedback.runner as runner
+
+    g = config.graph
+    n = g.n
+    x = np.array(config.x0, dtype=float)
+    controller = nf.Controller(config.controller, g)
+    source = config.disturbance.make_source()
+    plant = (nf.OnlineAdversary(g, x) if config.adversary
+             else nf.PlantModel(g, config.f, config.observation))
+    log = nf.FlowLog(x, config.horizon)
+    w_rows = []
+    guard_tripped = False
+    cap = config.guard_cap
+    for t in range(config.horizon):
+        u = controller.controls(log, t)
+        w = source.draw(n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, z = plant.advance(t, x, u, w)
+        x, z, u = (np.asarray(a, dtype=float) for a in (x, z, u))
+        assert x.shape == z.shape == u.shape == (n,)
+        log.append(x, z, u)
+        w_rows.append(w)
+        if not (-cap <= float(x.min()) and float(x.max()) <= cap):  # NaN fails both
+            guard_tripped = True
+            break
+    return runner._run_result(config, controller, plant, log,
+                              np.asarray(w_rows).reshape(len(w_rows), n),
+                              guard_tripped)
+
+
+def _twelve_with_dense_rows() -> list:
+    """A 12-cycle (sparse nodes, |N_i u {i}|^2 = 4 < 12) with two rows of
+    five in-neighbours (dense, 6^2 >= 12)."""
+    w = np.zeros((12, 12))
+    w[np.arange(12), np.arange(12) - 1] = 0.3
+    w[3, [0, 6, 9, 11]] = 0.1
+    w[8, [1, 2, 4, 5]] = 0.2
+    return w.tolist()
+
+
+def test_run_experiment_matches_the_reference_loop():
+    # The lean loop (one errstate per run, the guard on the row list, W in
+    # a preallocated array, FlowLog.append without conversions) must give
+    # the reference loop's run bit for bit: histories, summary, explore log,
+    # adversary branches and certificate, for every law and both
+    # observation channels, on adversary runs, on runs the guard stops
+    # mid-horizon (past the cap, or overflowing to inf and NaN) and at
+    # horizon 0.
+    cases = [_cfg(controller={"kind": kind}, graph={"kind": "cycle", "n": 5},
+                  x0={"seed": 2}, horizon=150)
+             for kind in ("zero", "network_flow", "local_flow",
+                          "max_enhanced", "cycle_global")]
+    cases += [
+        _cfg(controller={"kind": "path_root"}, horizon=150, x0={"seed": 2},
+             graph={"kind": "path_root_selfloop", "n": 5}),
+        _cfg(controller={"kind": "network_flow"}, horizon=150,
+             observation={"mode": "matrix_inverse"}),
+        _cfg(controller={"kind": "local_flow"}, horizon=80, x0={"seed": 3},
+             observation={"mode": "matrix_inverse"}),
+        # the guard stops these mid-horizon
+        _cfg(controller={"kind": "zero"}, horizon=200, guard_cap=50.0,
+             function={"kind": "linear", "a": 1.5, "b": 0.0}),
+        _cfg(controller={"kind": "zero"}, horizon=10, x0=[1e200, -1e200],
+             graph={"kind": "custom", "weights": [[1.0, 1.0], [1.0, 1.0]]},
+             function={"kind": "linear", "a": 1e200, "b": 0.0}),
+        _cfg(controller={"kind": "zero"}, horizon=10, x0=[1e200, 1.0, -1.0],
+             observation={"mode": "matrix_inverse"},
+             disturbance={"w_star": 0.0, "generator": "zero"},
+             function={"kind": "linear", "a": 1e200, "b": 0.0}),
+    ]
+    cases += [_cfg(controller={"kind": kind}, horizon=60, x0={"seed": 5},
+                   graph={"kind": "custom", "weights": _twelve_with_dense_rows()},
+                   function={"kind": "bounded_perturbed_linear", "a": 0.8,
+                             "amplitude": 0.5})
+              for kind in ("local_flow", "max_enhanced")]
+    for kind in ("zero", "local_flow"):
+        raw = _cfg(controller={"kind": kind}, adversary=True, horizon=40)
+        del raw["function"]
+        cases.append(raw)
+    configs = [ExperimentConfig(raw) for raw in cases]
+    empty = ExperimentConfig(_cfg(controller={"kind": "local_flow"}))
+    empty.horizon = 0   # the config refuses it; FlowLog and the loop take it
+    configs.append(empty)
+    stopped = 0
+    for cfg in configs:
+        case = (cfg.raw, cfg.horizon)
+        got, want = run_experiment(cfg), _reference_run(cfg)
+        for name in ("x_hist", "u_hist", "z_hist", "w_hist"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, (case, name)
+            assert a.tobytes() == b.tobytes(), (case, name)
+        assert json.dumps(got.summary) == json.dumps(want.summary), case
+        assert got.explore_log == want.explore_log, case
+        assert got.branches == want.branches, case
+        assert ((got.certificate is None and want.certificate is None)
+                or got.certificate.to_dict() == want.certificate.to_dict()), case
+        stopped += 0 < got.summary["steps_run"] < cfg.horizon
+    assert stopped == 3
+
+
 def test_matrix_inverse_observation_mode():
     cfg = ExperimentConfig(_cfg(
         observation={"mode": "matrix_inverse"}, horizon=60))
