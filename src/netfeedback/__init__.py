@@ -4,8 +4,8 @@ consensus views, nearest-neighbour feedback laws, the online adversarial
 construction, and critical-gain experiment drivers.
 """
 
-from .adversary import (DivergenceCertificate, IntervalLedger, InvariantError,
-                        OnlineAdversary, PinnedPiecewiseLinear)
+from .adversary import (DivergenceCertificate, InvariantError, OnlineAdversary,
+                        PinnedPiecewiseLinear)
 from .capacity import (DaggerEstimate, RecursionResult, estimate_dagger,
                        simulate_dagger_recursion, simulate_scalar_recursion,
                        threshold_sweep, xie_guo_constant)

@@ -8,6 +8,8 @@ under the push-up branch, and commits whichever branch lands that node at
 least a threshold away from the midpoint of the explored interval. The hull
 then grows geometrically no matter what the feedback law does, which the
 certificate witnesses as a doubling of E_t = |I_0|/2 + sum of hull growths.
+It keeps only the running hull, |I_0| and those growths (hull_growth recovers
+them from a trajectory), and builds each candidate once, at full slope.
 
 B = 4 / (smallest nonzero weight magnitude); the construction needs a
 strongly connected graph whose weights carry a uniform sign. Disturbances are
@@ -125,42 +127,10 @@ class PinnedPiecewiseLinear(PlantFunction):
                 f"[{self._xs[0]:.6g}, {self._xs[-1]:.6g}])")
 
 
-class IntervalLedger:
-    """Running hull of visited states and its per-step growth.
-
-    After push t: interval I_t = [y_low[t], y_high[t]], growths
-    R[t-1] = y_high[t] - y_high[t-1] and L[t-1] = y_low[t-1] - y_low[t],
-    chi[t-1] = max(R, L). The adversary's online ledger, and the oracle of
-    hull_growth, the closed form of R and L that sweeps read.
-    """
-
-    def __init__(self, x0):
-        x0 = np.asarray(x0, dtype=float)
-        self.y_high = [float(x0.max())]
-        self.y_low = [float(x0.min())]
-        self.i0_width = self.y_high[0] - self.y_low[0]
-        self.R, self.L, self.chi = [], [], []
-
-    def interval(self, t: int):
-        return self.y_low[t], self.y_high[t]
-
-    def push(self, x_max: float, x_min: float) -> float:
-        """Grow the hull by a state with max x_max and min x_min; its chi."""
-        hi = max(self.y_high[-1], x_max)
-        lo = min(self.y_low[-1], x_min)
-        r = hi - self.y_high[-1]
-        l = self.y_low[-1] - lo
-        self.y_high.append(hi)
-        self.y_low.append(lo)
-        self.R.append(r)
-        self.L.append(l)
-        self.chi.append(max(r, l))
-        return self.chi[-1]
-
-
 def hull_growth(x_hist) -> dict:
-    """R and L of an IntervalLedger fed each row's finite max and min, bit for
-    bit (+ 0.0 makes a signed-zero tie +0.0); a row with no finite state adds 0."""
+    """Growth of the running hull [lo_t, hi_t] of rows 0..t's finite states:
+    R[t-1] = hi_t - hi_{t-1} and L[t-1] = lo_{t-1} - lo_t, +0.0 on a tie of
+    zeros of either sign; a row with no finite state grows nothing."""
     finite = np.isfinite(x_hist)
     hi = np.maximum.accumulate(np.where(finite, x_hist, -np.inf).max(axis=1))
     lo = np.minimum.accumulate(np.where(finite, x_hist, np.inf).min(axis=1))
@@ -188,9 +158,12 @@ class DivergenceCertificate:
         }
 
 
+_B_SHARP = 4.0  # B * sharp: slope_budget and the branch thresholds read it
+
+
 def slope_budget(graph: WeightedDigraph) -> float:
     """The adversary's slope B = 4 / sharp_metric(graph)."""
-    return 4.0 / sharp_metric(graph)
+    return _B_SHARP / sharp_metric(graph)
 
 
 def check_adversary_graph(graph: WeightedDigraph) -> float:
@@ -213,11 +186,13 @@ class OnlineAdversary:
         fvals = adv.step(t, X(t), U(t), W(t))
         X(t+1) = A @ fvals + U(t) + W(t)
     or, as one plant step, X(t+1), Z(t) = adv.advance(t, X(t), U(t), W(t)).
-    The committed function only ever gains pins outside the previous hull, so
-    values already revealed never change, and each step extends it at its
-    ends (PinnedPiecewiseLinear.extended) instead of rebuilding it. Its tails
-    follow the end segments and are never read: the pins span the hull, and
-    every point evaluated (X(t), and the previous hull ends) lies in it.
+    It keeps the running hull [lo, hi], i0_width and each step's growth
+    chi, all the certificate reads. The committed function only gains pins
+    outside the previous hull, so revealed values never change; each step
+    extends it at its ends (PinnedPiecewiseLinear.extended). A candidate is
+    built once, at full slope, which a probe meets as its mirror does (both
+    add +/-B * growth to the same values), so a taken probe is committed as
+    it is. Its tails are never read: the pins span X(t) and the old hull.
     """
 
     def __init__(self, graph: WeightedDigraph, x0):
@@ -227,9 +202,10 @@ class OnlineAdversary:
             raise ValueError(f"x0 must have shape ({graph.n},)")
         self.graph = graph
         self.B = slope_budget(graph)
-        self.ledger = IntervalLedger(x0)
+        self.lo, self.hi = float(x0.min()), float(x0.max())
+        self.i0_width = self.hi - self.lo
+        self.chi = []       # hull growth max(R_t, L_t) of each step t >= 1
         self.branches = []
-        self.theta = []    # extreme holder attacked from, per step
         self.attacked = []  # node d_t whose update the probe targets
         self._t = 0
         self._fn: PinnedPiecewiseLinear | None = None
@@ -241,21 +217,20 @@ class OnlineAdversary:
         return self._fn
 
     def certificate(self) -> DivergenceCertificate:
-        return DivergenceCertificate(self.ledger.i0_width, self.ledger.chi)
+        return DivergenceCertificate(self.i0_width, self.chi)
 
-    def _pick_target(self, x, prefer_max: bool):
-        theta = int(np.argmax(x) if prefer_max else np.argmin(x))
-        outs = self.graph.out_neighbors(theta)
+    def _pick_target(self, x, prefer_max: bool) -> int:
+        outs = self.graph.out_neighbors(int(np.argmax(x) if prefer_max else np.argmin(x)))
         if not outs:
             raise InvariantError("strongly connected graph lost out-neighbors")
-        return theta, outs[0]
+        return outs[0]
 
-    def _candidate(self, new_pins, commit: bool = False) -> PinnedPiecewiseLinear:
-        """The committed function grown by new_pins; before the first commit,
-        the function through new_pins alone."""
+    def _candidate(self, new_pins) -> PinnedPiecewiseLinear:
+        """The committed function grown by new_pins at full slope; before the
+        first commit, the function through new_pins alone."""
         if self._fn is not None:
-            return self._fn.extended(new_pins, full_slope=commit)
-        return PinnedPiecewiseLinear(self.B, new_pins, full_slope=commit)
+            return self._fn.extended(new_pins, full_slope=True)
+        return PinnedPiecewiseLinear(self.B, new_pins, full_slope=True)
 
     def step(self, t: int, x_t, u_t, w_t) -> np.ndarray:
         """Commit a branch for time t and return f(X(t)) under it."""
@@ -268,16 +243,19 @@ class OnlineAdversary:
         if x_t.shape != (n,) or u_t.shape != (n,) or w_t.shape != (n,):
             raise ValueError(f"step arrays must have shape ({n},)")
 
-        i0 = self.ledger.i0_width
         if t == 0:
-            lo, hi = self.ledger.interval(0)
-            theta, d = self._pick_target(x_t, prefer_max=True)
+            lo, hi, i0 = self.lo, self.hi, self.i0_width
+            d = self._pick_target(x_t, prefer_max=True)
             p_pins = [(lo, 1.0), (hi, 1.0 + self.B * i0)] if i0 > 0.0 else [(hi, 1.0)]
             n_pins = [(x, -v) for x, v in p_pins]
-            threshold = self.sharp + 4.0 * i0
+            threshold = self.sharp + _B_SHARP * i0
         else:
-            prev_lo, prev_hi = self.ledger.interval(t - 1)
-            chi_t = self.ledger.push(float(x_t.max()), float(x_t.min()))
+            prev_lo, prev_hi = self.lo, self.hi
+            self.hi = hi = max(prev_hi, float(x_t.max()))
+            self.lo = lo = min(prev_lo, float(x_t.min()))
+            r_t, l_t = hi - prev_hi, prev_lo - lo
+            chi_t = max(r_t, l_t)
+            self.chi.append(chi_t)
             if chi_t <= 0.0:
                 raise InvariantError(f"hull did not grow at step {t}")
             d_prev = self.attacked[-1]
@@ -285,9 +263,7 @@ class OnlineAdversary:
             if esc <= 0.0:
                 raise InvariantError(
                     f"attacked node {d_prev} failed to escape the hull at step {t}")
-            r_t, l_t = self.ledger.R[-1], self.ledger.L[-1]
-            lo, hi = self.ledger.interval(t)
-            theta, d = self._pick_target(x_t, prefer_max=(r_t >= l_t))
+            d = self._pick_target(x_t, prefer_max=(r_t >= l_t))
             p_pins, n_pins = [], []
             if r_t > 0.0:
                 base = self._fn(prev_hi)
@@ -297,16 +273,15 @@ class OnlineAdversary:
                 base = self._fn(prev_lo)
                 p_pins.append((lo, base + self.B * l_t))
                 n_pins.append((lo, base - self.B * l_t))
-            threshold = 4.0 * chi_t
+            threshold = _B_SHARP * chi_t
 
         mid = 0.5 * (lo + hi)
         probe = self._candidate(p_pins)
         row = self.graph.weights[d]
         v_p = float(row @ np.asarray(probe(x_t), dtype=float) + u_t[d] + w_t[d])
         take_p = abs(v_p - mid) >= threshold
-        self._fn = self._candidate(p_pins if take_p else n_pins, commit=True)
+        self._fn = probe if take_p else self._candidate(n_pins)
         self.branches.append("p" if take_p else "n")
-        self.theta.append(theta)
         self.attacked.append(d)
         self._t += 1
         return np.asarray(self._fn(x_t), dtype=float)

@@ -199,19 +199,30 @@ def control_max_enhanced(view: EnhancedFlowView, graph: WeightedDigraph,
     return acc + 0.5 * (y_hi + y_lo)
 
 
-def _scalar_control(index: WitnessIndex, q: float, seq) -> float:
+def _scalar_control(index: WitnessIndex, q: float, seq, *args) -> float:
     """The scalar law at the current value q of a sequence whose past values
     fill index, one record per time (key = time): cancel through the nearest
-    record and recentre on 0.5 * (seq().max() + seq().min()), seq() being
+    record and recentre on 0.5 * (s.max() + s.min()), s = seq(*args) being
     the sequence through q. The index's ends and q give those extremes but
     for the sign of a zero, which reaches the sum only when both extremes
     are zero; ndarray.max/min may return either zero on a +0.0/-0.0 tie,
-    depending on the array length, so then both are taken from seq()."""
+    depending on the array length, so then both are taken from s."""
     hi, lo = max(index.hi, q), min(index.lo, q)
     if hi == lo == 0.0:
-        seq = seq()
-        hi, lo = float(seq.max()), float(seq.min())
+        s = seq(*args)
+        hi, lo = float(s.max()), float(s.min())
     return -index.nearest(q)[2] + 0.5 * (hi + lo)
+
+
+def _root_sequence(log, t):
+    """x[s, 0] for s = 0..t: node 0's sequence, control_path_root's."""
+    return log.x_hist[:, 0][:t + 1]
+
+
+def _diagonal(log, t, c):
+    """x[s, (s - c) mod n] for s = 0..t: control_cycle's diagonal class c."""
+    times = np.arange(t + 1)
+    return log.x_hist[times, (times - c) % log.n]
 
 
 # Per-kind fast paths. ingest(s, xs, zs) takes the completed flow row s
@@ -261,8 +272,7 @@ class _PathRoot:
 
     def decide(self, log, t, q):
         u = np.zeros(self.n)
-        u[0] = _scalar_control(self.index, q[0],
-                               lambda: log.x_hist[:, 0][:t + 1])
+        u[0] = _scalar_control(self.index, q[0], _root_sequence, log, t)
         return u
 
 
@@ -284,13 +294,8 @@ class _Cycle:
         u = []
         for i0 in range(n):
             c = (t - i0 + 1) % n
-
-            def diagonal(c=c):
-                times = np.arange(t + 1)
-                return log.x_hist[times, (times - c) % n]
-
             u.append(_scalar_control(self.indices[c], q[(i0 - 1) % n],
-                                     diagonal))
+                                     _diagonal, log, t, c))
         return np.array(u)
 
 

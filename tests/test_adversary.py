@@ -8,7 +8,6 @@ import pytest
 from netfeedback import (
     DivergenceCertificate,
     ExperimentConfig,
-    IntervalLedger,
     InvariantError,
     OnlineAdversary,
     PinnedPiecewiseLinear,
@@ -119,6 +118,39 @@ def test_commit_checks_full_slope():
 
 
 # ---- interval ledger ----
+
+class IntervalLedger:
+    """Running hull of visited states and its per-step growth, every step
+    kept: the oracle of hull_growth and of the adversary's running hull.
+
+    After push t: interval I_t = [y_low[t], y_high[t]], growths
+    R[t-1] = y_high[t] - y_high[t-1] and L[t-1] = y_low[t-1] - y_low[t],
+    chi[t-1] = max(R, L).
+    """
+
+    def __init__(self, x0):
+        x0 = np.asarray(x0, dtype=float)
+        self.y_high = [float(x0.max())]
+        self.y_low = [float(x0.min())]
+        self.i0_width = self.y_high[0] - self.y_low[0]
+        self.R, self.L, self.chi = [], [], []
+
+    def interval(self, t: int):
+        return self.y_low[t], self.y_high[t]
+
+    def push(self, x_max: float, x_min: float) -> float:
+        """Grow the hull by a state with max x_max and min x_min; its chi."""
+        hi = max(self.y_high[-1], x_max)
+        lo = min(self.y_low[-1], x_min)
+        r = hi - self.y_high[-1]
+        l = self.y_low[-1] - lo
+        self.y_high.append(hi)
+        self.y_low.append(lo)
+        self.R.append(r)
+        self.L.append(l)
+        self.chi.append(max(r, l))
+        return self.chi[-1]
+
 
 def test_interval_ledger_growth_accounting():
     led = IntervalLedger([0.0, 0.5, 1.0])
@@ -274,7 +306,6 @@ def test_three_cycle_trace():
     np.testing.assert_allclose(hist[2], [11.0, 19.0, 3.0])
 
     assert adv.branches[:2] == ["n", "p"]
-    assert adv.theta[:2] == [2, 0]
     assert adv.attacked[:2] == [0, 1]
 
     cert = adv.certificate()
@@ -317,10 +348,14 @@ def test_attacked_node_escapes_every_step():
     x0 = [0.2, -0.4, 0.9]
     adv = OnlineAdversary(g, x0)
     hist = _drive(adv, g, x0, 10)
+    led = IntervalLedger(hist[0])
     for t in range(1, 10):
-        lo, hi = adv.ledger.interval(t - 1)
+        lo, hi = led.interval(t - 1)
+        led.push(float(hist[t].max()), float(hist[t].min()))
         xd = hist[t][adv.attacked[t - 1]]
         assert xd > hi or xd < lo
+    # step 9 saw X(9): the adversary's running hull is the oracle's last
+    assert (adv.lo, adv.hi) == led.interval(9) and adv.chi == led.chi
 
 
 def test_certified_doubling_on_longer_run():
@@ -340,7 +375,7 @@ def test_degenerate_start_single_pin():
     g = build_canonical("single_selfloop", 1, a11=1.0)
     adv = OnlineAdversary(g, [0.3])
     hist = _drive(adv, g, [0.3], 6)
-    assert adv.ledger.i0_width == 0.0
+    assert adv.i0_width == 0.0
     assert np.isfinite(hist).all()
     assert adv.certificate().chi[0] > 0.0
 
@@ -400,35 +435,36 @@ def _check_feasible(fn, B):
 
 
 class _RebuildAdversary(OnlineAdversary):
-    """The reference: every candidate is rebuilt from all pins and the
-    committed one is checked segment by segment. Records each probe."""
+    """The reference: every candidate is rebuilt from all pins and checked
+    segment by segment. Records the first candidate of each step, the
+    probe."""
 
     def __init__(self, graph, x0):
         super().__init__(graph, x0)
         self.probes = []
 
-    def _candidate(self, new_pins, commit=False):
+    def _candidate(self, new_pins):
         pins = list(new_pins)
         if self._fn is not None:
             pins.extend(self._fn.pins)
         fn = PinnedPiecewiseLinear(self.B, pins)
-        if commit:
-            _check_feasible(fn, self.B)
-        else:
+        _check_feasible(fn, self.B)
+        if len(self.probes) == self._t:
             self.probes.append(fn)
         return fn
 
 
 class _ProbedAdversary(OnlineAdversary):
-    """The library adversary, recording each probe."""
+    """The library adversary, recording the first candidate of each step,
+    the probe."""
 
     def __init__(self, graph, x0):
         super().__init__(graph, x0)
         self.probes = []
 
-    def _candidate(self, new_pins, commit=False):
-        fn = super()._candidate(new_pins, commit)
-        if not commit:
+    def _candidate(self, new_pins):
+        fn = super()._candidate(new_pins)
+        if len(self.probes) == self._t:
             self.probes.append(fn)
         return fn
 
@@ -456,6 +492,7 @@ def test_extension_replays_full_rebuild_bit_for_bit():
         x, u, z, w = res.x_hist, res.u_hist, res.z_hist, res.w_hist
         new = _ProbedAdversary(cfg.graph, x[0])
         ref = _RebuildAdversary(cfg.graph, x[0])
+        led = IntervalLedger(x[0])
         for t in range(res.summary["steps_run"]):
             fv_new = new.step(t, x[t], u[t], w[t])
             fv_ref = ref.step(t, x[t], u[t], w[t])
@@ -471,11 +508,30 @@ def test_extension_replays_full_rebuild_bit_for_bit():
             for fn in (new.probes[-1], new.function):
                 assert fn._xs[0] <= x[t].min() and x[t].max() <= fn._xs[-1], (kind, t)
             branches.add(new.branches[-1])
-            if t > 0 and new.ledger.R[-1] > 0.0 and new.ledger.L[-1] > 0.0:
-                both_sides += 1
+            if t > 0:
+                led.push(float(x[t].max()), float(x[t].min()))
+                both_sides += led.R[-1] > 0.0 and led.L[-1] > 0.0
             single_pin += t == 0 and len(new.function.pins) == 1
         assert new.function.pins == ref.function.pins
         assert new.certificate().to_dict() == res.certificate.to_dict()
     assert both_sides > 0          # new pins at both ends in one step
     assert branches == {"p", "n"}
     assert single_pin == 1         # the |I_0| = 0 start
+
+
+def test_adversary_growth_is_the_sweeps_hull_growth():
+    # runs that trip the 1e300 guard: X(steps_run), the row past the guard
+    # that the adversary never saw, is left out; [0.3] * 3 has |I_0| = 0
+    for kind in ("zero", "network_flow", "local_flow", "max_enhanced"):
+        for x0 in ({"seed": 3, "scale": 1.0}, {"seed": 5, "scale": 1.0},
+                   [0.3, 0.3, 0.3]):
+            cfg = ExperimentConfig({"graph": {"kind": "cycle", "n": 3},
+                                    "adversary": True, "controller": {"kind": kind},
+                                    "horizon": 2000, "x0": x0})
+            res = run_experiment(cfg)
+            steps = res.summary["steps_run"]
+            assert res.summary["guard_tripped"] and steps < 2000, (kind, x0)
+            growth = hull_growth(res.x_hist[:steps])
+            want = [max(r, l) for r, l in zip(growth["R"], growth["L"])]
+            assert repr(list(res.certificate.chi)) == repr(want), (kind, x0)
+            assert len(want) == steps - 1
