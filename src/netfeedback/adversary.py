@@ -158,7 +158,8 @@ class DivergenceCertificate:
         }
 
 
-_B_SHARP = 4.0  # B * sharp: slope_budget and the branch thresholds read it
+# B * sharp: slope_budget, the branch thresholds and the sweep's note read it
+_B_SHARP = 4.0
 
 
 def slope_budget(graph: WeightedDigraph) -> float:
@@ -193,6 +194,11 @@ class OnlineAdversary:
     built once, at full slope, which a probe meets as its mirror does (both
     add +/-B * growth to the same values), so a taken probe is committed as
     it is. Its tails are never read: the pins span X(t) and the old hull.
+
+    The outermost pins sit at the running hull's ends: step 0 pins lo and hi
+    (one pin when |I_0| = 0), and each later step pins the new hi and/or the
+    new lo. So f(prev_hi) and f(prev_lo) are read off the end pins, not
+    evaluated, and a taken probe returns the f(X(t)) its probe value used.
     """
 
     def __init__(self, graph: WeightedDigraph, x0):
@@ -264,27 +270,33 @@ class OnlineAdversary:
                 raise InvariantError(
                     f"attacked node {d_prev} failed to escape the hull at step {t}")
             d = self._pick_target(x_t, prefer_max=(r_t >= l_t))
+            # the end pins sit at prev_hi and prev_lo (see the class docstring)
             p_pins, n_pins = [], []
             if r_t > 0.0:
-                base = self._fn(prev_hi)
+                base = float(self._fn._vs[-1])
                 p_pins.append((hi, base + self.B * r_t))
                 n_pins.append((hi, base - self.B * r_t))
             if l_t > 0.0:
-                base = self._fn(prev_lo)
+                base = float(self._fn._vs[0])
                 p_pins.append((lo, base + self.B * l_t))
                 n_pins.append((lo, base - self.B * l_t))
             threshold = _B_SHARP * chi_t
 
         mid = 0.5 * (lo + hi)
         probe = self._candidate(p_pins)
+        fvals = np.asarray(probe(x_t), dtype=float)
         row = self.graph.weights[d]
-        v_p = float(row @ np.asarray(probe(x_t), dtype=float) + u_t[d] + w_t[d])
+        v_p = float(row @ fvals + u_t[d] + w_t[d])
         take_p = abs(v_p - mid) >= threshold
-        self._fn = probe if take_p else self._candidate(n_pins)
+        if take_p:
+            self._fn = probe
+        else:
+            self._fn = self._candidate(n_pins)
+            fvals = np.asarray(self._fn(x_t), dtype=float)
         self.branches.append("p" if take_p else "n")
         self.attacked.append(d)
         self._t += 1
-        return np.asarray(self._fn(x_t), dtype=float)
+        return fvals
 
     def advance(self, t: int, x_t, u_t, w_t):
         """(X(t+1), Z(t)) under the branch committed for time t; the committed

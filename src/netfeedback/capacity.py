@@ -15,8 +15,8 @@ and the sum has converged to machine precision).
 
 In both recursions, in every mode, zero is absorbing: once the bound is 0
 every later update is 0 and the running sums and peaks stop moving, so the
-loops stop there and leave the zero suffix of their preallocated arrays as
-the continuation.
+loops stop there and leave a zero suffix in their arrays as the
+continuation.
 """
 
 import math
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adversary import hull_growth, slope_budget
+from .adversary import _B_SHARP, hull_growth, slope_budget
 from .graphs import WeightedDigraph, inf_norm
 from .runner import run_experiment
 
@@ -170,30 +170,42 @@ def simulate_dagger_recursion(g: WeightedDigraph, M: float, omega: float,
     ends the run with the zero suffix as its continuation. frozen is always
     False: where pv_i > 0, Sp_i + pv_i is the drive itself or above 2 Sp_i,
     never Sp_i. Rows of the returned arrays are time steps, columns nodes.
+
+    Each step makes one numpy call, absA @ peak, whose BLAS summation order
+    sets the bits of the drive (a sequential Python sum differs from it in
+    the last bit for many graphs). The rest runs on Python floats, which
+    round as numpy's float64 elementwise operations do. pv is never -0.0:
+    the drive is positive before Sp is taken off. Under a finite cap no NaN
+    arises before the stop, since Sp_i never exceeds a past drive and an
+    infinite drive lifts a peak above the cap. Under a cap of inf or NaN the
+    clamp and the peak update pass a NaN on as np.maximum does.
     """
     if not (math.isfinite(M) and math.isfinite(omega)):
         raise ValueError("M and omega must be finite")
     if M <= 0 or omega <= 0 or T < 1:
         raise ValueError("need M > 0, omega > 0 and T >= 1")
     absA = np.abs(g.weights)
-    p = np.zeros((T, g.n))
-    Sp = np.zeros(g.n)
-    peak = np.zeros(g.n)
+    rows = []
+    Sp = [0.0] * g.n
+    peak = [0.0] * g.n
     verdict = None
     n_steps = T
     for t in range(T):
-        pv = np.maximum(M * (absA @ peak) + omega - Sp, 0.0)
-        p[t] = pv
-        if not pv.any():
+        drive = (absA @ peak).tolist()
+        pv = [0.0 if (v := M * y + omega - s) <= 0.0 else v
+              for y, s in zip(drive, Sp)]
+        rows.append(pv)
+        if not any(pv):
             verdict = "summable"     # zero state is absorbing
             break
-        Sp += pv
-        np.maximum(peak, pv, out=peak)
-        if peak.max() > cap:
+        Sp = [s + v for s, v in zip(Sp, pv)]
+        peak = [m if m >= v else v for m, v in zip(peak, pv)]
+        if max(peak) > cap:
             verdict = "diverging"
             n_steps = t + 1
             break
-    p = p[:n_steps]
+    p = np.zeros((n_steps, g.n))
+    p[:len(rows)] = rows
     q = p.copy()
     sums = np.cumsum(p + q, axis=0)
     if verdict is None:
@@ -292,7 +304,8 @@ def threshold_sweep(base_config, L_values, trials: int = 1) -> dict:
         if L < B * (1.0 - 1e-12):
             points.append({"L": L, "stabilized": None, "sup_state": None,
                            "bound": None, "verdict": "not_applicable",
-                           "note": f"adversary slope is 4/sharp = {B:.6g} > L"})
+                           "note": (f"adversary slope is {_B_SHARP:g}/sharp"
+                                    f" = {B:.6g} > L")})
             continue
         runs = (run_experiment(base_config.with_gain(L, seed_offset=trial))
                 for trial in range(trials))

@@ -194,7 +194,13 @@ def observe_direct(f, x: np.ndarray, d0: float = 0.0,
 
 
 class InverseObserver:
-    """Matrix-inverse estimate channel with a one-time conditioning check."""
+    """Matrix-inverse estimate channel with a one-time conditioning check.
+
+    The weight matrix is LU-factored once (scipy.linalg.lu_factor), and each
+    observe is one LAPACK getrs call on that factor and its pivots: the call
+    scipy.linalg.lu_solve(..., check_finite=False) makes, without its
+    wrappers, so the estimates are the same bits.
+    """
 
     def __init__(self, graph: WeightedDigraph):
         a = graph.weights
@@ -206,9 +212,9 @@ class InverseObserver:
                 "observation mode instead (a least-squares variant is a "
                 "documented extension point, not implemented)")
         # imported here, so that only matrix-inverse runs load scipy.linalg
-        from scipy.linalg import lu_factor, lu_solve
-        self._lu = lu_factor(a)
-        self._lu_solve = lu_solve
+        from scipy.linalg import get_lapack_funcs, lu_factor
+        self._lu, self._piv = lu_factor(a)
+        self._getrs, = get_lapack_funcs(("getrs",), (self._lu,))
         self.error_gain = float(np.abs(np.linalg.inv(a)).sum(axis=1).max())
 
     def observe(self, x_next: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -216,4 +222,7 @@ class InverseObserver:
         non-finite state gives a non-finite estimate for the guard to see."""
         with np.errstate(over="ignore", invalid="ignore"):
             rhs = np.asarray(x_next, float) - np.asarray(u, float)
-        return self._lu_solve(self._lu, rhs, check_finite=False)
+        x, info = self._getrs(self._lu, self._piv, rhs)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK getrs")
+        return x

@@ -15,7 +15,8 @@ from netfeedback import (
     build_canonical,
     run_experiment,
 )
-from netfeedback.adversary import hull_growth
+import netfeedback.runner
+from netfeedback.adversary import _B_SHARP, hull_growth
 
 
 # ---- pinned piecewise-linear functions ----
@@ -434,10 +435,49 @@ def _check_feasible(fn, B):
         raise InvariantError("committed pins drifted off the +/-B slopes")
 
 
-class _RebuildAdversary(OnlineAdversary):
+class _EvalAdversary(OnlineAdversary):
+    """The evaluating reference step: f(prev_hi), f(prev_lo) and the
+    returned f(X(t)) are calls of the committed function, so a taken probe
+    is evaluated at X(t) a second time."""
+
+    def step(self, t, x_t, u_t, w_t):
+        x_t = np.asarray(x_t, dtype=float)
+        if t == 0:
+            lo, hi, i0 = self.lo, self.hi, self.i0_width
+            d = self._pick_target(x_t, prefer_max=True)
+            p_pins = [(lo, 1.0), (hi, 1.0 + self.B * i0)] if i0 > 0.0 else [(hi, 1.0)]
+            n_pins = [(x, -v) for x, v in p_pins]
+            threshold = self.sharp + _B_SHARP * i0
+        else:
+            prev_lo, prev_hi = self.lo, self.hi
+            self.hi = hi = max(prev_hi, float(x_t.max()))
+            self.lo = lo = min(prev_lo, float(x_t.min()))
+            r_t, l_t = hi - prev_hi, prev_lo - lo
+            self.chi.append(max(r_t, l_t))
+            d = self._pick_target(x_t, prefer_max=(r_t >= l_t))
+            p_pins, n_pins = [], []
+            for end, prev, growth in ((hi, prev_hi, r_t), (lo, prev_lo, l_t)):
+                if growth > 0.0:
+                    base = self._fn(prev)
+                    p_pins.append((end, base + self.B * growth))
+                    n_pins.append((end, base - self.B * growth))
+            threshold = _B_SHARP * self.chi[-1]
+        mid = 0.5 * (lo + hi)
+        probe = self._candidate(p_pins)
+        row = self.graph.weights[d]
+        v_p = float(row @ np.asarray(probe(x_t), dtype=float) + u_t[d] + w_t[d])
+        take_p = abs(v_p - mid) >= threshold
+        self._fn = probe if take_p else self._candidate(n_pins)
+        self.branches.append("p" if take_p else "n")
+        self.attacked.append(d)
+        self._t += 1
+        return np.asarray(self._fn(x_t), dtype=float)
+
+
+class _RebuildAdversary(_EvalAdversary):
     """The reference: every candidate is rebuilt from all pins and checked
-    segment by segment. Records the first candidate of each step, the
-    probe."""
+    segment by segment, and every value is evaluated as _EvalAdversary does.
+    Records the first candidate of each step, the probe."""
 
     def __init__(self, graph, x0):
         super().__init__(graph, x0)
@@ -517,6 +557,40 @@ def test_extension_replays_full_rebuild_bit_for_bit():
     assert both_sides > 0          # new pins at both ends in one step
     assert branches == {"p", "n"}
     assert single_pin == 1         # the |I_0| = 0 start
+
+
+def _adversary_configs():
+    """Adversary runs to the 1e300 guard: every flow law on cycle:3 and
+    cycle:5, from a seeded x0 and from an x0 with |I_0| = 0."""
+    for n in (3, 5):
+        for kind in ("zero", "network_flow", "local_flow", "max_enhanced"):
+            for x0 in ({"seed": 3, "scale": 1.0}, [0.3] * n):
+                yield ExperimentConfig({"graph": {"kind": "cycle", "n": n},
+                                        "adversary": True,
+                                        "controller": {"kind": kind},
+                                        "horizon": 2000, "x0": x0})
+
+
+def test_end_pins_are_the_hull_ends(monkeypatch):
+    # step reads f(prev_hi) and f(prev_lo) off the end pins, so those pins
+    # must sit at the running hull's ends after every step
+    for cfg in _adversary_configs():
+        res = run_experiment(cfg)
+        x, u, z, w = res.x_hist, res.u_hist, res.z_hist, res.w_hist
+        adv = OnlineAdversary(cfg.graph, x[0])
+        for t in range(res.summary["steps_run"]):
+            assert adv.step(t, x[t], u[t], w[t]).tobytes() == z[t].tobytes()
+            fn = adv.function
+            assert fn._xs[0] == adv.lo and fn._xs[-1] == adv.hi, (cfg.graph.n, t)
+            assert float(fn._vs[0]) == fn(adv.lo) and float(fn._vs[-1]) == fn(adv.hi)
+        # the evaluating step gives the same run, bit for bit
+        with monkeypatch.context() as m:
+            m.setattr(netfeedback.runner, "OnlineAdversary", _EvalAdversary)
+            ref = run_experiment(cfg)
+        for name in ("x_hist", "z_hist", "u_hist"):
+            assert getattr(res, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert res.branches == ref.branches
+        assert res.certificate.to_dict() == ref.certificate.to_dict()
 
 
 def test_adversary_growth_is_the_sweeps_hull_growth():

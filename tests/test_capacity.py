@@ -16,6 +16,7 @@ from netfeedback import (
     threshold_sweep,
     xie_guo_constant,
 )
+from netfeedback.cli import main as cli_main
 
 CRIT = 1.5 + math.sqrt(2.0)
 XI_STAR = 1.0 + math.sqrt(2.0) / 2.0
@@ -335,6 +336,28 @@ def test_single_sequence_dagger_matches_two_sequence_loop():
     assert stops == {"zero", "cap", "horizon"}
 
 
+def test_dagger_recursion_matches_two_sequence_loop_through_overflow():
+    # drives that overflow: a cap near the float range stops the run there,
+    # while under a cap of inf or NaN the run goes on and NaN spreads, which
+    # the float steps must pass on as the numpy loop's elementwise ops do
+    nan_seen = False
+    for n in (3, 5):
+        for seed in range(3):
+            g = random_strongly_connected(n, seed=seed)
+            for M, omega in ((1e300, 1.0), (1.0, 1e300)):
+                for cap in (1.7e308, math.inf, math.nan):
+                    with np.errstate(all="ignore"):
+                        got = simulate_dagger_recursion(g, M, omega, 300, cap=cap)
+                        want = _reference_dagger_recursion(g, M, omega, 300, cap=cap)
+                    for name in ("p", "q", "partial_sums"):
+                        assert getattr(got, name).tobytes() == \
+                            getattr(want, name).tobytes(), (n, seed, M, cap)
+                    assert (got.verdict, got.steps, got.frozen) == \
+                        (want.verdict, want.steps, want.frozen)
+                    nan_seen |= bool(np.isnan(got.p).any())
+    assert nan_seen
+
+
 # ---- dagger estimate ----
 
 def test_estimate_floor_and_reproducibility():
@@ -446,6 +469,18 @@ def test_sweep_with_adversary_attached():
         assert below["stabilized"] is None
         assert at["verdict"] == "diverged", a11
         assert at["stabilized"] is False
+
+
+def test_sweep_note_reads_the_adversary_slope_constant(tmp_path, capsys):
+    # the not_applicable note is formatted from the adversary's B * sharp;
+    # at 4 it prints the text it always printed
+    cfg = tmp_path / "adversary.json"
+    cfg.write_text(json.dumps({"graph": {"kind": "cycle", "n": 3}, "adversary": True,
+                               "horizon": 20, "x0": [0.1, 0.2, 0.3]}))
+    assert cli_main(["sweep", "--config", str(cfg), "--L", "1,3.5"]) == 0
+    points = json.loads(capsys.readouterr().out)["points"]
+    assert [pt["note"] for pt in points] == ["adversary slope is 4/sharp = 4 > L"] * 2
+    assert [pt["verdict"] for pt in points] == ["not_applicable"] * 2
 
 
 def test_sweep_output_is_strict_json_when_the_last_state_overflows():

@@ -1,5 +1,7 @@
 """One-step network dynamics, disturbance draws, and the two observers."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,42 @@ def test_inverse_observer_exact_without_disturbance():
     u = np.array([0.1, 0.2, 0.3, 0.4])
     nxt = step(_model(g, f), x, u, w=np.zeros(4))
     np.testing.assert_allclose(obs.observe(nxt, u), f(x), atol=1e-12)
+
+
+def test_inverse_observer_matches_lu_solve_bit_for_bit():
+    # observe makes the LAPACK getrs call that lu_solve makes on the same
+    # factor, so the estimates are lu_solve's bits, non-finite ones included
+    from scipy.linalg import lu_solve
+    rng = np.random.default_rng(11)
+    graphs = [WeightedDigraph(rng.normal(size=(n, n)) + n * np.eye(n))
+              for n in range(1, 9) for _ in range(4)]
+    for kind in ("cycle", "path_root_selfloop", "single_selfloop"):
+        for n in range(1, 9):
+            g = build_canonical(kind, n)
+            if abs(np.linalg.det(g.weights)) > 0.0:
+                graphs.append(g)
+    specials = (np.inf, -np.inf, np.nan)
+    for g in graphs:
+        obs = InverseObserver(g)
+        n = g.n
+        for k in range(25):
+            x_next, u = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=(2, n))
+            if k % 2:
+                x_next[rng.integers(n)] = specials[k % 3]
+            if k % 5 == 0:
+                u[rng.integers(n)] = specials[k % 3]
+            with np.errstate(invalid="ignore"):
+                want = lu_solve((obs._lu, obs._piv), x_next - u, check_finite=False)
+            assert obs.observe(x_next, u).tobytes() == want.tobytes(), (n, k)
+
+
+def test_inverse_observer_is_silent_on_overflow():
+    # a direct caller gets a non-finite estimate and no RuntimeWarning
+    obs = InverseObserver(build_canonical("cycle", 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = obs.observe([1e308, np.inf, 1.0], [-1e308, np.inf, 0.0])
+    assert z.shape == (3,) and not np.isfinite(z).all()
 
 
 def test_inverse_observer_rejects_singular_weights():
