@@ -17,8 +17,8 @@ from .controllers import (Controller, ControllerSpec, WitnessRecord,
                           global_witnesses, local_witness)
 from .dynamics import (DisturbanceSpec, InverseObserver, ObservationSpec,
                        PlantModel, observe_direct, step)
-from .flows import (ConsensusState, EnhancedFlowView, FlowLog, LocalFlowView,
-                    WitnessIndex, consensus_round, run_extreme_consensus)
+from .flows import (EnhancedFlowView, FlowLog, LocalFlowView, WitnessIndex,
+                    run_extreme_consensus)
 from .functions import (BoundedPerturbedLinear, GrowthCertificate,
                         LinearFunction, PlantFunction, TabulatedFunction,
                         certificate_for, check_growth_bound, sampled_quasi_norm)

@@ -21,6 +21,7 @@ continuation.
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -222,8 +223,9 @@ class DaggerEstimate:
     omega_grid: tuple
     iterations: int
     at_bracket_high: bool
-    label: str = ("heuristic finite-horizon estimate; summability tested on a "
-                  "finite omega grid and cannot certify the supremum")
+    label: ClassVar[str] = (
+        "heuristic finite-horizon estimate; summability tested on a "
+        "finite omega grid and cannot certify the supremum")
 
     def to_dict(self) -> dict:
         return {

@@ -15,16 +15,17 @@ mask (key % n), so there confinement rests on the mask, with the views as
 the structural oracle.
 
 run_extreme_consensus is the flooding protocol by which nodes learn the
-extremes from their neighbours alone. The max_enhanced law takes the same
-extremes in closed form from each flow row (the first argmax/argmin, i.e. the
-lowest-index holder on ties); the tests prove that this equals the
-protocol's limit on every strongly connected graph.
+extremes from their neighbours alone. The records are ranked once, and each
+node holds only the rank of its best record; a NaN in x has no rank and is
+refused. The max_enhanced law takes the same extremes in closed form from
+each flow row (the first argmax/argmin, i.e. the lowest-index holder on
+ties); the tests prove that this equals the protocol's limit on every
+strongly connected graph.
 """
 
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -295,79 +296,48 @@ class WitnessIndex:
         return hits
 
 
-@dataclass
-class ConsensusState:
-    """Per-node records (x, z, origin) for one consensus sweep.
-
-    origin is the node id the record originated from; ties on x prefer the
-    lowest origin, which makes the limit independent of where duplicates sit.
-    """
-
-    x: np.ndarray
-    z: np.ndarray
-    origin: np.ndarray
-
-    @classmethod
-    def init(cls, x, z):
-        x = np.asarray(x, dtype=float)
-        z = np.asarray(z, dtype=float)
-        if x.shape != z.shape or x.ndim != 1:
-            raise ValueError("x and z must be matching 1-d arrays")
-        return cls(x.copy(), z.copy(), np.arange(x.size))
-
-
-def consensus_round(g: WeightedDigraph, state: ConsensusState,
-                    mode: str) -> ConsensusState:
-    """One synchronous round: each node adopts the best record over N_i u {i},
-    the largest x for mode "max", the smallest for "min"."""
-    if mode not in ("max", "min"):
-        raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
-    sign = 1.0 if mode == "max" else -1.0
-    x_new = state.x.copy()
-    z_new = state.z.copy()
-    o_new = state.origin.copy()
-    for i in range(g.n):
-        best = None
-        for j in g.closed_neighbors(i):
-            key = (sign * state.x[j], -state.origin[j])
-            if best is None or key > best[0]:
-                best = (key, j)
-        j = best[1]
-        x_new[i] = state.x[j]
-        z_new[i] = state.z[j]
-        o_new[i] = state.origin[j]
-    return ConsensusState(x_new, z_new, o_new)
-
-
 ExtremeConsensus = namedtuple(
     "ExtremeConsensus",
     ["x_max", "z_at_max", "x_min", "z_at_min", "holder_max", "holder_min", "rounds"])
 
 
 def run_extreme_consensus(g: WeightedDigraph, x, z) -> ExtremeConsensus:
-    """Propagate the global extremes of (x, z) pairs; at most n rounds.
+    """Flood the global extremes of the (x, z) records; at most n rounds.
 
-    Requires strong connectivity; n rounds always suffice since the winning
-    record travels one arc per round and is never displaced.
+    The records are ranked once per extreme, x descending for the max and
+    ascending for the min, the lowest origin first on ties. Each node holds
+    only the rank of its best record, starting from its own, and a
+    synchronous round sets it to the best rank over N_i union {i}. rounds is
+    the first round in which neither flood changes; n always suffice on the
+    strongly connected graph this requires, since the winning record travels
+    one arc per round and is never displaced. x and z must have shape (n,),
+    and a NaN in x, which has no rank, is refused.
     """
     if not is_strongly_connected(g):
         raise ValueError("extreme consensus needs a strongly connected graph")
-    hi = ConsensusState.init(x, z)
-    lo = ConsensusState.init(x, z)
-    rounds = 0
-    for _ in range(g.n):
-        hi_next = consensus_round(g, hi, "max")
-        lo_next = consensus_round(g, lo, "min")
-        rounds += 1
-        settled = (np.array_equal(hi_next.x, hi.x)
-                   and np.array_equal(hi_next.origin, hi.origin)
-                   and np.array_equal(lo_next.x, lo.x)
-                   and np.array_equal(lo_next.origin, lo.origin))
-        hi, lo = hi_next, lo_next
-        if settled:
-            break
+    n = g.n
+    x = np.asarray(x, dtype=float)
+    z = np.asarray(z, dtype=float)
+    if x.shape != (n,) or z.shape != (n,):
+        raise ValueError(f"x and z must have shape ({n},)")
+    if np.isnan(x).any():
+        raise ValueError("x must not hold NaN")
+    xs, zs = x.tolist(), z.tolist()
+    closed = [g.closed_neighbors(i) for i in range(n)]
+    ends = []
+    # stable sorts keep the lowest origin first among equal x (-0.0 == 0.0)
+    for order in (sorted(range(n), key=xs.__getitem__, reverse=True),
+                  sorted(range(n), key=xs.__getitem__)):
+        held = [0] * n
+        for r, h in enumerate(order):
+            held[h] = r
+        for rounds in range(1, n + 1):
+            nxt = [min([held[j] for j in c]) for c in closed]
+            if nxt == held:
+                break
+            held = nxt
+        ends.append((order[held[0]], rounds))
+    (hi, hi_rounds), (lo, lo_rounds) = ends
     return ExtremeConsensus(
-        x_max=float(hi.x[0]), z_at_max=float(hi.z[0]),
-        x_min=float(lo.x[0]), z_at_min=float(lo.z[0]),
-        holder_max=int(hi.origin[0]), holder_min=int(lo.origin[0]),
-        rounds=rounds)
+        x_max=xs[hi], z_at_max=zs[hi], x_min=xs[lo], z_at_min=zs[lo],
+        holder_max=hi, holder_min=lo, rounds=max(hi_rounds, lo_rounds))

@@ -616,6 +616,18 @@ def test_runner_local_flow_reads_only_its_neighbourhood():
     assert set(dense) == {False, True}   # sparse and dense nodes both checked
 
 
+def test_large_sparse_graph_keeps_every_node_on_its_own_index():
+    # On cycle:40 every closed neighbourhood has 2 members, 2^2 < 40, so the
+    # density rule keeps each node on its own index and builds no shared
+    # one. The shared walk would serve these nodes too, but slower: it walks
+    # past the records of the 38 columns a node may not read.
+    g = build_canonical("cycle", 40)
+    for kind in ("local_flow", "max_enhanced"):
+        ctl = Controller(ControllerSpec(kind), g)
+        assert _dense_nodes(ctl) == [False] * 40
+        assert ctl._law.shared is None
+
+
 def test_runner_never_calls_the_reference_laws(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the fast path called a reference law")

@@ -1,10 +1,12 @@
 """Trajectory logging, neighborhood views, and extreme-record consensus."""
 
+import itertools
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from netfeedback import (
-    ConsensusState,
     Controller,
     ControllerSpec,
     EnhancedFlowView,
@@ -12,11 +14,12 @@ from netfeedback import (
     LocalFlowView,
     WeightedDigraph,
     build_canonical,
-    consensus_round,
     control_local_flow,
+    is_strongly_connected,
     random_strongly_connected,
     run_extreme_consensus,
 )
+from netfeedback.flows import ExtremeConsensus
 
 
 def _filled_log(n=3, steps=4, seed=0):
@@ -196,25 +199,156 @@ def test_enhanced_view_series_lengths():
 
 # ---- consensus ----
 
-def test_consensus_state_init_validation():
-    with pytest.raises(ValueError):
-        ConsensusState.init([1.0, 2.0], [1.0])
-    st = ConsensusState.init([1.0, 2.0], [3.0, 4.0])
-    np.testing.assert_array_equal(st.origin, [0, 1])
+@dataclass
+class _ConsensusState:
+    """Per-node records (x, z, origin) for one consensus sweep.
+
+    origin is the node id the record originated from; ties on x prefer the
+    lowest origin, which makes the limit independent of where duplicates sit.
+    """
+
+    x: np.ndarray
+    z: np.ndarray
+    origin: np.ndarray
+
+    @classmethod
+    def init(cls, x, z):
+        x = np.asarray(x, dtype=float)
+        z = np.asarray(z, dtype=float)
+        if x.shape != z.shape or x.ndim != 1:
+            raise ValueError("x and z must be matching 1-d arrays")
+        return cls(x.copy(), z.copy(), np.arange(x.size))
 
 
-def test_single_round_adoption():
-    g = build_canonical("cycle", 3)  # node i hears node i-1
-    st = ConsensusState.init([5.0, 0.0, 1.0], [50.0, 0.0, 10.0])
-    nxt = consensus_round(g, st, "max")
-    # node 1 adopts node 0's record; node 0 keeps its own
-    np.testing.assert_array_equal(nxt.x, [5.0, 5.0, 1.0])
-    np.testing.assert_array_equal(nxt.origin, [0, 0, 2])
-    low = consensus_round(g, st, "min")
-    np.testing.assert_array_equal(low.x, [1.0, 0.0, 0.0])
-    np.testing.assert_array_equal(low.z, [10.0, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        consensus_round(g, st, "median")
+def _consensus_round(g, state, mode):
+    """One synchronous round: each node adopts the best record over N_i u {i},
+    the largest x for mode "max", the smallest for "min"."""
+    if mode not in ("max", "min"):
+        raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
+    sign = 1.0 if mode == "max" else -1.0
+    x_new = state.x.copy()
+    z_new = state.z.copy()
+    o_new = state.origin.copy()
+    for i in range(g.n):
+        best = None
+        for j in g.closed_neighbors(i):
+            key = (sign * state.x[j], -state.origin[j])
+            if best is None or key > best[0]:
+                best = (key, j)
+        j = best[1]
+        x_new[i] = state.x[j]
+        z_new[i] = state.z[j]
+        o_new[i] = state.origin[j]
+    return _ConsensusState(x_new, z_new, o_new)
+
+
+def _reference_extreme_consensus(g, x, z):
+    """The record-copying protocol run_extreme_consensus replaced: every node
+    carries a whole (x, z, origin) record, compared by the key
+    (+-x, -origin). Kept as the oracle for the rank flood."""
+    if not is_strongly_connected(g):
+        raise ValueError("extreme consensus needs a strongly connected graph")
+    hi = _ConsensusState.init(x, z)
+    lo = _ConsensusState.init(x, z)
+    rounds = 0
+    for _ in range(g.n):
+        hi_next = _consensus_round(g, hi, "max")
+        lo_next = _consensus_round(g, lo, "min")
+        rounds += 1
+        settled = (np.array_equal(hi_next.x, hi.x)
+                   and np.array_equal(hi_next.origin, hi.origin)
+                   and np.array_equal(lo_next.x, lo.x)
+                   and np.array_equal(lo_next.origin, lo.origin))
+        hi, lo = hi_next, lo_next
+        if settled:
+            break
+    return ExtremeConsensus(
+        x_max=float(hi.x[0]), z_at_max=float(hi.z[0]),
+        x_min=float(lo.x[0]), z_at_min=float(lo.z[0]),
+        holder_max=int(hi.origin[0]), holder_min=int(lo.origin[0]),
+        rounds=rounds)
+
+
+# signed zeros and infinities stress the ranking's ties and ends
+_EDGE_VALUES = np.array([-1.0, -0.0, 0.0, 0.5, 1.0, np.inf, -np.inf])
+
+
+def _mismatches(cases):
+    """Cases (g, x, z) whose seven fields differ from the oracle's by repr."""
+    bad = []
+    for g, x, z in cases:
+        got = run_extreme_consensus(g, x, z)
+        want = _reference_extreme_consensus(g, x, z)
+        if [repr(v) for v in got] != [repr(v) for v in want]:
+            bad.append((g.weights.tolist(), x.tolist(), z.tolist(), got, want))
+    return bad
+
+
+def _every_small_digraph_case():
+    """Every strongly connected digraph on 1..4 nodes, each self-arc subset
+    included, with one draw of edge values per graph."""
+    for n in range(1, 5):
+        off = [(i, j) for i in range(n) for j in range(n) if i != j]
+        graphs = []
+        for mask in range(1 << len(off)):
+            w = np.zeros((n, n))
+            for b, (i, j) in enumerate(off):
+                w[i, j] = mask >> b & 1
+            if is_strongly_connected(WeightedDigraph(w)):
+                for loops in itertools.product((0.0, 1.0), repeat=n):
+                    np.fill_diagonal(w, loops)
+                    graphs.append(WeightedDigraph(w))
+        values = np.random.default_rng(n).choice(_EDGE_VALUES,
+                                                 size=(len(graphs), 2, n))
+        for g, (x, z) in zip(graphs, values):
+            yield g, x, z
+
+
+def test_consensus_matches_reference_on_every_small_digraph():
+    cases = list(_every_small_digraph_case())
+    assert len(cases) == 2 + 4 * 1 + 8 * 18 + 16 * 1606
+    assert _mismatches(cases) == []
+
+
+def test_consensus_matches_reference_on_random_graphs():
+    cases = []
+    for n in range(5, 13):
+        for seed in range(100):
+            rng = np.random.default_rng([n, seed])
+            cases.append((random_strongly_connected(n, seed=seed),
+                          rng.choice(_EDGE_VALUES, size=n),
+                          rng.choice(_EDGE_VALUES, size=n)))
+    assert _mismatches(cases) == []
+
+
+def test_consensus_floods_one_arc_per_round():
+    # node i hears only node i-1, so the max at node 0 needs n-1 rounds to
+    # reach node n-1 and one more to settle; a flood that read beyond
+    # N_i u {i} would settle sooner
+    for n in range(2, 9):
+        x = np.zeros(n)
+        x[0], x[1] = 1.0, -1.0
+        for consensus in (run_extreme_consensus, _reference_extreme_consensus):
+            res = consensus(build_canonical("cycle", n), x, -x)
+            assert (res.holder_max, res.holder_min, res.rounds) == (0, 1, n)
+            assert (res.z_at_max, res.z_at_min) == (-1.0, 1.0)
+
+
+def test_consensus_refuses_nan_and_misshapen_records():
+    g = build_canonical("cycle", 3)
+    # a NaN has no rank; the record-copying loop let it win wherever it was
+    # a node's first neighbour
+    with pytest.raises(ValueError, match="NaN"):
+        run_extreme_consensus(g, [1.0, np.nan, 0.0], [0.0, 0.0, 0.0])
+    # a NaN payload is carried, not ranked
+    res = run_extreme_consensus(g, [1.0, 2.0, 0.0], [0.0, np.nan, 0.0])
+    assert res.holder_max == 1 and np.isnan(res.z_at_max)
+    for x, z in (([1.0, 2.0], [0.0, 0.0, 0.0]),         # short x
+                 ([1.0, 2.0, 3.0, 4.0], [0.0] * 4),     # long x and z
+                 ([1.0, 2.0, 3.0], [0.0, 0.0]),         # short z
+                 ([[1.0, 2.0, 3.0]], [[0.0, 0.0, 0.0]])):
+        with pytest.raises(ValueError, match=r"shape \(3,\)"):
+            run_extreme_consensus(g, x, z)
 
 
 def test_duplicate_extreme_resolved_by_origin():
