@@ -15,8 +15,11 @@ scans the history it may search. The runner's Controller makes the same
 decisions, bit for bit, from the flow log alone: it grows sorted WitnessIndex
 records by one flow row per step, so a nearest-record query costs O(log t),
 and the ends of those indices are the running extremes that the laws
-recentre on. The max_enhanced law takes each row's network extremes in
-closed form.
+recentre on. A law reads only its indices and the rows it is handed. The
+max_enhanced law takes each row's network extremes in closed form. Every
+recentring midpoint is 0.5 * (hi + lo) + 0.0, so a zero midpoint is +0.0
+whatever the zero signs of its ends: they mean nothing to the law, and
+ndarray.max/min pick among tied zeros by a rule that varies with the CPU.
 
 The neighbourhood laws split the nodes by a property of the graph. A node
 whose closed neighbourhood is sparse, |N_i u {i}|^2 < n, keeps its own index
@@ -102,7 +105,7 @@ def control_network_flow(log: FlowLog, graph: WeightedDigraph, epsilon: float,
     if accurate:
         return u
     hull = log.x_hist[:t + 1]
-    return u + 0.5 * (hull.max() + hull.min())
+    return u + (0.5 * (hull.max() + hull.min()) + 0.0)
 
 
 def control_path_root(log: FlowLog, t: int) -> np.ndarray:
@@ -111,9 +114,9 @@ def control_path_root(log: FlowLog, t: int) -> np.ndarray:
     u = np.zeros(log.n)
     if t == 0:
         return u
-    own = log.x_hist[:, 0]
+    own = log.x_hist[:t + 1, 0]
     s = int(np.abs(own[t] - own[:t]).argmin())
-    u[0] = -log.z_hist[s, 0] + 0.5 * (own[:t + 1].max() + own[:t + 1].min())
+    u[0] = -log.z_hist[s, 0] + (0.5 * (own.max() + own.min()) + 0.0)
     return u
 
 
@@ -130,7 +133,7 @@ def control_cycle(log: FlowLog, t: int) -> np.ndarray:
         cols = (times - t + i0 - 1) % n
         diag = x[times, cols]
         s = int(np.abs(diag[t] - diag[:t]).argmin())
-        u[i0] = -z[s, cols[s]] + 0.5 * (diag.max() + diag.min())
+        u[i0] = -z[s, cols[s]] + (0.5 * (diag.max() + diag.min()) + 0.0)
     return u
 
 
@@ -196,37 +199,21 @@ def control_max_enhanced(view: EnhancedFlowView, graph: WeightedDigraph,
         acc -= graph.weights[i, j] * enhanced_witness(view, j, t).fhat
     y_hi = float(view.x_max[:t + 1].max())
     y_lo = float(view.x_min[:t + 1].min())
-    return acc + 0.5 * (y_hi + y_lo)
+    return acc + (0.5 * (y_hi + y_lo) + 0.0)
 
 
-def _scalar_control(index: WitnessIndex, q: float, seq, *args) -> float:
+def _scalar_control(index: WitnessIndex, q: float) -> float:
     """The scalar law at the current value q of a sequence whose past values
     fill index, one record per time (key = time): cancel through the nearest
-    record and recentre on 0.5 * (s.max() + s.min()), s = seq(*args) being
-    the sequence through q. The index's ends and q give those extremes but
-    for the sign of a zero, which reaches the sum only when both extremes
-    are zero; ndarray.max/min may return either zero on a +0.0/-0.0 tie,
-    depending on the array length, so then both are taken from s."""
+    record and recentre on the midpoint 0.5 * (hi + lo) + 0.0 of the
+    sequence's extremes, which the index's ends and q give but for the sign
+    of a zero; the + 0.0 makes that sign irrelevant."""
     hi, lo = max(index.hi, q), min(index.lo, q)
-    if hi == lo == 0.0:
-        s = seq(*args)
-        hi, lo = float(s.max()), float(s.min())
-    return -index.nearest(q)[2] + 0.5 * (hi + lo)
-
-
-def _root_sequence(log, t):
-    """x[s, 0] for s = 0..t: node 0's sequence, control_path_root's."""
-    return log.x_hist[:, 0][:t + 1]
-
-
-def _diagonal(log, t, c):
-    """x[s, (s - c) mod n] for s = 0..t: control_cycle's diagonal class c."""
-    times = np.arange(t + 1)
-    return log.x_hist[times, (times - c) % log.n]
+    return -index.nearest(q)[2] + (0.5 * (hi + lo) + 0.0)
 
 
 # Per-kind fast paths. ingest(s, xs, zs) takes the completed flow row s
-# once; decide(log, t, q) returns U(t) for q = X(t). xs, zs and q are lists
+# once; decide(t, q) returns U(t) for q = X(t). xs, zs and q are lists
 # of floats. Each index is fed in the order of the reference's candidate
 # scan, so a record's insertion rank is its position in that scan and the
 # tie rules agree.
@@ -247,7 +234,7 @@ class _NetworkFlow:
         for x, z in zip(xs, zs):
             self.index.insert(x, z)
 
-    def decide(self, log, t, q):
+    def decide(self, t, q):
         index = self.index
         hits = [index.nearest(qj) for qj in q]
         u = -(self.weights @ np.array([h[2] for h in hits]))
@@ -255,9 +242,8 @@ class _NetworkFlow:
         self.branch_log.append(not accurate)
         if accurate:
             return u
-        # A witness distance above epsilon > 0 puts a nonzero state in the
-        # hull, so no end's zero sign reaches the midpoint.
-        return u + 0.5 * (max(index.hi, max(q)) + min(index.lo, min(q)))
+        return u + (0.5 * (max(index.hi, max(q)) + min(index.lo, min(q)))
+                    + 0.0)
 
 
 class _PathRoot:
@@ -270,9 +256,9 @@ class _PathRoot:
     def ingest(self, s, xs, zs):
         self.index.insert(xs[0], zs[0])
 
-    def decide(self, log, t, q):
+    def decide(self, t, q):
         u = np.zeros(self.n)
-        u[0] = _scalar_control(self.index, q[0], _root_sequence, log, t)
+        u[0] = _scalar_control(self.index, q[0])
         return u
 
 
@@ -289,14 +275,10 @@ class _Cycle:
         for v, (x, z) in enumerate(zip(xs, zs)):
             self.indices[(s - v) % self.n].insert(x, z)
 
-    def decide(self, log, t, q):
+    def decide(self, t, q):
         n = self.n
-        u = []
-        for i0 in range(n):
-            c = (t - i0 + 1) % n
-            u.append(_scalar_control(self.indices[c], q[(i0 - 1) % n],
-                                     _diagonal, log, t, c))
-        return np.array(u)
+        return np.array([_scalar_control(self.indices[(t - i0 + 1) % n],
+                                         q[(i0 - 1) % n]) for i0 in range(n)])
 
 
 class _Neighbourhood:
@@ -358,7 +340,7 @@ class _Neighbourhood:
             self.extremes.insert(xs[hi], zs[hi])
             self.extremes.insert(xs[lo], zs[lo])
 
-    def decide(self, log, t, q):
+    def decide(self, t, q):
         n = len(q)
         if self.extremes is None:
             ext = None
@@ -366,10 +348,8 @@ class _Neighbourhood:
         else:
             extremes = self.extremes
             ext = [extremes.nearest(qj) for qj in q]
-            # No signed-zero fallback as in _scalar_control: acc below starts
-            # at +0.0 and a difference is -0.0 only when its minuend is, so
-            # acc + mid has the same bits for either zero mid.
-            mid = 0.5 * (max(extremes.hi, max(q)) + min(extremes.lo, min(q)))
+            mid = (0.5 * (max(extremes.hi, max(q)) + min(extremes.lo, min(q)))
+                   + 0.0)
             anchors = [mid] * n
         # hits[i*n + j]: dense node i's local witness of x_j(t)
         hits = (self.shared.nearest_among(q, self.askers, self.readers)
@@ -424,4 +404,4 @@ class Controller:
         self._seen = t + 1
         if t == 0:
             return np.zeros(self.graph.n)
-        return self._law.decide(log, t, q)
+        return self._law.decide(t, q)

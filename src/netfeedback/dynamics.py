@@ -111,7 +111,8 @@ class ObservationSpec:
     """How z_i(t), the estimate of f(x_i(t)), is produced.
 
     mode "direct": z_i = f(x_i) + e_i with |e_i| <= d0 (seeded uniform).
-    mode "matrix_inverse": Z = A^{-1} (X(t+1) - U(t)); needs invertible A.
+    mode "matrix_inverse": Z = A^{-1} (X(t+1) - U(t)); needs invertible A
+    and takes no noise, so a nonzero d0 is refused.
     """
 
     mode: str = "direct"
@@ -125,6 +126,9 @@ class ObservationSpec:
             raise ValueError("d0 must be finite and nonnegative")
         if not math.isfinite(2.0 * self.d0):
             raise SpanError("d0", self.d0)
+        if self.mode == "matrix_inverse" and self.d0 != 0.0:
+            raise ValueError("d0 is for direct observation only; "
+                             "matrix_inverse takes no noise")
         if self.noise_seed < 0:
             raise ValueError("noise_seed must be nonnegative")
 

@@ -401,10 +401,10 @@ def test_controller_matches_per_neighbour_reference():
     # neighbourhood; node 0 has no in-neighbours. The zero-heavy, one-signed
     # pools of the last two seeds put both zeros at an end of the hull: a
     # recentre step then reads a zero end from the index, and a scalar
-    # sequence has one zero end (no fallback) or is zero throughout (the
-    # fallback to numpy). The neighbourhood laws also run on _mixed_twelve,
-    # whose sparse and dense nodes must both decide as the reference does;
-    # the Controller's own choice of index is counted.
+    # sequence has one zero end or is zero throughout. The neighbourhood
+    # laws also run on _mixed_twelve, whose sparse and dense nodes must both
+    # decide as the reference does; the Controller's own choice of index is
+    # counted.
     n, T = 5, 12
     seen = dict.fromkeys(("exact", "rounding", "hood_vs_extreme", "no_nbrs",
                           "accurate", "recentre", "recentre_zero_end",
@@ -492,12 +492,12 @@ def test_enhanced_extreme_record_comes_from_the_first_holder():
         assert u[1] == -7.0 + 0.5 * (5.0 * sign + 1.0)
 
 
-def test_running_extremes_keep_numpy_signed_zero():
+def test_zero_midpoint_is_positive_zero():
     # On an all-zero history with both signs, ndarray.max/min pick a zero by
-    # a rule that depends on the array length, and the sign reaches u when
-    # the estimates are zeros too. No running rule (first or last zero)
-    # reproduces it; the Controller must still match the reference bits.
-    seen = dict.fromkeys(("first_rule_fails", "last_rule_fails"), 0)
+    # a rule that depends on the array length and the CPU's SIMD level. The
+    # midpoint 0.5 * (hi + lo) + 0.0 is +0.0 whichever zeros they pick, so
+    # with zero estimates of either sign no control carries a sign bit, and
+    # the Controller still matches the reference bits.
     T = 40
     for seed in range(4):
         rng = np.random.default_rng(seed)
@@ -511,13 +511,89 @@ def test_running_extremes_keep_numpy_signed_zero():
             for t, u in enumerate(_decide_all(kind, g, log), start=1):
                 ref = _reference_u(kind, g, log, t)
                 assert _bits(u) == _bits(ref), (seed, kind, t)
+                assert not np.signbit(u).any(), (seed, kind, t)
+
+
+def test_zero_rule_leaves_the_flow_midpoints_unchanged():
+    # network_flow recentres only when a witness lies beyond epsilon > 0, so
+    # its hull holds a nonzero state and its midpoint is never -0.0; the
+    # max_enhanced sum acc + mid starts from acc = +0.0 and acc is never
+    # -0.0, so either zero mid gives the same bits. The + 0.0 on these two
+    # midpoints moves no output: without it, the laws decide alike on
+    # histories whose hull ends are zeros of both signs.
+    n, T = 5, 16
+    eps = ControllerSpec("network_flow").epsilon
+    seen = dict.fromkeys(("recentre_zero_end", "negative_zero_mid"), 0)
+    pools = [np.array([-0.5, -0.0, 0.0]), np.array([-0.0, 0.0, 0.5]),
+             np.array([-0.0, 0.0])]
+    for seed, pool in enumerate(pools):
+        rng = np.random.default_rng(seed)
+        g = random_strongly_connected(n, seed=seed)
+        x = rng.choice(pool, size=(T + 1, n))
+        x[0] = rng.choice([-0.0, 0.0], size=n)   # the first nonzero recentres
+        log = _log(x, rows_z=list(rng.choice(pool, size=(T, n))))
+        series = _extreme_series(log)
+        x_max, x_min = series[:2]
         for t in range(1, T + 1):
-            times = np.arange(t + 1)
-            diag = x[times, times % 5]   # a diagonal class of control_cycle
-            got = np.signbit(diag.max())
-            seen["first_rule_fails"] += got != np.signbit(diag[0])
-            seen["last_rule_fails"] += got != np.signbit(diag[-1])
+            w = global_witnesses(log, t)
+            if not np.all(w.dist <= eps):
+                hull = log.x_hist[:t + 1]
+                old = -(g.weights @ w.fhat) + 0.5 * (hull.max() + hull.min())
+                new = control_network_flow(log, g, eps, t)
+                assert _bits(old) == _bits(new), (seed, t)
+                seen["recentre_zero_end"] += hull.max() == 0 or hull.min() == 0
+            mid = 0.5 * (float(x_max[:t + 1].max()) + float(x_min[:t + 1].min()))
+            seen["negative_zero_mid"] += mid == 0 and np.signbit(mid)
+            for i in range(n):
+                enh = EnhancedFlowView(LocalFlowView(log, g, i), *series)
+                acc = 0.0
+                for j in g.neighbors(i):
+                    acc -= g.weights[i, j] * enhanced_witness(enh, j, t).fhat
+                new = control_max_enhanced(enh, g, i, t)
+                assert _bits(acc + mid) == _bits(new), (seed, i, t)
     assert all(seen.values()), seen
+
+
+class _RowsOnlyLog(FlowLog):
+    """A flow log that serves its rows and states but no history array."""
+
+    @property
+    def x_hist(self):
+        raise AssertionError("a law read the state history")
+
+    @property
+    def z_hist(self):
+        raise AssertionError("a law read the estimate history")
+
+
+def test_laws_read_only_rows():
+    # Driven as the runner drives it, one decision per step and then the
+    # next row, each law's Controller reads only FlowLog.state and .row, on
+    # random histories and on all-zero ones with mixed signs, and decides as
+    # the reference does on an ordinary log.
+    n, T = 5, 30
+    graphs = {"network_flow": random_strongly_connected(n, seed=1),
+              "local_flow": random_strongly_connected(n, seed=2),
+              "max_enhanced": random_strongly_connected(n, seed=3),
+              "path_root": build_canonical("path_root_selfloop", n),
+              "cycle_global": build_canonical("cycle", n)}
+    for seed in range(2):
+        rng = np.random.default_rng(seed)
+        signs = rng.integers(0, 2, size=(2, T + 1, n)).astype(bool)
+        histories = (rng.normal(size=(2, T + 1, n)),
+                     np.where(signs, -0.0, 0.0))
+        for x, z in histories:
+            plain = _log(x, rows_z=list(z[:T]))
+            for kind, g in graphs.items():
+                log = _RowsOnlyLog(x[0], T)
+                ctl = Controller(ControllerSpec(kind), g)
+                for t in range(T + 1):
+                    u = ctl.controls(log, t)
+                    if t > 0:
+                        ref = _reference_u(kind, g, plain, t)
+                        assert _bits(u) == _bits(ref), (seed, kind, t)
+                    if t < T:
+                        log.append(x[t + 1], z=z[t], u=u)
 
 
 def _replay_config(kind: str) -> ExperimentConfig:

@@ -261,7 +261,7 @@ def test_advance_replays_step_and_observers_across_noise_blocks():
     steps = 2 * dynamics.BLOCK // 3 + 5     # three blocks of noise
     for obs in (ObservationSpec("direct", d0=0.05, noise_seed=4),
                 ObservationSpec("direct", d0=0.0, noise_seed=4),
-                ObservationSpec("matrix_inverse", d0=0.05, noise_seed=4)):
+                ObservationSpec("matrix_inverse", d0=0.0, noise_seed=4)):
         _replay_advance(obs, steps)
 
 

@@ -53,6 +53,9 @@ def test_field_errors_are_attributed():
         ({"disturbance": {"w_star": 0.0, "generator": "seeded_uniform"}},
          "disturbance"),
         ({"observation": {"mode": "psychic"}}, "observation"),
+        # the inverse channel takes no noise
+        ({"observation": {"mode": "matrix_inverse", "d0": 0.05}},
+         "observation"),
         ({"guard_cap": -5.0}, "guard_cap"),
         ({"function": {"kind": "cubic"}}, "function.kind"),
         # wrong-typed JSON values: true is not a number, null not a default
@@ -785,7 +788,10 @@ def test_cli_error_exit_codes(tmp_path, capsys):
                                        "generator": "seeded_uniform"}},
              "disturbance.w_star"),
             ("huged0", {"observation": {"mode": "direct", "d0": 1e308}},
-             "observation.d0")):
+             "observation.d0"),
+            # d0 in a mode that takes no noise
+            ("inversed0", {"observation": {"mode": "matrix_inverse",
+                                           "d0": 0.05}}, "observation")):
         path = _write_cfg(tmp_path, _cfg(**over), f"{name}.json")
         assert main(["simulate", "--config", path]) == 2, name
         assert field in capsys.readouterr().err, name
