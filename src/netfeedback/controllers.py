@@ -25,9 +25,11 @@ The neighbourhood laws split the nodes by a property of the graph. A node
 whose closed neighbourhood is sparse, |N_i u {i}|^2 < n, keeps its own index
 of its columns. The dense nodes read one shared index of whole rows through
 column masks, one walk per queried state serving every dense node that asks
-for it. The shared index holds columns a dense node may not read, so its
-confinement rests on the mask; the reference laws read a LocalFlowView,
-which holds nothing else, and stay the structural oracle for both kinds.
+for it; the law adds up the served groups in query order, so each dense
+node sums its terms in the order of N_i, as the reference laws do. The
+shared index holds columns a dense node may not read, so its confinement
+rests on the mask; the reference laws read a LocalFlowView, which holds
+nothing else, and stay the structural oracle for both kinds.
 """
 
 import math
@@ -289,12 +291,14 @@ class _Neighbourhood:
     whole rows, key s*n + v as in _NetworkFlow, and are confined by column
     masks (WitnessIndex.nearest_among): each row goes in once, not once per
     out-neighbour, and one walk outward from each x_j(t) serves every dense
-    node that asks for it. A node's first readable record lies about
+    node that asks for it. The walk returns served groups in ascending j,
+    and the dense nodes add them up in that order, so each sums its terms
+    in the order of N_i. A node's first readable record lies about
     n/|N_i u {i}| <= sqrt(n) records out, which the rule keeps short: at
-    T = 1000 the shared walk broke even with own indices near
-    |N_i u {i}|^2 = 0.45 n (n = 20 and 40) and was 2.4x slower on a
-    40-cycle, so the rule errs toward own indices. Columns
-    ascend, so both keys order a node's records as the reference's
+    T = 1000, with both walks on their tie-free fast paths, the shared walk
+    broke even with own indices near |N_i u {i}|^2 = 0.5 n (n = 20 and 40)
+    and was 2.6x slower on a 40-cycle, so the rule errs toward own indices.
+    Columns ascend, so both keys order a node's records as the reference's
     time-major scan does. max_enhanced adds one index of the extreme
     records, key 2s (max) or 2s + 1 (min); its ends are the folded
     extremes. Row s's extremes are taken in closed form, the first
@@ -304,7 +308,7 @@ class _Neighbourhood:
     def __init__(self, ctl):
         g = ctl.graph
         n = g.n
-        weights = g.weights.tolist()
+        self.weights = weights = g.weights.tolist()
         self.nodes = []   # (i, N_i, row i of A, own index or None: dense)
         self.own = []     # (N_i u {i}, own index) of the sparse nodes
         self.askers = [0] * n    # bit i of askers[j]: dense i has j in N_i
@@ -351,20 +355,31 @@ class _Neighbourhood:
             mid = (0.5 * (max(extremes.hi, max(q)) + min(extremes.lo, min(q)))
                    + 0.0)
             anchors = [mid] * n
-        # hits[i*n + j]: dense node i's local witness of x_j(t)
-        hits = (self.shared.nearest_among(q, self.askers, self.readers)
-                if self.shared is not None else None)
-        u = []
-        for i, nbrs, w, index in self.nodes:
-            acc = 0.0
-            for j in nbrs:
-                d, _, fhat = (hits[i * n + j] if index is None
-                              else index.nearest(q[j]))
+        acc = [0.0] * n
+        if self.shared is not None:
+            # served groups in ascending j: each dense node adds up its
+            # neighbours' terms in the order of N_i, as the reference does
+            weights = self.weights
+            for j, served, d, _, fhat in self.shared.nearest_among(
+                    q, self.askers, self.readers):
                 if ext is not None and ext[j][0] < d:   # ties: neighbourhood
                     fhat = ext[j][2]
-                acc -= w[j] * fhat
-            u.append(acc + anchors[i])
-        return np.array(u)
+                while served:
+                    low = served & -served
+                    i = low.bit_length() - 1
+                    acc[i] -= weights[i][j] * fhat
+                    served ^= low
+        for i, nbrs, w, index in self.nodes:
+            if index is None:
+                continue
+            a = 0.0
+            for j in nbrs:
+                d, _, fhat = index.nearest(q[j])
+                if ext is not None and ext[j][0] < d:
+                    fhat = ext[j][2]
+                a -= w[j] * fhat
+            acc[i] = a
+        return np.array([a + anchor for a, anchor in zip(acc, anchors)])
 
 
 _LAWS = {"network_flow": _NetworkFlow, "path_root": _PathRoot,

@@ -9,10 +9,14 @@ network-wide extreme series. Confinement is structural: a view physically
 holds nothing outside its columns. A WitnessIndex keeps past (value,
 estimate) records sorted by value, so a nearest-record query is a bisection
 instead of a scan of the history, and its two ends are the running extremes
-of the values it holds. Fed whole flow rows, one index serves many nodes:
-nearest_among answers each node over its own columns alone, by a column
-mask (key % n), so there confinement rests on the mask, with the views as
-the structural oracle.
+of the values it holds. A walk outward from the bisection takes a record
+that is strictly nearer than the other side, and not tied by the next
+record on its own side, at once; only tied records are gathered and taken
+by key. Fed whole flow rows, one index serves many nodes: nearest_among
+answers each node over its own columns alone, by a column mask (key % n),
+so there confinement rests on the mask, with the views as the structural
+oracle. It returns served groups, one per record that served an asker, in
+ascending query order, not a node-by-query table.
 
 run_extreme_consensus is the flooding protocol by which nodes learn the
 extremes from their neighbours alone. The records are ranked once, and each
@@ -223,6 +227,18 @@ class WitnessIndex:
         # outward from p on both sides; distinct values may round to the
         # same distance, so walk each side while the distance stays minimal.
         p = bisect_left(v, q)
+        if 0 < p < m:
+            # one side strictly nearer, and its next record farther: the
+            # nearest record is unique. abs: v[p] - q is -0.0 when v[p] is
+            # -0.0 and q is +0.0.
+            dr, dl = v[p] - q, q - v[p - 1]
+            if dr < dl:
+                if p + 1 == m or v[p + 1] - q != dr:
+                    key = k[p]
+                    return abs(dr), key, self._e[key]
+            elif dl < dr and (p == 1 or q - v[p - 2] != dl):
+                key = k[p - 1]
+                return dl, key, self._e[key]
         if p == m:
             d = q - v[p - 1]
         else:
@@ -248,16 +264,23 @@ class WitnessIndex:
         flow rows, record v of row s under key s*n + v (column v = key % n,
         n = len(readers)). Node i asks for qs[j] when bit i of askers[j] is
         set, and reads the records of column c when bit i of readers[c] is.
-        hits[i*n + j] is then nearest(qs[j]) over the records node i reads,
-        by nearest's rule (the smallest rounded distance, then the lowest
-        key), so it is argmin over node i's columns of the rows in
-        time-major order; it is None where node i did not ask. One walk
-        outward from the bisection of qs[j] serves all its askers: it takes
-        the records in order of distance, ties by key, and hands each to the
-        askers that read it and are not yet served."""
+        Each asker i of qs[j] is served nearest(qs[j]) over the records it
+        reads, by nearest's rule (the smallest rounded distance, then the
+        lowest key), which is argmin over node i's columns of the rows in
+        time-major order. One walk outward from the bisection of qs[j]
+        serves all its askers: it takes the records in order of distance,
+        ties by key, and hands each to the askers that read it and are not
+        yet served. A record strictly nearer than the other side's next one,
+        and not tied by the next record on its own side, is taken alone;
+        otherwise every record at that distance, on both sides, is gathered
+        and taken in key order. The answer is the list of served groups
+        (j, served, dist, key, est), in ascending j and, within one j, in
+        walk order: one per record that served an asker, with served the
+        bitmask of the askers it served. Each asker of j is in exactly one
+        group of j; a node that did not ask is in none."""
         v, k, e = self._v, self._k, self._e
         m, n = len(v), len(readers)
-        hits = [None] * (n * n)
+        groups = []
         for j, pending in enumerate(askers):
             if not pending:
                 continue
@@ -266,34 +289,46 @@ class WitnessIndex:
                 raise ValueError("queries must be finite")
             r = bisect_left(v, q)   # v[:r] < q <= v[r:]
             lo = r - 1
+            # the distances of the next record on each side, inf past an end
+            dr = v[r] - q if r < m else _INF
+            dl = q - v[lo] if lo >= 0 else _INF
             while pending:
-                # the next distance outward, and every record at it
-                if r < m:
-                    d = v[r] - q
-                    if lo >= 0 and q - v[lo] < d:
-                        d = q - v[lo]
-                elif lo >= 0:
-                    d = q - v[lo]
-                else:
-                    raise ValueError("an asker reads no record")
-                keys = []
-                while r < m and v[r] - q == d:
-                    keys.append(k[r])
+                if dr < dl and (r + 1 == m or v[r + 1] - q != dr):
+                    key, d = k[r], dr   # the right record alone is nearest
                     r += 1
-                while lo >= 0 and q - v[lo] == d:
-                    keys.append(k[lo])
+                    dr = v[r] - q if r < m else _INF
+                elif dl < dr and (lo == 0 or q - v[lo - 1] != dl):
+                    key, d = k[lo], dl
                     lo -= 1
-                keys.sort()
-                for key in keys:
-                    served = pending & readers[key % n]
-                    if served:
-                        pending ^= served
-                        hit = (abs(d), key, e[key])
-                        while served:
-                            low = served & -served
-                            hits[(low.bit_length() - 1) * n + j] = hit
-                            served ^= low
-        return hits
+                    dl = q - v[lo] if lo >= 0 else _INF
+                else:
+                    # records tie at the next distance: take them all, by
+                    # key. A distance may overflow to inf, so the ends are
+                    # told by position.
+                    if r == m and lo < 0:
+                        raise ValueError("an asker reads no record")
+                    d = min(dr, dl)
+                    keys = []
+                    while r < m and v[r] - q == d:
+                        keys.append(k[r])
+                        r += 1
+                    while lo >= 0 and q - v[lo] == d:
+                        keys.append(k[lo])
+                        lo -= 1
+                    keys.sort()
+                    for key in keys:
+                        served = pending & readers[key % n]
+                        if served:
+                            pending ^= served
+                            groups.append((j, served, abs(d), key, e[key]))
+                    dr = v[r] - q if r < m else _INF
+                    dl = q - v[lo] if lo >= 0 else _INF
+                    continue
+                served = pending & readers[key % n]
+                if served:   # abs: v[r] - q is -0.0 for -0.0 - +0.0
+                    pending ^= served
+                    groups.append((j, served, abs(d), key, e[key]))
+        return groups
 
 
 ExtremeConsensus = namedtuple(

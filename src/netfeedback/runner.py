@@ -177,6 +177,9 @@ def _run_result(config: ExperimentConfig, controller: Controller, plant,
                      explore_log=tuple(controller.branch_log))
 
 
+_WRITE_BLOCK = 256   # time rows of trajectory.csv formatted at once
+
+
 def write_outputs(result: RunResult, out_dir) -> dict:
     """trajectory.csv, summary.json and, for adversary runs,
     certificate.json. Node ids are 1-based; floats carry 17 significant
@@ -184,20 +187,24 @@ def write_outputs(result: RunResult, out_dir) -> dict:
     with empty u, z, w fields."""
     os.makedirs(out_dir, exist_ok=True)
     log = result.log
-    steps = log.t
+    steps, n = log.t, log.n
     x, z, u, w = log.x_hist, log.z_hist, log.u_hist, result.w_hist
-    lines = ["t,node,x,u,z,w"]
-    # one row at a time: lists of whole histories would raise the peak memory
-    for t in range(steps):
-        lines.extend(["%d,%d,%.17g,%.17g,%.17g,%.17g" % (t, i, *vals)
-                      for i, vals in enumerate(zip(x[t].tolist(), u[t].tolist(),
-                                                   z[t].tolist(), w[t].tolist()), 1)])
-    lines.extend(["%d,%d,%.17g,,," % (steps, i, v)
-                  for i, v in enumerate(x[steps].tolist(), 1)])
+    # one format per time row, filled from (t, x, u, z, w) a block of rows
+    # at a time: %d prints the float t as its integer
+    row = "".join(["%%d,%d,%%.17g,%%.17g,%%.17g,%%.17g\n" % i
+                   for i in range(1, n + 1)])
+    times = np.broadcast_to(np.arange(steps, dtype=float)[:, None], (steps, n))
     paths = {"trajectory": os.path.join(out_dir, "trajectory.csv"),
              "summary": os.path.join(out_dir, "summary.json")}
     with open(paths["trajectory"], "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("t,node,x,u,z,w\n")
+        for s in range(0, steps, _WRITE_BLOCK):
+            e = min(s + _WRITE_BLOCK, steps)
+            block = np.stack([times[s:e], x[s:e], u[s:e], z[s:e], w[s:e]],
+                             axis=2)
+            fh.write(row * (e - s) % tuple(block.ravel().tolist()))
+        fh.write("".join(["%d,%d,%.17g,,,\n" % (steps, i, v)
+                          for i, v in enumerate(x[steps].tolist(), 1)]))
     with open(paths["summary"], "w") as fh:
         json.dump(result.summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

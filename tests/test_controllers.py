@@ -234,6 +234,28 @@ def test_rounding_tie_triple():
     assert Fraction(_Q) - Fraction(_A) != Fraction(_B) - Fraction(_Q)
 
 
+def _hits(groups, n) -> list:
+    """hits[i*n + j]: (dist, key, est) of the group that served asker i of
+    qs[j], None where no group served i for j. The groups must come in
+    ascending j, in walk order within one j (distance, then key), and serve
+    each node at most once per j."""
+    hits = [None] * (n * n)
+    last = None
+    for j, served, dist, key, est in groups:
+        assert served > 0
+        if last is not None and last[0] == j:
+            assert (last[1], last[2]) < (dist, key)
+        else:
+            assert last is None or last[0] < j
+        last = (j, dist, key)
+        for i in range(n):
+            if served >> i & 1:
+                assert hits[i * n + j] is None, (i, j)   # one group per asker
+                hits[i * n + j] = (dist, key, est)
+        assert served < 1 << n
+    return hits
+
+
 def test_witness_index_matches_brute_force_argmin():
     # After every insert, each query gives the distance, key (insertion rank)
     # and estimate of argmin over |value - q| with the records in insertion
@@ -291,7 +313,7 @@ def test_witness_index_matches_brute_force_argmin():
                 askers = [int(a) for a in rng.integers(0, 1 << n, size=n)]
                 qs = rng.choice(np.concatenate([queries, rng.normal(size=2)]),
                                 size=n).tolist()
-                hits = index.nearest_among(qs, askers, readers)
+                hits = _hits(index.nearest_among(qs, askers, readers), n)
                 for i in range(n):
                     member = np.array([readers[key % n] >> i & 1
                                        for key in range(len(values))], bool)
@@ -303,6 +325,7 @@ def test_witness_index_matches_brute_force_argmin():
                             continue
                         dm = np.abs(vals[keys] - q)
                         f = int(keys[dm.argmin()])
+                        assert hits[i * n + j] is not None, (seed, i, j)
                         dist, key, est_f = hits[i * n + j]
                         assert _bits(dist) == _bits(dm.min()), (seed, i, j)
                         assert key == f and _bits(est_f) == _bits(ests[f])
@@ -334,7 +357,78 @@ def test_witness_index_rejects_what_it_cannot_order():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError):
             index.nearest_among([bad], [0b1], [0b1])
-    assert index.nearest_among([3.0], [0b1], [0b1]) == [(2.0, 0, 2.0)]
+    assert index.nearest_among([3.0], [0b1], [0b1]) == [(0, 0b1, 2.0, 0, 2.0)]
+    # a query nobody asks for is not walked, and serves no group
+    assert index.nearest_among([3.0, 1.0], [0, 0], [0b11, 0]) == []
+    # both nodes read the one record: a single group serves them
+    assert index.nearest_among([0.5, 1.0], [0b11, 0], [0b11, 0]) == [
+        (0, 0b11, 0.5, 0, 2.0)]
+
+
+# Stored values and queries for the fast paths of nearest/nearest_among:
+# the bisection point at 0, 1, m-1 and m; runs of equal values at and just
+# past the nearest record, on each side; a rounding tie at the second record
+# of a side, across sides (_A, _Q, _B) and within one (tiny values far from
+# the query); a stored -0.0 queried with +0.0 and the reverse; distances
+# that overflow to inf, which are records still, not the end of a side.
+_EDGE_CASES = (
+    ([1.0, 2.0, 4.0, 8.0], [0.0, 1.0, 1.25, 1.5, 1.75, 5.0, 7.0, 8.0, 9.0]),
+    ([0.0, 1.0, 3.0, 3.0, 3.0, 6.0], [2.9, 3.0, 3.1, 4.4]),
+    ([0.0, 2.0, 2.0, 2.0, 5.0], [1.9, 2.1, 3.0]),
+    ([0.0, 0.0, 1.0, 3.0, 4.0, 4.0], [0.5, 1.2, 2.9, 3.2, 4.5]),
+    ([_A, 0.0, _B], [_Q]),
+    ([_A, -0.5, _B], [_Q]),
+    ([_A, _B], [_Q]),
+    ([-5.0, 1e-17, 3e-17, 5.0], [1.0, -1.0]),
+    ([-1.0, -0.0, 1.0], [0.0, -0.0]),
+    ([-1.0, 0.0, 1.0], [-0.0, 0.0]),
+    ([-0.0, 0.0, 2.0], [0.0, -0.0]),
+    ([-2.0, 0.0, -0.0], [0.0, -0.0]),
+    ([-1.7e308, 1.7e308], [1e308]),
+    ([1.5e308, 1.7e308], [-1.6e308]),
+)
+
+
+def _argmin(values, q, keys) -> tuple:
+    """(distance, key) of argmin over |value - q| of the records of keys,
+    taken in key order; Python floats, so an overflow reads inf silently."""
+    d = [abs(values[key] - q) for key in keys]
+    f = min(range(len(d)), key=d.__getitem__)
+    return d[f], keys[f]
+
+
+def test_witness_fast_paths_match_brute_force_argmin_on_edge_cases():
+    # Each case runs with its values inserted in both orders, so that a
+    # tied record visited first holds the higher key in one of them. Over
+    # two columns (key % 2), five reader masks are tried, each node reading
+    # one column or both: a node that skips the nearest record's column
+    # walks on to the next record, or to a tie there.
+    n = 2
+    checked = 0
+    for values, queries in _EDGE_CASES:
+        for order in (values, values[::-1]):
+            index = WitnessIndex()
+            for key, value in enumerate(order):
+                index.insert(value, key + 0.5)
+            for q in queries:
+                want = _argmin(order, q, range(len(order)))
+                dist, key, est = index.nearest(q)
+                assert (_bits(dist), key, est) == (
+                    _bits(want[0]), want[1], want[1] + 0.5), (order, q)
+                for readers in ([1, 2], [3, 2], [1, 3], [3, 3], [2, 1]):
+                    hits = _hits(index.nearest_among(
+                        [q, 0.0], [0b11, 0], readers), n)
+                    assert hits[1] is None and hits[3] is None   # not asked
+                    for i in range(n):
+                        want = _argmin(order, q, [
+                            key for key in range(len(order))
+                            if readers[key % n] >> i & 1])
+                        dist, key, est = hits[i * n]
+                        assert (_bits(dist), key, est) == (
+                            _bits(want[0]), want[1], want[1] + 0.5), (
+                                order, q, readers, i)
+                        checked += 1
+    assert checked == 2 * 5 * 2 * sum(len(q) for _, q in _EDGE_CASES)
 
 
 def _mixed_twelve() -> np.ndarray:

@@ -632,6 +632,14 @@ def _with_special_values(res):
     return dataclasses.replace(res, log=log, w_hist=w)
 
 
+def _first_steps(res, k):
+    """res cut to its first k steps."""
+    log = nf.FlowLog(res.x_hist[0], k)
+    for t in range(k):
+        log.append(res.x_hist[t + 1], z=res.z_hist[t], u=res.u_hist[t])
+    return dataclasses.replace(res, log=log, w_hist=res.w_hist[:k])
+
+
 def test_outputs_match_the_value_by_value_formatter(tmp_path):
     tripped = run_experiment(ExperimentConfig(_cfg(
         function={"kind": "linear", "a": 3.0, "b": 0.0},
@@ -643,7 +651,14 @@ def test_outputs_match_the_value_by_value_formatter(tmp_path):
     del raw["function"]
     adversary = run_experiment(ExperimentConfig(raw))
     assert adversary.certificate is not None
-    for k, res in enumerate((tripped, _with_special_values(tripped), adversary)):
+    # more than one block of time rows, the last one partial
+    block = nf.runner._WRITE_BLOCK
+    long = run_experiment(ExperimentConfig(_cfg(
+        controller={"kind": "zero"}, horizon=block + 44)))
+    assert long.summary["steps_run"] == block + 44
+    for k, res in enumerate((tripped, _with_special_values(tripped), adversary,
+                             long, _first_steps(long, block),
+                             _first_steps(long, 0))):
         paths = write_outputs(res, tmp_path / str(k))
         want = _reference_files(res)
         assert set(want) | {"summary"} == set(paths)
