@@ -287,38 +287,38 @@ class _Neighbourhood:
     """control_local_flow, and with the extreme records control_max_enhanced.
     Node i searches the columns N_i u {i} of the flow. A sparse node, with
     |N_i u {i}|^2 < n, keeps its own index of those columns, key s*k + c;
-    confinement is structural there. The dense nodes share one index of the
-    whole rows, key s*n + v as in _NetworkFlow, and are confined by column
-    masks (WitnessIndex.nearest_among): each row goes in once, not once per
-    out-neighbour, and one walk outward from each x_j(t) serves every dense
-    node that asks for it. The walk returns served groups in ascending j,
-    and the dense nodes add them up in that order, so each sums its terms
-    in the order of N_i. A node's first readable record lies about
+    confinement is structural there. The list own holds the sparse nodes
+    alone, each with its own index, and ingest and decide both walk it. The
+    dense nodes, known only by the askers and readers masks, share one index
+    of the whole rows, key s*n + v as in _NetworkFlow, and are confined by
+    column masks (WitnessIndex.nearest_among): each row goes in once, not
+    once per out-neighbour, and one walk outward from each x_j(t) serves
+    every dense node that asks for it. The walk returns served groups in
+    ascending j, and the dense nodes add them up in that order, so each sums
+    its terms in the order of N_i. A node's first readable record lies about
     n/|N_i u {i}| <= sqrt(n) records out, which the rule keeps short: at
     T = 1000, with both walks on their tie-free fast paths, the shared walk
     broke even with own indices near |N_i u {i}|^2 = 0.5 n (n = 20 and 40)
     and was 2.6x slower on a 40-cycle, so the rule errs toward own indices.
     Columns ascend, so both keys order a node's records as the reference's
     time-major scan does. max_enhanced adds one index of the extreme
-    records, key 2s (max) or 2s + 1 (min); its ends are the folded
-    extremes. Row s's extremes are taken in closed form, the first
-    argmax/argmin of X(s) with its estimate; that is the limit of
-    flows.run_extreme_consensus on a strongly connected graph."""
+    records, key 2s (max) or 2s + 1 (min); its ends are the folded extremes.
+    Row s's extremes are taken in closed form, the first argmax/argmin of
+    X(s) with its estimate; that is the limit of flows.run_extreme_consensus
+    on a strongly connected graph."""
 
     def __init__(self, ctl):
         g = ctl.graph
         n = g.n
         self.weights = weights = g.weights.tolist()
-        self.nodes = []   # (i, N_i, row i of A, own index or None: dense)
-        self.own = []     # (N_i u {i}, own index) of the sparse nodes
+        self.own = []   # (i, N_i u {i}, N_i, row i of A, own index): sparse
         self.askers = [0] * n    # bit i of askers[j]: dense i has j in N_i
         self.readers = [0] * n   # bit i of readers[c]: dense i reads column c
         for i in range(n):
             hood = g.closed_neighbors(i)
-            index = WitnessIndex() if len(hood) ** 2 < n else None
-            self.nodes.append((i, g.neighbors(i), weights[i], index))
-            if index is not None:
-                self.own.append((hood, index))
+            if len(hood) ** 2 < n:
+                self.own.append((i, hood, g.neighbors(i), weights[i],
+                                 WitnessIndex()))
                 continue
             for j in g.neighbors(i):
                 self.askers[j] |= 1 << i
@@ -332,7 +332,7 @@ class _Neighbourhood:
     def ingest(self, s, xs, zs):
         if s == 0:
             self.x0 = xs
-        for hood, index in self.own:
+        for _, hood, _, _, index in self.own:
             for v in hood:
                 index.insert(xs[v], zs[v])
         if self.shared is not None:
@@ -369,9 +369,7 @@ class _Neighbourhood:
                     i = low.bit_length() - 1
                     acc[i] -= weights[i][j] * fhat
                     served ^= low
-        for i, nbrs, w, index in self.nodes:
-            if index is None:
-                continue
+        for i, _, nbrs, w, index in self.own:
             a = 0.0
             for j in nbrs:
                 d, _, fhat = index.nearest(q[j])

@@ -9,14 +9,15 @@ network-wide extreme series. Confinement is structural: a view physically
 holds nothing outside its columns. A WitnessIndex keeps past (value,
 estimate) records sorted by value, so a nearest-record query is a bisection
 instead of a scan of the history, and its two ends are the running extremes
-of the values it holds. A walk outward from the bisection takes a record
-that is strictly nearer than the other side, and not tied by the next
-record on its own side, at once; only tied records are gathered and taken
-by key. Fed whole flow rows, one index serves many nodes: nearest_among
-answers each node over its own columns alone, by a column mask (key % n),
-so there confinement rests on the mask, with the views as the structural
-oracle. It returns served groups, one per record that served an asker, in
-ascending query order, not a node-by-query table.
+of the values it holds. nearest answers at once when the record next to
+the bisection is strictly nearer than the other side and not tied by the
+next record on its own side; every tie goes to the one walk, in
+nearest_among, which gathers the tied records and takes them by key. Fed
+whole flow rows, one index serves many nodes: nearest_among answers each
+node over its own columns alone, by a column mask (key % n), so there
+confinement rests on the mask, with the views as the structural oracle. It
+returns served groups, one per record that served an asker, in ascending
+query order, not a node-by-query table.
 
 run_extreme_consensus is the flooding protocol by which nodes learn the
 extremes from their neighbours alone. The records are ranked once, and each
@@ -186,8 +187,8 @@ class WitnessIndex:
     what argmin over |value - q| with the records in key order answers: the
     smallest rounded distance, and the lowest key among the records at that
     distance. Values and queries must be finite. Three flat arrays hold 24
-    bytes per record; an insert is one bisection plus two memmoves, a query
-    one bisection plus a walk over the records tied at the smallest distance.
+    bytes per record; an insert is one bisection plus two memmoves, and a
+    query without a tie one bisection. A tie is walked by nearest_among.
     lo and hi are the first and last values: the extremes, up to a zero's sign.
     """
 
@@ -216,7 +217,11 @@ class WitnessIndex:
         self._e.append(estimate)
 
     def nearest(self, q: float) -> tuple:
-        """(distance, key, estimate) of the nearest record to q."""
+        """(distance, key, estimate) of the nearest record to q.
+
+        The tie-free fast path answers when one record is nearest alone;
+        any tie at the smallest distance goes to nearest_among, as the one
+        asker of a single column, whose walk takes the tied records by key."""
         v, k = self._v, self._k
         m = len(v)
         if not m:
@@ -225,39 +230,23 @@ class WitnessIndex:
             raise ValueError("queries must be finite")
         # v[:p] < q <= v[p:]. Rounding is monotone, so the distances grow
         # outward from p on both sides; distinct values may round to the
-        # same distance, so walk each side while the distance stays minimal.
+        # same distance, so a record is nearest alone only when it is
+        # strictly nearer than the other side and its next record on its
+        # own side is farther. The distances are inf past an end.
         p = bisect_left(v, q)
-        if 0 < p < m:
-            # one side strictly nearer, and its next record farther: the
-            # nearest record is unique. abs: v[p] - q is -0.0 when v[p] is
-            # -0.0 and q is +0.0.
-            dr, dl = v[p] - q, q - v[p - 1]
-            if dr < dl:
-                if p + 1 == m or v[p + 1] - q != dr:
-                    key = k[p]
-                    return abs(dr), key, self._e[key]
-            elif dl < dr and (p == 1 or q - v[p - 2] != dl):
-                key = k[p - 1]
-                return dl, key, self._e[key]
-        if p == m:
-            d = q - v[p - 1]
-        else:
-            d = v[p] - q
-            if p and q - v[p - 1] < d:
-                d = q - v[p - 1]
-        best = m   # position of the lowest key at distance d
-        j = p
-        while j < m and v[j] - q == d:
-            if best == m or k[j] < k[best]:
-                best = j
-            j += 1
-        j = p - 1
-        while j >= 0 and q - v[j] == d:
-            if best == m or k[j] < k[best]:
-                best = j
-            j -= 1
-        key = k[best]
-        return abs(d), key, self._e[key]
+        dr = v[p] - q if p < m else _INF
+        dl = q - v[p - 1] if p else _INF
+        if dr < dl:
+            if p + 1 == m or v[p + 1] - q != dr:
+                # abs: v[p] - q is -0.0 when v[p] is -0.0 and q is +0.0
+                key = k[p]
+                return abs(dr), key, self._e[key]
+        elif dl < dr and (p == 1 or q - v[p - 2] != dl):
+            key = k[p - 1]
+            return dl, key, self._e[key]
+        # a tie, or two distances that overflow to inf: one asker who
+        # reads every record is served by nearest's rule
+        return self.nearest_among((q,), (1,), (1,))[0][2:]
 
     def nearest_among(self, qs, askers, readers) -> list:
         """Masked nearest-record queries for n nodes over an index fed whole

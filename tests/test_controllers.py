@@ -270,6 +270,7 @@ def test_witness_index_matches_brute_force_argmin():
     queries = np.concatenate([_POOL, [-7.0, 7.0]])
     seen = dict.fromkeys(("exact", "rounding", "one_side_rounding",
                           "signed_zero", "stored", "below_all", "above_all",
+                          "tie_below_all", "tie_above_all",
                           "nonmember_nearer", "nonmember_tie_lower_key",
                           "members_one_side", "not_asked"), 0)
     n = 4
@@ -303,6 +304,11 @@ def test_witness_index_matches_brute_force_argmin():
                 seen["stored"] += q in values
                 seen["below_all"] += q < vals.min()
                 seen["above_all"] += q > vals.max()
+                # beyond an end, with the end value stored more than once
+                seen["tie_below_all"] += q < vals.min() and (
+                    vals == vals.min()).sum() > 1
+                seen["tie_above_all"] += q > vals.max() and (
+                    vals == vals.max()).sum() > 1
             if len(values) < n:
                 continue   # a column without records
             for _ in range(3):
@@ -342,8 +348,8 @@ def test_witness_index_matches_brute_force_argmin():
 
 def test_witness_index_rejects_what_it_cannot_order():
     index = WitnessIndex()
-    with pytest.raises(ValueError):
-        index.nearest(0.0)              # no records
+    with pytest.raises(ValueError, match="holds no records"):
+        index.nearest(0.0)
     index.insert(1.0, 2.0)
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError):
@@ -367,25 +373,30 @@ def test_witness_index_rejects_what_it_cannot_order():
 
 # Stored values and queries for the fast paths of nearest/nearest_among:
 # the bisection point at 0, 1, m-1 and m; runs of equal values at and just
-# past the nearest record, on each side; a rounding tie at the second record
-# of a side, across sides (_A, _Q, _B) and within one (tiny values far from
-# the query); a stored -0.0 queried with +0.0 and the reverse; distances
-# that overflow to inf, which are records still, not the end of a side.
+# past the nearest record, on each side, and beyond either end; a rounding
+# tie at the second record of a side, across sides (_A, _Q, _B) and within
+# one (tiny values far from the query, inside the records or beyond either
+# end); a stored -0.0 queried with +0.0 and the reverse; distances that
+# overflow to inf, which are records still, not the end of a side, and tie
+# there.
 _EDGE_CASES = (
     ([1.0, 2.0, 4.0, 8.0], [0.0, 1.0, 1.25, 1.5, 1.75, 5.0, 7.0, 8.0, 9.0]),
     ([0.0, 1.0, 3.0, 3.0, 3.0, 6.0], [2.9, 3.0, 3.1, 4.4]),
     ([0.0, 2.0, 2.0, 2.0, 5.0], [1.9, 2.1, 3.0]),
-    ([0.0, 0.0, 1.0, 3.0, 4.0, 4.0], [0.5, 1.2, 2.9, 3.2, 4.5]),
+    ([0.0, 0.0, 1.0, 3.0, 4.0, 4.0], [-0.5, 0.5, 1.2, 2.9, 3.2, 4.5]),
+    ([2.0, 2.0], [1.0, 2.0, 3.0]),
     ([_A, 0.0, _B], [_Q]),
     ([_A, -0.5, _B], [_Q]),
     ([_A, _B], [_Q]),
     ([-5.0, 1e-17, 3e-17, 5.0], [1.0, -1.0]),
+    ([1e-17, 3e-17], [1.0, -1.0]),
     ([-1.0, -0.0, 1.0], [0.0, -0.0]),
     ([-1.0, 0.0, 1.0], [-0.0, 0.0]),
     ([-0.0, 0.0, 2.0], [0.0, -0.0]),
     ([-2.0, 0.0, -0.0], [0.0, -0.0]),
     ([-1.7e308, 1.7e308], [1e308]),
     ([1.5e308, 1.7e308], [-1.6e308]),
+    ([1.7e308, 1.7e308], [-1.7e308]),
 )
 
 
@@ -444,8 +455,10 @@ def _mixed_twelve() -> np.ndarray:
 
 def _dense_nodes(ctl) -> list:
     """Whether each node of a neighbourhood law's Controller reads the
-    shared index (True) or its own (False), as the Controller chose."""
-    return [index is None for _, _, _, index in ctl._law.nodes]
+    shared index (True) or its own (False), as the Controller chose: the
+    law lists only the nodes with their own index."""
+    own = {i for i, *_ in ctl._law.own}
+    return [i not in own for i in range(ctl.graph.n)]
 
 
 def _decide_all(kind, g, log):

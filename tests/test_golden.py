@@ -1,11 +1,15 @@
 """Golden digests of the output files of short seeded runs.
 
 Identical configs and seeds must give byte-identical trajectory.csv,
-summary.json and certificate.json. These digests pin the bytes for every
-law, both observation modes, all three disturbance generators, a guard trip
-and an adversary run, so that a change to the loop, the plant, the noise
-draws or the writer that moves one bit fails here. Two runs are long enough
-that their disturbance and observation noise span several thousand values.
+summary.json and certificate.json under one OpenBLAS kernel: OpenBLAS picks
+its kernel by CPU (or OPENBLAS_CORETYPE), and a kernel that sums in another
+order moves the bytes of network_flow_long and local_flow_positive_sign,
+the two runs on the n = 5 random graph (under OPENBLAS_CORETYPE=Sandybridge,
+for one). These digests pin the bytes for every law, both observation
+modes, all three disturbance generators, a guard trip and an adversary run,
+so that a change to the loop, the plant, the noise draws or the writer that
+moves one bit fails here. Two runs are long enough that their disturbance
+and observation noise span several thousand values.
 """
 
 import hashlib
