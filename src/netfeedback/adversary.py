@@ -18,6 +18,7 @@ the committed function itself, so every branch decision is reproducible.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -165,6 +166,14 @@ _B_SHARP = 4.0
 def slope_budget(graph: WeightedDigraph) -> float:
     """The adversary's slope B = 4 / sharp_metric(graph)."""
     return _B_SHARP / sharp_metric(graph)
+
+
+def guard_cap_bound(graph: WeightedDigraph) -> float:
+    """The largest guard cap of an adversary run on graph: float max / (4 B).
+    The run stops once a state leaves +-cap, so the hull is at most 2 cap
+    wide and the pins, at most 1 + B times that width, stay below half the
+    float range."""
+    return sys.float_info.max / (4.0 * slope_budget(graph))
 
 
 def check_adversary_graph(graph: WeightedDigraph) -> float:

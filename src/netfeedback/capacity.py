@@ -32,7 +32,7 @@ from .runner import run_experiment
 TAIL_TOL = 1e-9
 DAGGER_OMEGAS = (0.1, 1.0, 10.0)
 DAGGER_TOL = 1e-3
-# Steps per block of uniforms drawn by simulate_scalar_recursion.
+# Steps per refill of the uniforms drawn by simulate_scalar_recursion.
 SLACK_BLOCK = 4096
 
 
@@ -54,12 +54,22 @@ def xie_guo_constant() -> tuple:
 
 @dataclass
 class RecursionResult:
+    """p and q hold one row per step: a value (scalar recursion) or one value
+    per node (coupled recursion)."""
+
     p: np.ndarray
     q: np.ndarray
-    partial_sums: np.ndarray   # cumulative sum of p + q (per step, or per node column)
     verdict: str               # "summable" | "diverging"
     frozen: bool               # stopped because increments fell below sum resolution
-    steps: int
+
+    @property
+    def steps(self) -> int:
+        return len(self.p)
+
+    @property
+    def partial_sums(self) -> np.ndarray:
+        """Cumulative sum of p + q over the steps."""
+        return np.cumsum(self.p + self.q, axis=0)
 
     @property
     def r(self) -> np.ndarray:
@@ -70,19 +80,23 @@ class RecursionResult:
             "verdict": self.verdict,
             "steps": self.steps,
             "frozen": self.frozen,
-            "final_sum": (float(self.partial_sums[-1]) if self.partial_sums.ndim == 1
-                          else [float(v) for v in self.partial_sums[-1]]),
-            "tail_increment": float(self.r[-1] if self.r.ndim == 1 else self.r[-1].max())
-            if self.steps else 0.0,
+            "final_sum": self.partial_sums[-1].tolist(),
+            "tail_increment": float(self.r[-1].max()),
         }
 
 
 def _tail_verdict(r: np.ndarray) -> str:
-    """Summable iff the last-decile increments all sit below TAIL_TOL."""
-    if r.size == 0:
-        return "summable"
+    """Summable iff the last-decile increments all sit below TAIL_TOL; r
+    holds one row per step, with at least one row."""
     dec = max(1, r.shape[0] // 10)
     return "summable" if float(np.max(r[-dec:])) < TAIL_TOL else "diverging"
+
+
+def _uniforms(rng):
+    """rng's stream of uniforms as Python floats, drawn 2 * SLACK_BLOCK at a
+    time (rng.random(k) continues the stream of k rng.random() calls)."""
+    while True:
+        yield from rng.random(2 * SLACK_BLOCK).tolist()
 
 
 def simulate_scalar_recursion(M: float, omega: float = 1.0, rho: float = 1.0,
@@ -95,8 +109,8 @@ def simulate_scalar_recursion(M: float, omega: float = 1.0, rho: float = 1.0,
     flips from summable to diverging as M crosses 3/2 + sqrt(2).
 
     In both modes a zero bound is absorbing, so the loop stops there: the
-    zero suffix of p and q is the continuation, steps stays T, and the rest
-    of the uniform stream is never drawn. Equality mode calls that stop
+    zero suffix of p and q is the continuation, steps stays T, and no
+    uniform past the current refill is drawn. Equality mode calls that stop
     summable; slack mode still reads the verdict off its last decile.
     """
     if not (math.isfinite(M) and math.isfinite(omega) and math.isfinite(rho)):
@@ -105,59 +119,38 @@ def simulate_scalar_recursion(M: float, omega: float = 1.0, rho: float = 1.0,
         raise ValueError("need M > 0 and T >= 1")
     if mode not in ("equality", "seeded_slack"):
         raise ValueError(f"unknown mode {mode!r}")
-    rng = np.random.default_rng(seed)
     slack = mode == "seeded_slack"
+    uniforms = _uniforms(np.random.default_rng(seed))
+    # allocated before the first step, so a horizon too large to hold fails
+    # at once; each step is stored through a memoryview as a Python float
     p = np.zeros(T)
     q = np.zeros(T)
-    S = 0.0
-    peak = 0.0
-    frozen = False
-    absorbed = False
-    verdict = None
-    n_steps = T
-    # Python floats in the loop; uniforms drawn and p, q written a block at a
-    # time (rng.random(k) continues the stream of k rng.random() calls)
-    for start in range(0, T, SLACK_BLOCK):
-        size = min(SLACK_BLOCK, T - start)
-        draws = rng.random(2 * size).tolist() if slack else None
-        ps, qs = [], []
-        for k in range(size):
-            bound = max(M * max(peak, rho) - 0.5 * rho - 0.5 * S + omega, 0.0)
-            if bound == 0.0:
-                # never -0.0: M * max(peak, rho) is not -0.0 for M > 0, and a
-                # round-to-nearest sum is -0.0 only if both terms are
-                absorbed = True
-                break
-            if slack:
-                pv, qv = bound * draws[2 * k], bound * draws[2 * k + 1]
-            else:
-                pv, qv = bound, 0.0
-                if S + bound == S:
-                    # increment below the sum's float resolution: converged
-                    ps.append(bound)
-                    qs.append(0.0)
-                    frozen = True
-                    verdict = "summable"
-                    n_steps = start + k + 1
-                    break
-            ps.append(pv)
-            qs.append(qv)
-            S += pv + qv
-            peak = max(peak, pv, qv)
-            if peak > cap:
-                verdict = "diverging"
-                n_steps = start + k + 1
-                break
-        p[start:start + len(ps)] = ps
-        q[start:start + len(qs)] = qs
-        if absorbed or verdict is not None:
+    pm, qm = memoryview(p), memoryview(q)
+    S = peak = 0.0
+    for t in range(T):
+        bound = max(M * max(peak, rho) - 0.5 * rho - 0.5 * S + omega, 0.0)
+        if bound == 0.0:
+            # never -0.0: M * max(peak, rho) is not -0.0 for M > 0, and a
+            # round-to-nearest sum is -0.0 only if both terms are
             break
-    p, q = p[:n_steps], q[:n_steps]
-    sums = np.cumsum(p + q)
-    if verdict is None:
-        verdict = ("summable" if absorbed and not slack
-                   else _tail_verdict(np.maximum(p, q)))
-    return RecursionResult(p, q, sums, verdict, frozen, n_steps)
+        if slack:
+            pv, qv = bound * next(uniforms), bound * next(uniforms)
+        elif S + bound == S:
+            # increment below the sum's float resolution: converged
+            pm[t] = bound
+            return RecursionResult(p[:t + 1], q[:t + 1], "summable", True)
+        else:
+            pv, qv = bound, 0.0
+        pm[t] = pv
+        qm[t] = qv
+        S += pv + qv
+        peak = max(peak, pv, qv)
+        if peak > cap:
+            return RecursionResult(p[:t + 1], q[:t + 1], "diverging", False)
+    # the last bound is 0.0 only if the loop stopped at the absorbing zero
+    verdict = ("summable" if bound == 0.0 and not slack
+               else _tail_verdict(np.maximum(p, q)))
+    return RecursionResult(p, q, verdict, False)
 
 
 def simulate_dagger_recursion(g: WeightedDigraph, M: float, omega: float,
@@ -207,25 +200,25 @@ def simulate_dagger_recursion(g: WeightedDigraph, M: float, omega: float,
             break
     p = np.zeros((n_steps, g.n))
     p[:len(rows)] = rows
-    q = p.copy()
-    sums = np.cumsum(p + q, axis=0)
-    if verdict is None:
-        verdict = _tail_verdict(np.maximum(p, q).max(axis=1))
-    return RecursionResult(p, q, sums, verdict, False, n_steps)
+    return RecursionResult(p, p.copy(), verdict or _tail_verdict(p), False)
 
 
 @dataclass
 class DaggerEstimate:
-    estimate: float
     m_low: float
     m_high: float
     horizon: int
-    omega_grid: tuple
     iterations: int
     at_bracket_high: bool
+    omega_grid: ClassVar[tuple] = DAGGER_OMEGAS
     label: ClassVar[str] = (
         "heuristic finite-horizon estimate; summability tested on a "
         "finite omega grid and cannot certify the supremum")
+
+    @property
+    def estimate(self) -> float:
+        """The largest gain found summable: the low end of the bracket."""
+        return self.m_low
 
     def to_dict(self) -> dict:
         return {
@@ -272,7 +265,7 @@ def estimate_dagger(g: WeightedDigraph, bracket: tuple | None = None,
                    for w in DAGGER_OMEGAS)
 
     if summable(hi):
-        return DaggerEstimate(hi, hi, hi, T, DAGGER_OMEGAS, 0, True)
+        return DaggerEstimate(hi, hi, T, 0, True)
     iters = 0
     while hi - lo > DAGGER_TOL * max(1.0, floor) and iters < 60:
         mid = 0.5 * (lo + hi)
@@ -281,7 +274,7 @@ def estimate_dagger(g: WeightedDigraph, bracket: tuple | None = None,
         else:
             hi = mid
         iters += 1
-    return DaggerEstimate(lo, lo, hi, T, DAGGER_OMEGAS, iters, False)
+    return DaggerEstimate(lo, hi, T, iters, False)
 
 
 def threshold_sweep(base_config, L_values, trials: int = 1) -> dict:

@@ -89,6 +89,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_capacity(args) -> int:
     if args.xie_guo + args.dagger + args.scalar_recursion != 1:
         raise ValueError("choose exactly one of --xie-guo, --dagger, --scalar-recursion")
+    # the library's default horizon unless --horizon is given
+    horizon = {} if args.horizon is None else {"T": args.horizon}
     if args.xie_guo:
         value, minimizer = xie_guo_constant()
         _emit({"value": value, "minimizer": minimizer})
@@ -97,16 +99,12 @@ def _cmd_capacity(args) -> int:
             raise ValueError("--dagger needs --graph")
         g = _parse_graph(args.graph)
         bracket = _parse_bracket(args.bracket) if args.bracket else None
-        est = estimate_dagger(g, bracket=bracket,
-                              T=400 if args.horizon is None else args.horizon)
-        _emit(est.to_dict())
+        _emit(estimate_dagger(g, bracket=bracket, **horizon).to_dict())
     else:
         if args.M is None:
             raise ValueError("--scalar-recursion needs --M")
-        res = simulate_scalar_recursion(
-            args.M, omega=args.omega, rho=args.rho, mode=args.mode,
-            T=100_000 if args.horizon is None else args.horizon,
-            seed=args.seed or 0)
+        res = simulate_scalar_recursion(args.M, omega=args.omega, rho=args.rho,
+                                        mode=args.mode, seed=args.seed, **horizon)
         _emit(res.to_dict())
     return 0
 
@@ -160,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     cap.add_argument("--rho", type=float, default=1.0)
     cap.add_argument("--mode", default="equality",
                      choices=("equality", "seeded_slack"))
-    cap.add_argument("--seed", type=int, default=None)
+    cap.add_argument("--seed", type=int, default=0)
     cap.set_defaults(func=_cmd_capacity)
 
     return ap

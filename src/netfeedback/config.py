@@ -14,7 +14,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .adversary import check_adversary_graph
+from .adversary import check_adversary_graph, guard_cap_bound
 from .controllers import ControllerSpec
 from .dynamics import DisturbanceSpec, ObservationSpec, SpanError
 from .functions import BoundedPerturbedLinear, LinearFunction, TabulatedFunction
@@ -201,11 +201,20 @@ class ExperimentConfig:
             if self.x0.shape != (n,):
                 raise ConfigError("x0", f"needs {n} entries, got {self.x0.shape}")
 
-        # adversary runs need room to record the full doubling horizon
+        # adversary runs need room to record the full doubling horizon, but
+        # no more than keeps their pins finite
+        cap_bound = guard_cap_bound(g) if self.adversary else math.inf
         self.guard_cap = float(c.get("guard_cap",
-                                     1e300 if self.adversary else 1e12))
+                                     min(1e300, cap_bound) if self.adversary
+                                     else 1e12))
         if self.guard_cap <= 0:
             raise ConfigError("guard_cap", "must be a positive finite number")
+        if self.guard_cap > cap_bound:
+            raise ConfigError("guard_cap", f"an adversary run on this graph needs"
+                              f" a cap <= float max / (4 B) = {cap_bound:.6g}")
+        if self.adversary and not np.all(np.abs(self.x0) <= self.guard_cap):
+            raise ConfigError("x0", "an adversary run needs X(0) within"
+                              " +-guard_cap")
 
     def to_dict(self) -> dict:
         return copy.deepcopy(self.raw)

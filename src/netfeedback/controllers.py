@@ -110,21 +110,24 @@ def control_network_flow(log: FlowLog, graph: WeightedDigraph, epsilon: float,
     return u + (0.5 * (hull.max() + hull.min()) + 0.0)
 
 
-def control_path_root(log: FlowLog, t: int) -> np.ndarray:
-    """Root node cancels from its own history and recentres on its own
-    running extremes; every other node applies no control."""
+def control_path_root(log: FlowLog, t: int, graph: WeightedDigraph) -> np.ndarray:
+    """Root node cancels a_00 times the estimate from its own history and
+    recentres on its own running extremes; every other node applies no
+    control."""
     u = np.zeros(log.n)
     if t == 0:
         return u
     own = log.x_hist[:t + 1, 0]
     s = int(np.abs(own[t] - own[:t]).argmin())
-    u[0] = -log.z_hist[s, 0] + (0.5 * (own.max() + own.min()) + 0.0)
+    u[0] = (-graph.weights[0, 0] * log.z_hist[s, 0]
+            + (0.5 * (own.max() + own.min()) + 0.0))
     return u
 
 
-def control_cycle(log: FlowLog, t: int) -> np.ndarray:
-    """Unit-cycle law: each node works on the rotating diagonal of the flow
-    so that, in rotated coordinates, every node runs the scalar law."""
+def control_cycle(log: FlowLog, t: int, graph: WeightedDigraph) -> np.ndarray:
+    """Cycle law: each node works on the rotating diagonal of the flow so
+    that, in rotated coordinates, every node runs the scalar law, cancelling
+    its in-arc weight a_{i0, i0-1} times the estimate."""
     n = log.n
     u = np.zeros(n)
     if t == 0:
@@ -135,7 +138,8 @@ def control_cycle(log: FlowLog, t: int) -> np.ndarray:
         cols = (times - t + i0 - 1) % n
         diag = x[times, cols]
         s = int(np.abs(diag[t] - diag[:t]).argmin())
-        u[i0] = -z[s, cols[s]] + (0.5 * (diag.max() + diag.min()) + 0.0)
+        u[i0] = (-graph.weights[i0, (i0 - 1) % n] * z[s, cols[s]]
+                 + (0.5 * (diag.max() + diag.min()) + 0.0))
     return u
 
 
@@ -204,14 +208,15 @@ def control_max_enhanced(view: EnhancedFlowView, graph: WeightedDigraph,
     return acc + (0.5 * (y_hi + y_lo) + 0.0)
 
 
-def _scalar_control(index: WitnessIndex, q: float) -> float:
+def _scalar_control(index: WitnessIndex, q: float, a: float) -> float:
     """The scalar law at the current value q of a sequence whose past values
-    fill index, one record per time (key = time): cancel through the nearest
-    record and recentre on the midpoint 0.5 * (hi + lo) + 0.0 of the
-    sequence's extremes, which the index's ends and q give but for the sign
-    of a zero; the + 0.0 makes that sign irrelevant."""
+    fill index, one record per time (key = time), fed through an arc of
+    weight a: cancel a times the nearest record's estimate and recentre on
+    the midpoint 0.5 * (hi + lo) + 0.0 of the sequence's extremes, which the
+    index's ends and q give but for the sign of a zero; the + 0.0 makes that
+    sign irrelevant."""
     hi, lo = max(index.hi, q), min(index.lo, q)
-    return -index.nearest(q)[2] + (0.5 * (hi + lo) + 0.0)
+    return -a * index.nearest(q)[2] + (0.5 * (hi + lo) + 0.0)
 
 
 # Per-kind fast paths. ingest(s, xs, zs) takes the completed flow row s
@@ -249,10 +254,12 @@ class _NetworkFlow:
 
 
 class _PathRoot:
-    """Node 0's own sequence: control_path_root."""
+    """Node 0's own sequence, fed through its self-arc a_00:
+    control_path_root."""
 
     def __init__(self, ctl):
         self.n = ctl.graph.n
+        self.a = float(ctl.graph.weights[0, 0])
         self.index = WitnessIndex()
 
     def ingest(self, s, xs, zs):
@@ -260,18 +267,21 @@ class _PathRoot:
 
     def decide(self, t, q):
         u = np.zeros(self.n)
-        u[0] = _scalar_control(self.index, q[0])
+        u[0] = _scalar_control(self.index, q[0], self.a)
         return u
 
 
 class _Cycle:
     """control_cycle: diagonal class c = (s - col) mod n is the sequence
     x[s, (s - c) mod n], and node i0 at time t works on class (t - i0 + 1)
-    mod n, whose current value is x[t, (i0 - 1) mod n]."""
+    mod n, whose current value is x[t, (i0 - 1) mod n], fed through the arc
+    a_{i0, i0-1}."""
 
     def __init__(self, ctl):
-        self.n = ctl.graph.n
-        self.indices = [WitnessIndex() for _ in range(self.n)]
+        self.n = n = ctl.graph.n
+        self.indices = [WitnessIndex() for _ in range(n)]
+        weights = ctl.graph.weights.tolist()
+        self.arcs = [weights[i0][(i0 - 1) % n] for i0 in range(n)]
 
     def ingest(self, s, xs, zs):
         for v, (x, z) in enumerate(zip(xs, zs)):
@@ -280,7 +290,8 @@ class _Cycle:
     def decide(self, t, q):
         n = self.n
         return np.array([_scalar_control(self.indices[(t - i0 + 1) % n],
-                                         q[(i0 - 1) % n]) for i0 in range(n)])
+                                         q[(i0 - 1) % n], a)
+                         for i0, a in enumerate(self.arcs)])
 
 
 class _Neighbourhood:

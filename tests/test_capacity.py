@@ -128,13 +128,34 @@ def _reference_scalar_recursion(M, mode, T, seed, cap=1e12, omega=1.0, rho=1.0):
     sums = np.cumsum(p + q)
     if verdict is None:
         verdict = nf.capacity._tail_verdict(np.maximum(p, q))
-    return nf.RecursionResult(p, q, sums, verdict, frozen, n_steps)
+    res = nf.RecursionResult(p, q, verdict, frozen)
+    assert res.partial_sums.tobytes() == sums.tobytes()
+    assert res.steps == n_steps
+    return res
+
+
+def _to_dict_by_shape(res):
+    """RecursionResult.to_dict with one formula per array shape: the oracle
+    for the shape-free formulas."""
+    return {
+        "verdict": res.verdict,
+        "steps": res.steps,
+        "frozen": res.frozen,
+        "final_sum": (float(res.partial_sums[-1]) if res.partial_sums.ndim == 1
+                      else [float(v) for v in res.partial_sums[-1]]),
+        "tail_increment": float(res.r[-1] if res.r.ndim == 1 else res.r[-1].max())
+        if res.steps else 0.0,
+    }
 
 
 def _assert_same_recursion(got, want):
     for name in ("p", "q", "partial_sums"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-    assert got.to_dict() == want.to_dict()
+    assert (got.verdict, got.steps, got.frozen) == (want.verdict, want.steps,
+                                                    want.frozen)
+    # NaN and inf print as NaN and Infinity, so the bytes compare them too
+    assert json.dumps(got.to_dict(), sort_keys=True) == json.dumps(
+        _to_dict_by_shape(want), sort_keys=True)
 
 
 class _CountingRng:
@@ -164,6 +185,14 @@ def test_block_drawn_recursion_matches_per_draw_loop(monkeypatch):
     assert ("seeded_slack", "diverging", False, False) in outcomes
     assert ("equality", "summable", True, False) in outcomes
     assert ("equality", "diverging", False, False) in outcomes
+    # under a cap of inf or NaN the sums overflow to inf and then NaN, which
+    # the JSON bytes compare as well
+    for mode in ("equality", "seeded_slack"):
+        for cap in (math.inf, math.nan):
+            got = simulate_scalar_recursion(10.0, mode=mode, T=2000, seed=7, cap=cap)
+            _assert_same_recursion(got, _reference_scalar_recursion(
+                10.0, mode, 2000, seed=7, cap=cap))
+            assert math.isnan(got.to_dict()["final_sum"]), (mode, cap)
     # small blocks put the stops (divergence, freeze) past block boundaries
     late_stops = set()
     for size in (1, 2, 7):
@@ -302,7 +331,10 @@ def _reference_dagger_recursion(g, M, omega, T, cap=1e12):
     sums = np.cumsum(p + q, axis=0)
     if verdict is None:
         verdict = nf.capacity._tail_verdict(np.maximum(p, q).max(axis=1))
-    return nf.RecursionResult(p, q, sums, verdict, frozen, n_steps)
+    res = nf.RecursionResult(p, q, verdict, frozen)
+    assert res.partial_sums.tobytes() == sums.tobytes()
+    assert res.steps == n_steps
+    return res
 
 
 def _dagger_stop(res, T):
@@ -349,22 +381,29 @@ def test_dagger_recursion_matches_two_sequence_loop_through_overflow():
                     with np.errstate(all="ignore"):
                         got = simulate_dagger_recursion(g, M, omega, 300, cap=cap)
                         want = _reference_dagger_recursion(g, M, omega, 300, cap=cap)
-                    for name in ("p", "q", "partial_sums"):
-                        assert getattr(got, name).tobytes() == \
-                            getattr(want, name).tobytes(), (n, seed, M, cap)
-                    assert (got.verdict, got.steps, got.frozen) == \
-                        (want.verdict, want.steps, want.frozen)
+                    _assert_same_recursion(got, want)
                     nan_seen |= bool(np.isnan(got.p).any())
     assert nan_seen
 
 
 # ---- dagger estimate ----
 
+def _assert_estimate_dict(est):
+    """to_dict as it read when estimate and omega_grid were stored fields."""
+    want = {"estimate": est.m_low, "bracket": [est.m_low, est.m_high],
+            "horizon": est.horizon, "omega_grid": [0.1, 1.0, 10.0],
+            "iterations": est.iterations,
+            "at_bracket_high": est.at_bracket_high, "label": est.label}
+    assert json.dumps(est.to_dict(), sort_keys=True) == json.dumps(
+        want, sort_keys=True)
+
+
 def test_estimate_floor_and_reproducibility():
     for seed in range(5):
         g = random_strongly_connected(4, seed=seed)
         est = estimate_dagger(g)
         assert est.estimate >= 1.0 / nf.inf_norm(g) - 1e-6
+        _assert_estimate_dict(est)
     g = random_strongly_connected(5, seed=11)
     e1 = estimate_dagger(g)
     e2 = estimate_dagger(g)
@@ -384,6 +423,7 @@ def test_estimate_zero_arc_graph_hits_bracket_top():
     est = estimate_dagger(g)
     assert est.at_bracket_high
     assert est.estimate == est.m_high
+    _assert_estimate_dict(est)
 
 
 def test_estimate_bracket_validation():

@@ -146,17 +146,25 @@ def test_network_flow_time_zero_is_silent():
 
 def test_path_root_only_root_acts():
     log = _log([[1.0, 9.0], [3.0, 9.0]], rows_z=[[5.0, 0.0]])
-    u = control_path_root(log, 1)
+    g = build_canonical("path_root_selfloop", 2)
+    u = control_path_root(log, 1, g)
     np.testing.assert_array_equal(u, [-5.0 + 2.0, 0.0])
-    np.testing.assert_array_equal(control_path_root(log, 0), [0.0, 0.0])
+    np.testing.assert_array_equal(control_path_root(log, 0, g), [0.0, 0.0])
+    # the root cancels its self-arc a_00 times the estimate
+    g = build_canonical("path_root_selfloop", 2, weight=3.0, root_weight=-2.0)
+    np.testing.assert_array_equal(control_path_root(log, 1, g),
+                                  [2.0 * 5.0 + 2.0, 0.0])
 
 
 def test_cycle_law_rotating_diagonal():
     log = _log([[1.0, 2.0], [3.0, 4.0]], rows_z=[[7.0, 8.0]])
-    u = control_cycle(log, 1)
+    u = control_cycle(log, 1, build_canonical("cycle", 2))
     # node 0 works on the diagonal (x_0(0), x_1(1)) = (1, 4), witness time 0;
     # node 1 on (x_1(0), x_0(1)) = (2, 3)
     np.testing.assert_allclose(u, [-7.0 + 2.5, -8.0 + 2.5])
+    # node i cancels its in-arc a_{i, i-1} times the estimate
+    u = control_cycle(log, 1, WeightedDigraph([[0.0, 0.5], [-3.0, 0.0]]))
+    np.testing.assert_allclose(u, [-0.5 * 7.0 + 2.5, 3.0 * 8.0 + 2.5])
 
 
 def test_local_flow_anchors_on_own_start():
@@ -484,9 +492,9 @@ def _reference_u(kind, g, log, t, series=None, branches=None):
         return control_network_flow(log, g, ControllerSpec(kind).epsilon, t,
                                     branches)
     if kind == "path_root":
-        return control_path_root(log, t)
+        return control_path_root(log, t, g)
     if kind == "cycle_global":
-        return control_cycle(log, t)
+        return control_cycle(log, t, g)
     u = np.zeros(g.n)
     for i in range(g.n):
         view = LocalFlowView(log, g, i)
@@ -511,7 +519,8 @@ def test_controller_matches_per_neighbour_reference():
     # sequence has one zero end or is zero throughout. The neighbourhood
     # laws also run on _mixed_twelve, whose sparse and dense nodes must both
     # decide as the reference does; the Controller's own choice of index is
-    # counted.
+    # counted. The scalar laws also run on weighted cycles and paths, where
+    # each cancels its in-arc weight times the estimate.
     n, T = 5, 12
     seen = dict.fromkeys(("exact", "rounding", "hood_vs_extreme", "no_nbrs",
                           "accurate", "recentre", "recentre_zero_end",
@@ -528,11 +537,19 @@ def test_controller_matches_per_neighbour_reference():
         log = _log(rng.choice(pool, size=(T + 1, n)),
                    rows_z=list(rng.normal(size=(T, n))))
         x_max, x_min = _extreme_series(log)[:2]
-        graphs = {"local_flow": g, "max_enhanced": g, "network_flow": g,
-                  "path_root": build_canonical("path_root_selfloop", n),
-                  "cycle_global": build_canonical("cycle", n)}
+        graphs = [("local_flow", g), ("max_enhanced", g), ("network_flow", g),
+                  ("path_root", build_canonical("path_root_selfloop", n)),
+                  ("cycle_global", build_canonical("cycle", n))]
+        graphs += [("path_root", build_canonical("path_root_selfloop", n, weight=w,
+                                                 root_weight=a))
+                   for w, a in ((1.0, 2.0), (0.3, -1.0), (-1.5, 0.37))]
+        graphs += [("cycle_global", build_canonical("cycle", n, weight=a))
+                   for a in (2.0, -1.0, 0.37)]
+        graphs.append(("cycle_global", WeightedDigraph(
+            np.roll(np.diag(np.random.default_rng([seed, 1]).uniform(-2.0, 2.0, n)),
+                    1, axis=0))))
         branches = []
-        for kind, kg in graphs.items():
+        for kind, kg in graphs:
             for t, u in enumerate(_decide_all(kind, kg, log), start=1):
                 ref = _reference_u(kind, kg, log, t, branches=branches)
                 assert _bits(u) == _bits(ref), (seed, kind, t)
@@ -756,6 +773,36 @@ def test_runs_replay_through_fresh_views_and_reference_witnesses():
         if kind == "network_flow":
             assert tuple(branches) == res.explore_log[:cfg.horizon - 1]
             assert len(set(branches)) == 2   # both branches replayed
+
+
+def test_weighted_cycle_and_path_laws_stay_within_the_guard():
+    # cycle_global and path_root cancel a * estimate, with a the arc into the
+    # controlled node; a law that cancelled the bare estimate tripped the
+    # guard within 35 to 169 steps in each of these cases, all at
+    # |a| * slope <= 2.4 < 3/2 + sqrt(2). The verdict may flip on noise, so
+    # only the guard is asserted.
+    cases = [("cycle_global", {"kind": "cycle", "weight": 2.0}, 0.6),
+             ("cycle_global", {"kind": "cycle", "weight": 2.0}, 1.2),
+             ("cycle_global", {"kind": "cycle", "weight": 0.5}, 4.8),
+             ("cycle_global", {"kind": "cycle", "weight": -1.0}, 2.4),
+             ("path_root", {"kind": "path_root_selfloop", "root_weight": 2.0}, 0.6),
+             ("path_root", {"kind": "path_root_selfloop", "root_weight": 2.0}, 1.2),
+             ("path_root", {"kind": "path_root_selfloop", "root_weight": -1.0}, 2.4)]
+    for noise, dist, start in ((2, 5, 1), (3, 6, 2), (4, 7, 3)):
+        for kind, graph, slope in cases:
+            res = run_experiment(ExperimentConfig({
+                "graph": {**graph, "n": 5},
+                "function": {"kind": "linear", "a": slope},
+                "controller": {"kind": kind},
+                "observation": {"mode": "direct", "d0": 0.01,
+                                "noise_seed": noise},
+                "disturbance": {"w_star": 0.02, "generator": "seeded_uniform",
+                                "seed": dist},
+                "horizon": 3000,
+                "x0": {"seed": start, "scale": 0.05},
+            }))
+            assert not res.summary["guard_tripped"], (noise, kind, graph, slope)
+            assert res.summary["steps_run"] == 3000
 
 
 def test_runner_local_flow_reads_only_its_neighbourhood():

@@ -200,6 +200,43 @@ def test_adversary_config_needs_no_function():
     assert cfg.guard_cap == 1e300  # room for the doubling to be recorded
 
 
+def test_adversary_guard_cap_keeps_the_pins_finite(tmp_path, capsys):
+    # The pins reach 1 + B * (hull width) and the guard keeps the hull
+    # within +-guard_cap, so an adversary run's cap is bounded by
+    # float max / (4 B), and X(0), which the guard never reads, must lie
+    # within the cap. Without these checks each config below raised "pins
+    # must be finite" in mid-run, or at t = 0.
+    adv = {"graph": {"kind": "cycle", "n": 3}, "adversary": True,
+           "horizon": 3000, "x0": [0.1, 0.2, 0.3]}
+    for name, over, field in (
+            ("tiny_weight", {"graph": {"kind": "cycle", "n": 3, "weight": 1e-8},
+                             "guard_cap": 1e300}, "guard_cap"),
+            ("near_max_cap", {"guard_cap": 1.7e308}, "guard_cap"),
+            ("huge_x0", {"x0": [1e308, -1e308, 0.0]}, "x0")):
+        raw = {**adv, **over}
+        with pytest.raises(ConfigError) as ei:
+            ExperimentConfig(raw)
+        assert ei.value.field == field, name
+        out_dir = tmp_path / name
+        path = _write_cfg(tmp_path, raw, f"{name}.json")
+        assert main(["simulate", "--config", path, "--out", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"{field}:" in captured.err, name
+        assert not out_dir.exists(), name
+    # the default cap is min(1e300, bound), and a run at the bound ends by
+    # the guard with a passing certificate
+    for weight in (1.0, 1e-8):
+        graph = {"kind": "cycle", "n": 3, "weight": weight}
+        bound = nf.adversary.guard_cap_bound(nf.build_canonical(**graph))
+        assert ExperimentConfig({**adv, "graph": graph}).guard_cap == min(1e300, bound)
+        for kind in ("zero", "local_flow", "network_flow"):
+            res = run_experiment(ExperimentConfig({
+                **adv, "graph": graph, "controller": {"kind": kind},
+                "guard_cap": bound}))
+            assert res.summary["guard_tripped"], (weight, kind)
+            assert res.certificate.to_dict()["verdict"] == "pass", (weight, kind)
+
+
 def test_default_guard_cap():
     assert ExperimentConfig(_cfg()).guard_cap == 1e12
     assert ExperimentConfig(_cfg(guard_cap=500.0)).guard_cap == 500.0
