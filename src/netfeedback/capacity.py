@@ -39,17 +39,27 @@ SLACK_BLOCK = 4096
 def xie_guo_constant() -> tuple:
     """Minimize (x^2 - x/2)/(x - 1) over x > 1; returns (value, minimizer).
 
-    The minimum is 3/2 + sqrt(2), attained at 1 + sqrt(2)/2. scipy's
-    optimizer is imported here, so importing the package does not load it.
+    The minimum is 3/2 + sqrt(2), attained at 1 + sqrt(2)/2. A golden-section
+    search over [1 + 1e-9, 64] narrows the bracket until it is at most 1e-12
+    wide (67 steps) and returns the better of its two inner points.
     """
-    from scipy.optimize import minimize_scalar
-
     def obj(x):
         return (x * x - 0.5 * x) / (x - 1.0)
 
-    res = minimize_scalar(obj, bounds=(1.0 + 1e-9, 64.0), method="bounded",
-                          options={"xatol": 1e-12})
-    return float(res.fun), float(res.x)
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0   # 1/golden ratio
+    a, b = 1.0 + 1e-9, 64.0
+    c, d = b - shrink * (b - a), a + shrink * (b - a)
+    fc, fd = obj(c), obj(d)
+    while b - a > 1e-12:
+        if fc < fd:   # the minimum lies in [a, d]
+            b, d, fd = d, c, fc
+            c = b - shrink * (b - a)
+            fc = obj(c)
+        else:         # the minimum lies in [c, b]
+            a, c, fc = c, d, fd
+            d = a + shrink * (b - a)
+            fd = obj(d)
+    return (fc, c) if fc < fd else (fd, d)
 
 
 @dataclass

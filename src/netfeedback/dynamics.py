@@ -5,18 +5,18 @@ One step of the plant, per node i:
     x_i(t+1) = sum_{j in N_i} a_ij f(x_j(t)) + u_i(t) + w_i(t)
 
 with |w_i(t)| <= w_star. The estimate channel either reads f(x_i(t)) directly
-with bounded error d0, or reconstructs all of f(X(t)) at once by inverting the
-weight matrix on X(t+1) - U(t); the inverse route inherits an error of at most
-||A^{-1}||_inf * w_star.
+with bounded error d0, or reconstructs all of f(X(t)) at once by multiplying
+X(t+1) - U(t) by A^{-1}, the inverse of the weight matrix, computed once per
+run; the inverse route inherits an error of at most ||A^{-1}||_inf * w_star.
 
 PlantModel.advance(t, X(t), U(t), W(t)) returns (X(t+1), Z(t)): it steps the
-plant and observes through its own channel, whose noise generator and
-factorized inverse it holds for the run. OnlineAdversary.advance has the same
-signature, so the runner drives either plant through one call. advance
-evaluates f(X(t)) once per step, for both the plant equation and the direct
-estimate; step and observe_direct are the same computations one call each.
-step and InverseObserver.observe silence overflow themselves; advance
-leaves it to its caller, the runner, which enters one np.errstate per run.
+plant and observes through its own channel, whose noise generator and A^{-1}
+it holds for the run. OnlineAdversary.advance has the same signature, so the
+runner drives either plant through one call. advance evaluates f(X(t)) once
+per step, for both the plant equation and the direct estimate; step and
+observe_direct are the same computations one call each. step and
+InverseObserver.observe silence overflow themselves; advance leaves it to its
+caller, the runner, which enters one np.errstate per run.
 
 Disturbances and direct-observation noise are each one _Blocks stream, which
 draws BLOCK values per Generator call and hands out n at a time by draw(n).
@@ -200,10 +200,9 @@ def observe_direct(f, x: np.ndarray, d0: float = 0.0,
 class InverseObserver:
     """Matrix-inverse estimate channel with a one-time conditioning check.
 
-    The weight matrix is LU-factored once (scipy.linalg.lu_factor), and each
-    observe is one LAPACK getrs call on that factor and its pivots: the call
-    scipy.linalg.lu_solve(..., check_finite=False) makes, without its
-    wrappers, so the estimates are the same bits.
+    The weight matrix is inverted once (np.linalg.inv); error_gain is the
+    inf-norm of that inverse, and each observe multiplies it by
+    X(t+1) - U(t).
     """
 
     def __init__(self, graph: WeightedDigraph):
@@ -215,18 +214,11 @@ class InverseObserver:
                 f"(cond={cond:.3e} > {COND_LIMIT:.1e}); use the direct "
                 "observation mode instead (a least-squares variant is a "
                 "documented extension point, not implemented)")
-        # imported here, so that only matrix-inverse runs load scipy.linalg
-        from scipy.linalg import get_lapack_funcs, lu_factor
-        self._lu, self._piv = lu_factor(a)
-        self._getrs, = get_lapack_funcs(("getrs",), (self._lu,))
-        self.error_gain = float(np.abs(np.linalg.inv(a)).sum(axis=1).max())
+        self._inv = np.linalg.inv(a)
+        self.error_gain = float(np.abs(self._inv).sum(axis=1).max())
 
     def observe(self, x_next: np.ndarray, u: np.ndarray) -> np.ndarray:
         """A^{-1} (X(t+1) - U(t)). Overflow is ignored as in step: a
         non-finite state gives a non-finite estimate for the guard to see."""
         with np.errstate(over="ignore", invalid="ignore"):
-            rhs = np.asarray(x_next, float) - np.asarray(u, float)
-        x, info = self._getrs(self._lu, self._piv, rhs)
-        if info != 0:
-            raise ValueError(f"illegal value in argument {-info} of LAPACK getrs")
-        return x
+            return self._inv @ (np.asarray(x_next, float) - np.asarray(u, float))

@@ -175,21 +175,39 @@ def test_inverse_observer_exact_without_disturbance():
     np.testing.assert_allclose(obs.observe(nxt, u), f(x), atol=1e-12)
 
 
-def test_inverse_observer_matches_lu_solve_bit_for_bit():
-    # observe makes the LAPACK getrs call that lu_solve makes on the same
-    # factor, so the estimates are lu_solve's bits, non-finite ones included
-    from scipy.linalg import lu_solve
+def test_inverse_observer_matches_lu_solve_to_rounding():
+    # observe multiplies by the inverse np.linalg.inv computes; the oracle is
+    # scipy's LU solve on the same right-hand side. The invertible canonical
+    # graphs are permutations, whose inverses and solves are exact, so the
+    # bits agree.
+    # Elsewhere they agree to rounding, |z - x| <= C n eps (|A^-1| |b|), with
+    # C derived to first order from the n-term sums each side rounds, the
+    # terms of entry i of each sum being bounded by (|A^-1| |b|)_i:
+    #   - the product A^-1 b: one n-term sum, at most n eps/2;
+    #   - each column of A^-1 and the solution x: a forward and a back
+    #     substitution on the LU factors, at most 2 * n eps/2 each;
+    # so C = 1/2 + 1 + 1 = 5/2. The term bound holds when the triangular
+    # factors are well conditioned, as for these diagonally weighted A.
+    # Non-finite right-hand sides give non-finite entries in the same places
+    # (inf or NaN may differ: inf * 0 is NaN in the product).
+    from scipy.linalg import lu_factor, lu_solve
+    C = 2.5
+    eps = np.finfo(float).eps
     rng = np.random.default_rng(11)
     graphs = [WeightedDigraph(rng.normal(size=(n, n)) + n * np.eye(n))
               for n in range(1, 9) for _ in range(4)]
+    canonical = []
     for kind in ("cycle", "path_root_selfloop", "single_selfloop"):
         for n in range(1, 9):
             g = build_canonical(kind, n)
             if abs(np.linalg.det(g.weights)) > 0.0:
-                graphs.append(g)
+                canonical.append(g)
     specials = (np.inf, -np.inf, np.nan)
-    for g in graphs:
+    bits_differ = non_finite = 0
+    for g in graphs + canonical:
         obs = InverseObserver(g)
+        factor = lu_factor(g.weights)
+        abs_inv = np.abs(np.linalg.inv(g.weights))
         n = g.n
         for k in range(25):
             x_next, u = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=(2, n))
@@ -198,8 +216,19 @@ def test_inverse_observer_matches_lu_solve_bit_for_bit():
             if k % 5 == 0:
                 u[rng.integers(n)] = specials[k % 3]
             with np.errstate(invalid="ignore"):
-                want = lu_solve((obs._lu, obs._piv), x_next - u, check_finite=False)
-            assert obs.observe(x_next, u).tobytes() == want.tobytes(), (n, k)
+                b = x_next - u
+            want = lu_solve(factor, b, check_finite=False)
+            z = obs.observe(x_next, u)
+            assert (np.isfinite(z) == np.isfinite(want)).all(), (n, k)
+            if not np.isfinite(b).all():
+                non_finite += 1
+            elif g in canonical:
+                assert z.tobytes() == want.tobytes(), (n, k)
+            else:
+                bound = C * n * eps * (abs_inv @ np.abs(b))
+                assert (np.abs(z - want) <= bound).all(), (n, k)
+                bits_differ += int(z.tobytes() != want.tobytes())
+    assert bits_differ > 0 and non_finite > 0
 
 
 def test_inverse_observer_is_silent_on_overflow():

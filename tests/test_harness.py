@@ -406,6 +406,27 @@ def test_overflowing_run_trips_the_guard_without_warnings(tmp_path):
         assert len(rows) == 1 + 2 * len(x0)
 
 
+def test_cli_matrix_inverse_overflow_trips_the_guard(tmp_path, capsys):
+    # network_flow on cycle:3 at slope 1e10 through the matrix-inverse
+    # channel: the state overflows after 31 steps, the guard stops the run,
+    # nothing warns, and stdout is strict JSON (NaN and Infinity rejected)
+    def reject(name):
+        raise ValueError(f"{name} is not a JSON number")
+
+    path = _write_cfg(tmp_path, {
+        "graph": {"kind": "cycle", "n": 3},
+        "function": {"kind": "linear", "a": 1e10},
+        "controller": {"kind": "network_flow"},
+        "observation": {"mode": "matrix_inverse"},
+        "horizon": 60, "x0": [0.1, 0.2, 0.3], "guard_cap": 1e308})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["simulate", "--config", path]) == 0
+    summary = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert summary["guard_tripped"] is True
+    assert summary["steps_run"] == 31 and summary["verdict_basis"] == "guard"
+
+
 def _reference_run(config):
     """The closed loop as written before the lean step, kept as the oracle
     of run_experiment's loop: every row goes through np.asarray and a shape
