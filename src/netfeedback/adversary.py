@@ -9,7 +9,10 @@ least a threshold away from the midpoint of the explored interval. The hull
 then grows geometrically no matter what the feedback law does, which the
 certificate witnesses as a doubling of E_t = |I_0|/2 + sum of hull growths.
 It keeps only the running hull, |I_0| and those growths (hull_growth recovers
-them from a trajectory), and builds each candidate once, at full slope.
+them from a trajectory). The committed pins live in two buffers with free
+slots at both ends: a candidate writes its one or two new end pins into the
+slots next to the committed ones, checks only the new end segments, and is
+evaluated by interpolation over a view, so no function is built per step.
 
 B = 4 / (smallest nonzero weight magnitude); the construction needs a
 strongly connected graph whose weights carry a uniform sign. Disturbances are
@@ -47,6 +50,30 @@ def _check_segments(bound: float, pts, full_slope: bool):
         raise InvariantError("committed pins drifted off the +/-B slopes")
 
 
+def _check_end_pin(bound: float, xe: float, ve: float, x: float, v: float,
+                   side: float):
+    """The checks that __init__ and _set_pins make of a segment and its tail,
+    on the new end segment from the outermost pin (xe, ve) to a new pin
+    (x, v) on side +1 (right) or -1 (left), at full slope. The new pin must
+    be finite (ValueError) and strictly outside the current pins
+    (InvariantError), which for the one new pin per end is also the
+    distinct-abscissa check; |dv| <= bound * dx (ValueError) and |dv| =
+    bound * dx up to rounding (InvariantError); the tail the segment sets
+    within the bound (ValueError)."""
+    if not (math.isfinite(x) and math.isfinite(v)):
+        raise ValueError("pins must be finite")
+    dx = side * (x - xe)
+    if not dx > 0.0:
+        raise InvariantError("new pins must lie strictly outside the current pins")
+    dv = abs(v - ve)
+    if dv > bound * dx * (1 + 1e-9) + 1e-12:
+        raise ValueError("pins violate the slope bound")
+    if abs(dv - bound * dx) > 1e-9 * max(1.0, bound * dx):
+        raise InvariantError("committed pins drifted off the +/-B slopes")
+    if dv / dx > bound * (1 + 1e-9):
+        raise ValueError("tail slopes violate the slope bound")
+
+
 class PinnedPiecewiseLinear(PlantFunction):
     """Piecewise-linear function through pins, bounded slope, linear tails.
 
@@ -77,36 +104,6 @@ class PinnedPiecewiseLinear(PlantFunction):
             self._lslope, self._rslope = _end_slopes(xs, vs)
         if max(abs(self._lslope), abs(self._rslope)) > slope_bound * (1 + 1e-9):
             raise ValueError("tail slopes violate the slope bound")
-
-    def extended(self, pins, full_slope: bool = False) -> "PinnedPiecewiseLinear":
-        """This function with pins added beyond its outermost pins.
-
-        Every new pin must lie strictly outside the current pins
-        (InvariantError otherwise); a non-finite pin is a ValueError, as in
-        __init__. Only the new end segments are checked, as __init__ checks
-        every segment (full_slope included), and the tails follow the new end
-        segments, as in __init__.
-        """
-        new = sorted((float(x), float(v)) for x, v in pins)
-        if not all(math.isfinite(x) and math.isfinite(v) for x, v in new):
-            raise ValueError("pins must be finite")
-        xs, vs = self._xs, self._vs
-        first, last = (float(xs[0]), float(vs[0])), (float(xs[-1]), float(vs[-1]))
-        left, right = [], []
-        for pin in new:
-            if pin[0] < first[0]:
-                left.append(pin)
-            elif pin[0] > last[0]:
-                right.append(pin)
-            else:
-                raise InvariantError("new pins must lie strictly outside the current pins")
-        _check_segments(self.slope_bound, left + [first], full_slope)
-        _check_segments(self.slope_bound, [last] + right, full_slope)
-        fn = object.__new__(PinnedPiecewiseLinear)
-        fn._set_pins(self.slope_bound,
-                     np.concatenate(([p[0] for p in left], xs, [p[0] for p in right])),
-                     np.concatenate(([p[1] for p in left], vs, [p[1] for p in right])))
-        return fn
 
     @property
     def pins(self) -> tuple:
@@ -189,6 +186,10 @@ def check_adversary_graph(graph: WeightedDigraph) -> float:
     return sharp
 
 
+# initial pin slots of an adversary's buffers; each regrow doubles them
+_PIN_BUFFER = 256
+
+
 class OnlineAdversary:
     """Implements the branch-probe-commit protocol against any feedback law.
 
@@ -198,16 +199,28 @@ class OnlineAdversary:
     or, as one plant step, X(t+1), Z(t) = adv.advance(t, X(t), U(t), W(t)).
     It keeps the running hull [lo, hi], i0_width and each step's growth
     chi, all the certificate reads. The committed function only gains pins
-    outside the previous hull, so revealed values never change; each step
-    extends it at its ends (PinnedPiecewiseLinear.extended). A candidate is
-    built once, at full slope, which a probe meets as its mirror does (both
-    add +/-B * growth to the same values), so a taken probe is committed as
-    it is. Its tails are never read: the pins span X(t) and the old hull.
+    outside the previous hull, so revealed values never change.
+
+    Step 0 builds its candidates with PinnedPiecewiseLinear and seeds two
+    pin buffers, abscissae and values, from the committed one; the committed
+    pins are buf[l:r], with free slots at both ends. Each later step writes
+    the probe's one or two new end pins into slots l-1 and r, checks the new
+    end segments at full slope (_check_end_pin) and evaluates f(X(t)) with
+    np.interp over the view of the grown pins. If the probe is not taken it
+    overwrites the same slots with the mirror values (both add +/-B * growth
+    to the same end values) and evaluates again. Committing moves only l and
+    r; a side out of slots copies the pins, centred, into buffers twice as
+    large. np.interp reads only the pins that bracket each state, and the
+    tails are never read (the pins span X(t) and the old hull), so the
+    values are those of the whole function. The function property builds a
+    PinnedPiecewiseLinear over buf[l:r] when read.
 
     The outermost pins sit at the running hull's ends: step 0 pins lo and hi
     (one pin when |I_0| = 0), and each later step pins the new hi and/or the
     new lo. So f(prev_hi) and f(prev_lo) are read off the end pins, not
     evaluated, and a taken probe returns the f(X(t)) its probe value used.
+    A NaN state never exceeds the hull, so it grows nothing; a NaN at the
+    attacked node fails its escape check.
     """
 
     def __init__(self, graph: WeightedDigraph, x0):
@@ -223,29 +236,40 @@ class OnlineAdversary:
         self.branches = []
         self.attacked = []  # node d_t whose update the probe targets
         self._t = 0
+        # the probe targets the first out-neighbour of the extreme node; a
+        # strongly connected graph gives every node one
+        self._target = [graph.out_neighbors(j)[0] for j in range(graph.n)]
+        self._rows = list(graph.weights)
+        self._xs = self._vs = None   # the pin buffers, from step 0 on
+        self._l = self._r = 0        # the committed pins are buf[l:r]
+        self._bound = self.B         # the slope bound the pins are checked at
         self._fn: PinnedPiecewiseLinear | None = None
 
     @property
     def function(self) -> PinnedPiecewiseLinear:
+        """The committed function over buf[l:r], built on the first read
+        after a step and held until the next step."""
         if self._fn is None:
-            raise ValueError("no branch committed yet; run step(0, ...) first")
+            if self._xs is None:
+                raise ValueError("no branch committed yet; run step(0, ...) first")
+            fn = object.__new__(PinnedPiecewiseLinear)
+            fn._set_pins(self._bound, self._xs[self._l:self._r],
+                         self._vs[self._l:self._r])
+            self._fn = fn
         return self._fn
 
     def certificate(self) -> DivergenceCertificate:
         return DivergenceCertificate(self.i0_width, self.chi)
 
-    def _pick_target(self, x, prefer_max: bool) -> int:
-        outs = self.graph.out_neighbors(int(np.argmax(x) if prefer_max else np.argmin(x)))
-        if not outs:
-            raise InvariantError("strongly connected graph lost out-neighbors")
-        return outs[0]
-
-    def _candidate(self, new_pins) -> PinnedPiecewiseLinear:
-        """The committed function grown by new_pins at full slope; before the
-        first commit, the function through new_pins alone."""
-        if self._fn is not None:
-            return self._fn.extended(new_pins, full_slope=True)
-        return PinnedPiecewiseLinear(self.B, new_pins, full_slope=True)
+    def _place(self, xs, vs, size: int):
+        """Hold the pins (xs, vs) centred in new buffers of at least size
+        slots, with at least one free slot at each end."""
+        m = xs.size
+        size = max(size, m + 2)
+        l = (size - m) // 2
+        self._xs, self._vs = np.empty(size), np.empty(size)
+        self._xs[l:l + m], self._vs[l:l + m] = xs, vs
+        self._l, self._r = l, l + m
 
     def step(self, t: int, x_t, u_t, w_t) -> np.ndarray:
         """Commit a branch for time t and return f(X(t)) under it."""
@@ -257,55 +281,79 @@ class OnlineAdversary:
         n = self.graph.n
         if x_t.shape != (n,) or u_t.shape != (n,) or w_t.shape != (n,):
             raise ValueError(f"step arrays must have shape ({n},)")
-
-        if t == 0:
-            lo, hi, i0 = self.lo, self.hi, self.i0_width
-            d = self._pick_target(x_t, prefer_max=True)
-            p_pins = [(lo, 1.0), (hi, 1.0 + self.B * i0)] if i0 > 0.0 else [(hi, 1.0)]
-            n_pins = [(x, -v) for x, v in p_pins]
-            threshold = self.sharp + _B_SHARP * i0
-        else:
-            prev_lo, prev_hi = self.lo, self.hi
-            self.hi = hi = max(prev_hi, float(x_t.max()))
-            self.lo = lo = min(prev_lo, float(x_t.min()))
-            r_t, l_t = hi - prev_hi, prev_lo - lo
-            chi_t = max(r_t, l_t)
-            self.chi.append(chi_t)
-            if chi_t <= 0.0:
-                raise InvariantError(f"hull did not grow at step {t}")
-            d_prev = self.attacked[-1]
-            esc = max(x_t[d_prev] - prev_hi, prev_lo - x_t[d_prev])
-            if esc <= 0.0:
-                raise InvariantError(
-                    f"attacked node {d_prev} failed to escape the hull at step {t}")
-            d = self._pick_target(x_t, prefer_max=(r_t >= l_t))
-            # the end pins sit at prev_hi and prev_lo (see the class docstring)
-            p_pins, n_pins = [], []
-            if r_t > 0.0:
-                base = float(self._fn._vs[-1])
-                p_pins.append((hi, base + self.B * r_t))
-                n_pins.append((hi, base - self.B * r_t))
-            if l_t > 0.0:
-                base = float(self._fn._vs[0])
-                p_pins.append((lo, base + self.B * l_t))
-                n_pins.append((lo, base - self.B * l_t))
-            threshold = _B_SHARP * chi_t
-
-        mid = 0.5 * (lo + hi)
-        probe = self._candidate(p_pins)
-        fvals = np.asarray(probe(x_t), dtype=float)
-        row = self.graph.weights[d]
-        v_p = float(row @ fvals + u_t[d] + w_t[d])
-        take_p = abs(v_p - mid) >= threshold
-        if take_p:
-            self._fn = probe
-        else:
-            self._fn = self._candidate(n_pins)
-            fvals = np.asarray(self._fn(x_t), dtype=float)
-        self.branches.append("p" if take_p else "n")
+        fvals, branch, d = (self._first(x_t, u_t, w_t) if t == 0
+                            else self._grow(t, x_t, u_t, w_t))
+        self.branches.append(branch)
         self.attacked.append(d)
         self._t += 1
         return fvals
+
+    def _first(self, x_t, u_t, w_t):
+        """Step 0: the candidates through the pins at lo and hi, built and
+        checked by PinnedPiecewiseLinear; seeds the buffers."""
+        lo, hi, i0 = self.lo, self.hi, self.i0_width
+        d = self._target[int(np.argmax(x_t))]
+        p_pins = [(lo, 1.0), (hi, 1.0 + self.B * i0)] if i0 > 0.0 else [(hi, 1.0)]
+        fn = PinnedPiecewiseLinear(self.B, p_pins, full_slope=True)
+        fvals = np.asarray(fn(x_t), dtype=float)
+        v_p = float(self._rows[d] @ fvals + u_t[d] + w_t[d])
+        branch = "p" if abs(v_p - 0.5 * (lo + hi)) >= self.sharp + _B_SHARP * i0 else "n"
+        if branch == "n":
+            fn = PinnedPiecewiseLinear(self.B, [(x, -v) for x, v in p_pins],
+                                       full_slope=True)
+            fvals = np.asarray(fn(x_t), dtype=float)
+        self._fn = fn
+        self._place(fn._xs, fn._vs, _PIN_BUFFER)
+        return fvals, branch, d
+
+    def _grow(self, t: int, x_t, u_t, w_t):
+        """Step t >= 1: the new end pins at hi and/or lo, written into the
+        buffers' free end slots."""
+        xl = x_t.tolist()
+        prev_lo, prev_hi = self.lo, self.hi
+        self.hi = hi = max(prev_hi, *xl)
+        self.lo = lo = min(prev_lo, *xl)
+        r_t, l_t = hi - prev_hi, prev_lo - lo
+        chi_t = max(r_t, l_t)
+        self.chi.append(chi_t)
+        if chi_t <= 0.0:
+            raise InvariantError(f"hull did not grow at step {t}")
+        d_prev = self.attacked[-1]
+        xd = xl[d_prev]
+        if not max(xd - prev_hi, prev_lo - xd) > 0.0:
+            raise InvariantError(
+                f"attacked node {d_prev} failed to escape the hull at step {t}")
+        # the target is the out-neighbour of the node at the end that grew more
+        d = self._target[xl.index(hi if r_t >= l_t else lo)]
+        self._fn = None
+
+        if (l_t > 0.0 and self._l == 0) or (r_t > 0.0 and self._r == self._xs.size):
+            self._place(self._xs[self._l:self._r], self._vs[self._l:self._r],
+                        2 * self._xs.size)
+        xs, vs, l, r = self._xs, self._vs, self._l, self._r
+        bound = self._bound
+        # the end pins sit at prev_hi and prev_lo (see the class docstring)
+        if r_t > 0.0:
+            xs[r] = hi
+            top, push_r, xe_r = float(vs[r - 1]), self.B * r_t, float(xs[r - 1])
+        if l_t > 0.0:
+            xs[l - 1] = lo
+            bot, push_l, xe_l = float(vs[l]), self.B * l_t, float(xs[l])
+        nl, nr = l - (l_t > 0.0), r + (r_t > 0.0)
+        row, mid, threshold = self._rows[d], 0.5 * (lo + hi), _B_SHARP * chi_t
+        for branch in "pn":   # the probe, then its mirror if it is not taken
+            if r_t > 0.0:
+                vs[r] = v = top + push_r if branch == "p" else top - push_r
+                _check_end_pin(bound, xe_r, top, hi, v, 1.0)
+            if l_t > 0.0:
+                vs[l - 1] = v = bot + push_l if branch == "p" else bot - push_l
+                _check_end_pin(bound, xe_l, bot, lo, v, -1.0)
+            fvals = np.interp(x_t, xs[nl:nr], vs[nl:nr])
+            if (branch == "n" or abs(float(row @ fvals + u_t[d] + w_t[d]) - mid)
+                    >= threshold):
+                break
+        self._l, self._r = nl, nr
+        return fvals, branch, d
 
     def advance(self, t: int, x_t, u_t, w_t):
         """(X(t+1), Z(t)) under the branch committed for time t; the committed

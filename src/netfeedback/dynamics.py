@@ -14,7 +14,8 @@ plant and observes through its own channel, whose noise generator and A^{-1}
 it holds for the run. OnlineAdversary.advance has the same signature, so the
 runner drives either plant through one call. advance evaluates f(X(t)) once
 per step, for both the plant equation and the direct estimate; step and
-observe_direct are the same computations one call each. step and
+observe_direct are the same computations one call each, and advance
+multiplies by the A^{-1} of an InverseObserver itself. step and
 InverseObserver.observe silence overflow themselves; advance leaves it to its
 caller, the runner, which enters one np.errstate per run.
 
@@ -145,18 +146,21 @@ class PlantModel:
         d0 = obs.d0
         self._noise = (_Blocks(lambda k: rng.uniform(-d0, d0, k))
                        if d0 > 0.0 else None)
-        self._inverse = (InverseObserver(self.graph)
-                         if obs.mode == "matrix_inverse" else None)
+        # A^{-1} of the matrix-inverse channel, which advance multiplies by
+        # under its caller's errstate, as InverseObserver.observe does under
+        # its own
+        self._inv = (InverseObserver(self.graph)._inv
+                     if obs.mode == "matrix_inverse" else None)
 
     def advance(self, t: int, x: np.ndarray, u: np.ndarray, w: np.ndarray):
         """(X(t+1), Z(t)) from X(t), U(t) and W(t): step and observe_direct
         (or InverseObserver.observe) in one, with f(X(t)) evaluated once.
-        Unlike step, it does not silence overflow itself: run_experiment
-        enters one np.errstate for its whole loop, and a direct caller that
-        may overflow enters its own."""
+        Unlike step and observe, it does not silence overflow itself:
+        run_experiment enters one np.errstate for its whole loop, and a
+        direct caller that may overflow enters its own."""
         x_next, fx = _plant_equation(self.graph.weights, self.f, x, u, w)
-        if self._inverse is not None:
-            return x_next, self._inverse.observe(x_next, u)
+        if self._inv is not None:
+            return x_next, self._inv @ (x_next - u)
         if self._noise is None:
             return x_next, fx
         return x_next, fx + self._noise.draw(fx.size)

@@ -12,9 +12,14 @@ a bounded perturbation of amplitude s costs 2|s|, and a piecewise-linear map
 with linear tails has residual 0 at its sup slope.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# The Xie-Guo constant 3/2 + sqrt(2) (Xie and Guo 2000): the critical value of
+# quasi-norm times ||A||_inf. capacity.xie_guo_constant recovers it by search.
+XIE_GUO = 1.5 + math.sqrt(2.0)
 
 
 class PlantFunction:

@@ -12,8 +12,10 @@ sweep derives the hull from the log after the run.
 
 The runner owns overflow: it enters one np.errstate (overflow and invalid
 ignored) around the whole loop, and the plants' advance methods enter none
-of their own (InverseObserver.observe, public on its own, keeps its one),
-so a state that overflows reaches the guard without a RuntimeWarning.
+of their own (the matrix-inverse channel multiplies by A^{-1} in advance,
+not through InverseObserver.observe, which keeps its errstate for direct
+callers), so a state that overflows reaches the guard without a
+RuntimeWarning.
 
 The max_enhanced law needs a strongly connected graph, so that its
 closed-form extremes are the limit of flows.run_extreme_consensus;
@@ -21,7 +23,6 @@ ExperimentConfig checks that when the config is built.
 """
 
 import json
-import math
 import os
 from dataclasses import dataclass
 
@@ -32,7 +33,7 @@ from .config import ExperimentConfig
 from .controllers import Controller
 from .dynamics import InverseObserver, PlantModel
 from .flows import FlowLog
-from .functions import certificate_for
+from .functions import XIE_GUO, certificate_for
 from .graphs import inf_norm, sharp_metric
 
 
@@ -69,14 +70,13 @@ def theoretical_bound(config: ExperimentConfig) -> float | None:
     nrm = inf_norm(g)
     if nrm <= 0:
         return None
-    crit = 1.5 + math.sqrt(2)   # the Xie-Guo constant
     try:
         cert = certificate_for(config.f)
     except ValueError:
         return None
-    if cert.L * nrm >= crit:
+    if cert.L * nrm >= XIE_GUO:
         return None
-    resid = cert.residual_bound(crit / nrm)
+    resid = cert.residual_bound(XIE_GUO / nrm)
     if config.observation.mode == "direct":
         d0 = config.observation.d0
     else:

@@ -15,8 +15,10 @@ from netfeedback import (
     build_canonical,
     run_experiment,
 )
+import netfeedback.adversary
 import netfeedback.runner
-from netfeedback.adversary import _B_SHARP, hull_growth
+from netfeedback.adversary import _B_SHARP, _check_end_pin, hull_growth
+from netfeedback.graphs import sharp_metric
 
 
 # ---- pinned piecewise-linear functions ----
@@ -62,49 +64,73 @@ def test_pinned_vector_evaluation():
 
 
 def test_extension_rejects_what_a_rebuild_rejects():
+    # the adversary checks each new end pin with _check_end_pin, against the
+    # outermost committed pin on its side: here those of f, (0, 1) on the
+    # left and (1, 5) on the right
     f = PinnedPiecewiseLinear(4.0, [(0.0, 1.0), (1.0, 5.0)])
-    for inside in ([(0.5, 3.0)], [(0.0, 1.0)], [(1.0, 5.0)], [(2.0, 9.0), (0.5, 3.0)]):
-        with pytest.raises(InvariantError):
-            f.extended(inside)
+    left, right = (0.0, 1.0, -1.0), (1.0, 5.0, 1.0)
+
+    def check(end, pin):
+        (xe, ve, side), (x, v) = end, pin
+        _check_end_pin(4.0, xe, ve, x, v, side)
+
+    # a pin on or inside the current pins, on either side (a pin on an end's
+    # abscissa is the one way a one-pin end segment can lose distinctness)
+    for end in (left, right):
+        for inside in ((0.5, 3.0), (0.0, 1.0), (1.0, 5.0), (1.0, 4.0)):
+            with pytest.raises(InvariantError, match="strictly outside"):
+                check(end, inside)
     with pytest.raises(ValueError, match="pins violate"):
-        f.extended([(2.0, 9.5)])           # new segment at slope 4.5
+        check(right, (2.0, 9.5))           # new segment at slope 4.5
     with pytest.raises(ValueError, match="pins violate"):
-        f.extended([(-2.0, -7.0), (-1.0, -4.0)])   # slope 5 next to the old pins
+        check(left, (-1.0, -4.0))          # slope 5 next to the old pins
     with pytest.raises(ValueError, match="pins violate"):
-        f.extended([(2.0, 9.0), (3.0, 9.0), (3.5, 11.5)])   # slope 5 at the end
-    with pytest.raises(ValueError, match="distinct"):
-        f.extended([(2.0, 9.0), (2.0, 8.0)])
+        check((3.0, 9.0, 1.0), (3.5, 11.5))   # slope 5 at a later end
     # a non-finite pin is refused as the constructor refuses it, wherever it
     # would sort: a NaN abscissa is neither left nor right of the old pins
     for bad in (math.nan, math.inf, -math.inf):
         for pin in ((bad, 3.0), (-1.0, bad), (0.5, bad), (2.0, bad), (bad, bad)):
             with pytest.raises(ValueError) as built:
                 PinnedPiecewiseLinear(4.0, [(0.0, 1.0), (1.0, 5.0), pin])
-            with pytest.raises(ValueError) as ext:
-                f.extended([pin])
-            assert type(ext.value) is type(built.value)
-            assert str(ext.value) == str(built.value) == "pins must be finite"
-    # within the segment slack (1e-12 absolute) but a tail of slope ~10
-    with pytest.raises(ValueError, match="tail"):
-        f.extended([(1.0 + 1e-13, 5.0 + 1e-12)])
-    # full slope: a segment inside the bound is fine unless full slope is asked
-    g = f.extended([(2.0, 8.0)])
-    assert g.pins == ((0.0, 1.0), (1.0, 5.0), (2.0, 8.0))
-    assert g(3.0) == 11.0                  # the right tail follows the new segment
-    with pytest.raises(InvariantError):
-        f.extended([(2.0, 8.0)], full_slope=True)
-    f.extended([(2.0, 9.0), (-1.0, -3.0)], full_slope=True)
-    assert f.pins == ((0.0, 1.0), (1.0, 5.0))   # the original is unchanged
+            for end in (left, right):
+                with pytest.raises(ValueError) as ext:
+                    check(end, pin)
+                assert type(ext.value) is type(built.value)
+                assert str(ext.value) == str(built.value) == "pins must be finite"
+    # within the segment slack (1e-12 absolute) but a tail of slope ~10,
+    # which _set_pins refuses with the same message
+    with pytest.raises(ValueError, match="tail") as ext:
+        check(right, (1.0 + 1e-13, 5.0 + 1e-12))
+    with pytest.raises(ValueError, match="tail") as built:
+        PinnedPiecewiseLinear(4.0, [(0.0, 1.0), (1.0, 5.0), (1.0 + 1e-13, 5.0 + 1e-12)])
+    assert str(ext.value) == str(built.value)
+    # every new segment must run at full slope, not merely within it
+    with pytest.raises(InvariantError, match="drifted"):
+        check(right, (2.0, 8.0))
+    with pytest.raises(InvariantError, match="drifted"):
+        PinnedPiecewiseLinear(4.0, [(1.0, 5.0), (2.0, 8.0)], full_slope=True)
+    check(right, (2.0, 9.0))
+    check(left, (-1.0, -3.0))
+    check(left, (-1.0, 5.0))               # slope -4
 
 
 def test_extension_matches_a_rebuild():
-    f = PinnedPiecewiseLinear(4.0, [(0.0, 2.0)])
-    g = f.extended([(0.5, 4.0)])
-    ref = PinnedPiecewiseLinear(4.0, [(0.0, 2.0), (0.5, 4.0)])
-    assert _bits(g) == _bits(ref)          # the V gives way to the segment
-    h = g.extended([(-1.0, 6.0), (-0.25, 3.0), (2.0, -2.0)])
-    ref = PinnedPiecewiseLinear(4.0, ref.pins + ((-1.0, 6.0), (-0.25, 3.0), (2.0, -2.0)))
-    assert _bits(h) == _bits(ref)
+    # the function over the buffers is bit for bit the constructor's over
+    # the same pins, from the single pin of an |I_0| = 0 start (whose V gives
+    # way to the first segment) on; its tails follow the end segments
+    for g, x0 in ((build_canonical("single_selfloop", 1, a11=1.0), [0.3]),
+                  (build_canonical("cycle", 3), [0.3, 0.3, 0.3]),
+                  (build_canonical("cycle", 3), [0.2, -0.4, 0.9])):
+        adv = OnlineAdversary(g, x0)
+        x, zeros = np.asarray(x0, dtype=float), np.zeros(g.n)
+        for t in range(8):
+            x = g.weights @ adv.step(t, x, zeros, zeros)
+            fn = adv.function
+            ref = PinnedPiecewiseLinear(adv.B, fn.pins, full_slope=True)
+            assert _bits(fn) == _bits(ref), (x0, t)
+            beyond = np.array([adv.lo - 1.0, adv.hi + 1.0])
+            assert fn(beyond).tobytes() == ref(beyond).tobytes(), (x0, t)
+        assert len(fn.pins) > 2
 
 
 def test_commit_checks_full_slope():
@@ -113,9 +139,11 @@ def test_commit_checks_full_slope():
     adv = OnlineAdversary(g, x0)
     zeros = np.zeros(3)
     x1 = g.weights @ adv.step(0, x0, zeros, zeros)
+    pins = adv.function.pins
     adv.B *= 0.9     # new pins now sit inside the slope budget, not on it
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match="drifted"):
         adv.step(1, x1, zeros, zeros)
+    assert adv.function.pins == pins       # the committed pins are unchanged
 
 
 # ---- interval ledger ----
@@ -381,6 +409,24 @@ def test_degenerate_start_single_pin():
     assert adv.certificate().chi[0] > 0.0
 
 
+def test_nan_state_grows_no_hull():
+    # X(1) = [-5, -1, -3] on the three-cycle trace; node 0 is attacked
+    g = build_canonical("cycle", 3)
+    zeros = np.zeros(3)
+    for bad, grows in ((1, True), (0, False)):
+        adv = OnlineAdversary(g, [0.0, 0.5, 1.0])
+        x1 = g.weights @ adv.step(0, np.array([0.0, 0.5, 1.0]), zeros, zeros)
+        assert adv.attacked == [0]
+        x1[bad] = math.nan
+        if not grows:
+            with pytest.raises(InvariantError, match="escape"):
+                adv.step(1, x1, zeros, zeros)
+            continue
+        fvals = adv.step(1, x1, zeros, zeros)
+        assert (adv.lo, adv.hi) == (-5.0, 1.0) and adv.chi == [5.0]
+        assert math.isnan(fvals[1]) and np.isfinite(fvals[[0, 2]]).all()
+
+
 def test_adversary_preconditions():
     with pytest.raises(ValueError):
         OnlineAdversary(WeightedDigraph(np.zeros((2, 2))), [0.0, 0.0])
@@ -435,10 +481,42 @@ def _check_feasible(fn, B):
         raise InvariantError("committed pins drifted off the +/-B slopes")
 
 
-class _EvalAdversary(OnlineAdversary):
-    """The evaluating reference step: f(prev_hi), f(prev_lo) and the
-    returned f(X(t)) are calls of the committed function, so a taken probe
-    is evaluated at X(t) a second time."""
+class _EvalAdversary:
+    """The evaluating reference adversary, standalone: each candidate is a
+    new function whose pin arrays are the committed ones with the new pins
+    concatenated at the ends; the hull comes from numpy's max and min of
+    X(t); f(prev_hi), f(prev_lo) and the returned f(X(t)) are calls of the
+    committed function, so a taken probe is evaluated at X(t) a second time.
+    It records the first candidate of each step, the probe."""
+
+    def __init__(self, graph, x0):
+        x0 = np.asarray(x0, dtype=float)
+        self.graph = graph
+        self.sharp = sharp_metric(graph)
+        self.B = _B_SHARP / self.sharp
+        self.lo, self.hi = float(x0.min()), float(x0.max())
+        self.i0_width = self.hi - self.lo
+        self.chi, self.branches, self.attacked, self.probes = [], [], [], []
+        self.function = None
+
+    def certificate(self):
+        return DivergenceCertificate(self.i0_width, self.chi)
+
+    def _candidate(self, new_pins):
+        if self.function is None:
+            return PinnedPiecewiseLinear(self.B, new_pins, full_slope=True)
+        xs, vs = self.function._xs, self.function._vs
+        left = sorted(p for p in new_pins if p[0] < xs[0])
+        right = sorted(p for p in new_pins if p[0] > xs[-1])
+        assert len(left) + len(right) == len(new_pins)
+        fn = object.__new__(PinnedPiecewiseLinear)
+        fn._set_pins(self.B,
+                     np.concatenate(([p[0] for p in left], xs, [p[0] for p in right])),
+                     np.concatenate(([p[1] for p in left], vs, [p[1] for p in right])))
+        return fn
+
+    def _pick_target(self, x, prefer_max):
+        return self.graph.out_neighbors(int(np.argmax(x) if prefer_max else np.argmin(x)))[0]
 
     def step(self, t, x_t, u_t, w_t):
         x_t = np.asarray(x_t, dtype=float)
@@ -458,54 +536,37 @@ class _EvalAdversary(OnlineAdversary):
             p_pins, n_pins = [], []
             for end, prev, growth in ((hi, prev_hi, r_t), (lo, prev_lo, l_t)):
                 if growth > 0.0:
-                    base = self._fn(prev)
+                    base = self.function(prev)
                     p_pins.append((end, base + self.B * growth))
                     n_pins.append((end, base - self.B * growth))
             threshold = _B_SHARP * self.chi[-1]
         mid = 0.5 * (lo + hi)
         probe = self._candidate(p_pins)
+        self.probes.append(probe)
         row = self.graph.weights[d]
         v_p = float(row @ np.asarray(probe(x_t), dtype=float) + u_t[d] + w_t[d])
         take_p = abs(v_p - mid) >= threshold
-        self._fn = probe if take_p else self._candidate(n_pins)
+        self.function = probe if take_p else self._candidate(n_pins)
         self.branches.append("p" if take_p else "n")
         self.attacked.append(d)
-        self._t += 1
-        return np.asarray(self._fn(x_t), dtype=float)
+        return np.asarray(self.function(x_t), dtype=float)
+
+    def advance(self, t, x_t, u_t, w_t):
+        fvals = self.step(t, x_t, u_t, w_t)
+        return self.graph.weights @ fvals + u_t + w_t, fvals
 
 
 class _RebuildAdversary(_EvalAdversary):
-    """The reference: every candidate is rebuilt from all pins and checked
-    segment by segment, and every value is evaluated as _EvalAdversary does.
-    Records the first candidate of each step, the probe."""
-
-    def __init__(self, graph, x0):
-        super().__init__(graph, x0)
-        self.probes = []
+    """The reference: as _EvalAdversary, but every candidate is rebuilt from
+    all pins by the constructor and checked segment by segment, at full
+    slope by _check_feasible."""
 
     def _candidate(self, new_pins):
         pins = list(new_pins)
-        if self._fn is not None:
-            pins.extend(self._fn.pins)
+        if self.function is not None:
+            pins.extend(self.function.pins)
         fn = PinnedPiecewiseLinear(self.B, pins)
         _check_feasible(fn, self.B)
-        if len(self.probes) == self._t:
-            self.probes.append(fn)
-        return fn
-
-
-class _ProbedAdversary(OnlineAdversary):
-    """The library adversary, recording the first candidate of each step,
-    the probe."""
-
-    def __init__(self, graph, x0):
-        super().__init__(graph, x0)
-        self.probes = []
-
-    def _candidate(self, new_pins):
-        fn = super()._candidate(new_pins)
-        if len(self.probes) == self._t:
-            self.probes.append(fn)
         return fn
 
 
@@ -518,7 +579,35 @@ def _probe_value(adv, probe, d, x, u, w):
     return float(adv.graph.weights[d] @ np.asarray(probe(x), dtype=float) + u[d] + w[d])
 
 
-def test_extension_replays_full_rebuild_bit_for_bit():
+def _spy_end_pins(monkeypatch) -> list:
+    """Record each new end pin (x, v) that OnlineAdversary.step checks, in
+    the order it writes them: a step's probe pins, then, if the probe is
+    not taken, the mirror pins in the same slots."""
+    pins = []
+    check = netfeedback.adversary._check_end_pin
+
+    def spy(bound, xe, ve, x, v, side):
+        pins.append((x, v))
+        return check(bound, xe, ve, x, v, side)
+
+    monkeypatch.setattr(netfeedback.adversary, "_check_end_pin", spy)
+    return pins
+
+
+def _probe_from_pins(adv, committed, new_pins):
+    """The probe as a function: the committed pins before the step plus the
+    probe's new end pins, with the tails _set_pins derives."""
+    pts = sorted(committed + tuple(new_pins))
+    fn = object.__new__(PinnedPiecewiseLinear)
+    fn._set_pins(adv.B, np.array([p[0] for p in pts]), np.array([p[1] for p in pts]))
+    return fn
+
+
+def test_extension_replays_full_rebuild_bit_for_bit(monkeypatch):
+    # the step writes no probe object: from step 1 on, its probe is read off
+    # the end pins it checks (the first of them in a step are the probe's);
+    # step 0 builds its candidates with the constructor, as the oracle does
+    written = _spy_end_pins(monkeypatch)
     both_sides = single_pin = 0
     branches = set()
     starts = [(kind, {"seed": 3, "scale": 1.0})
@@ -530,28 +619,41 @@ def test_extension_replays_full_rebuild_bit_for_bit():
                                 "x0": x0})
         res = run_experiment(cfg)
         x, u, z, w = res.x_hist, res.u_hist, res.z_hist, res.w_hist
-        new = _ProbedAdversary(cfg.graph, x[0])
+        new = OnlineAdversary(cfg.graph, x[0])
         ref = _RebuildAdversary(cfg.graph, x[0])
         led = IntervalLedger(x[0])
+        committed = ()
         for t in range(res.summary["steps_run"]):
+            written.clear()
             fv_new = new.step(t, x[t], u[t], w[t])
             fv_ref = ref.step(t, x[t], u[t], w[t])
             assert fv_new.tobytes() == fv_ref.tobytes() == z[t].tobytes(), (kind, t)
             assert _bits(new.function) == _bits(ref.function), (kind, t)
-            assert _bits(new.probes[-1]) == _bits(ref.probes[-1]), (kind, t)
-            d = new.attacked[-1]
-            assert _probe_value(new, new.probes[-1], d, x[t], u[t], w[t]) == \
-                _probe_value(ref, ref.probes[-1], d, x[t], u[t], w[t])
             assert new.branches[-1] == ref.branches[-1], (kind, t)
+            assert new.attacked[-1] == ref.attacked[-1], (kind, t)
+            grown = len(ref.probes[-1].pins) - len(committed)
+            if t == 0:
+                assert written == []
+                probe = ref.probes[-1] if new.branches[-1] == "p" else None
+            else:
+                assert 1 <= grown <= 2, (kind, t)
+                assert len(written) == grown * (1 if new.branches[-1] == "p" else 2)
+                probe = _probe_from_pins(new, committed, written[:grown])
+            if probe is not None:
+                assert _bits(probe) == _bits(ref.probes[-1]), (kind, t)
+                d = new.attacked[-1]
+                assert _probe_value(new, probe, d, x[t], u[t], w[t]) == \
+                    _probe_value(ref, ref.probes[-1], d, x[t], u[t], w[t])
             # X(t) lies between the outermost pins of the probe and of the
             # committed function, so neither reads its tails
-            for fn in (new.probes[-1], new.function):
+            for fn in (ref.probes[-1], new.function):
                 assert fn._xs[0] <= x[t].min() and x[t].max() <= fn._xs[-1], (kind, t)
             branches.add(new.branches[-1])
             if t > 0:
                 led.push(float(x[t].max()), float(x[t].min()))
                 both_sides += led.R[-1] > 0.0 and led.L[-1] > 0.0
             single_pin += t == 0 and len(new.function.pins) == 1
+            committed = new.function.pins
         assert new.function.pins == ref.function.pins
         assert new.certificate().to_dict() == res.certificate.to_dict()
     assert both_sides > 0          # new pins at both ends in one step
@@ -591,6 +693,46 @@ def test_end_pins_are_the_hull_ends(monkeypatch):
             assert getattr(res, name).tobytes() == getattr(ref, name).tobytes(), name
         assert res.branches == ref.branches
         assert res.certificate.to_dict() == ref.certificate.to_dict()
+
+
+def test_pin_buffers_regrow_at_both_ends(monkeypatch):
+    # from one-slot buffers the pins are copied into larger ones again and
+    # again, at either end, the |I_0| = 0 starts included; the run, the
+    # committed function and the certificate keep every bit
+    grown = []
+    place = OnlineAdversary._place
+
+    def spy(self, xs, vs, size):
+        if self._xs is not None:      # a regrow, not step 0's seeding
+            grown.append((self._l == 0, self._r == self._xs.size))
+        return place(self, xs, vs, size)
+
+    def replay(res):
+        x, u, w = res.x_hist, res.u_hist, res.w_hist
+        adv = OnlineAdversary(res.config.graph, x[0])
+        for t in range(res.summary["steps_run"]):
+            adv.step(t, x[t], u[t], w[t])
+        return _bits(adv.function)
+
+    runs = [(cfg, res, replay(res))
+            for cfg, res in ((c, run_experiment(c)) for c in _adversary_configs())]
+    monkeypatch.setattr(netfeedback.adversary, "_PIN_BUFFER", 1)
+    monkeypatch.setattr(OnlineAdversary, "_place", spy)
+    ends, flat_starts = set(), 0
+    for cfg, res, bits in runs:
+        grown.clear()
+        small = run_experiment(cfg)
+        for name in ("x_hist", "z_hist", "u_hist"):
+            assert getattr(small, name).tobytes() == getattr(res, name).tobytes(), name
+        assert small.branches == res.branches
+        assert small.certificate.to_dict() == res.certificate.to_dict()
+        assert replay(small) == bits
+        assert grown, (cfg.graph.n, cfg.controller.kind, cfg.x0)
+        ends |= {side for left, right in grown
+                 for side, full in (("left", left), ("right", right)) if full}
+        flat_starts += cfg.x0.min() == cfg.x0.max()
+    assert ends == {"left", "right"}
+    assert flat_starts == 8
 
 
 def test_adversary_growth_is_the_sweeps_hull_growth():

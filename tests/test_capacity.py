@@ -17,6 +17,7 @@ from netfeedback import (
     xie_guo_constant,
 )
 from netfeedback.cli import main as cli_main
+from netfeedback.functions import XIE_GUO
 
 CRIT = 1.5 + math.sqrt(2.0)
 XI_STAR = 1.0 + math.sqrt(2.0) / 2.0
@@ -28,6 +29,12 @@ def test_constant_closed_form():
     val, xi = xie_guo_constant()
     assert val == pytest.approx(CRIT, abs=1e-9)
     assert xi == pytest.approx(XI_STAR, abs=1e-6)
+
+
+def test_module_constant_is_the_searched_value():
+    # theoretical_bound reads XIE_GUO; the search must land on the same double
+    val, _ = xie_guo_constant()
+    assert XIE_GUO.hex() == val.hex()
 
 
 def test_constant_against_grid_search():
