@@ -2,10 +2,14 @@
 Graph capacity metrics and the critical growth constant
 =======================================================
 
-Three numbers summarize how much nonlinearity a network can absorb: the
-max absolute row sum (an upper-bound proxy), the smallest nonzero arc
-weight (the adversary budget enters as 4 over this), and a simulated
-threshold found by bisection on a coupled growth recursion.
+Three numbers describe a network: the max absolute row sum (the global
+capacity is (3/2 + sqrt(2)) over it), the smallest nonzero arc weight (the
+adversary budget enters as 4 over this), and the summability threshold of
+the full-sum coupled (dagger) recursion, found by bisection.
+
+That last number is not a capacity. On the 5-cycle it reads 3.973, above
+the global capacity 2.914, yet the local_flow law already diverges there at
+slope 2.0 in 4 of 5 seed sets.
 """
 
 import numpy as np
@@ -31,7 +35,7 @@ print()
 # 3. metrics on a few graphs
 named = [("unit selfloop", WeightedDigraph(np.array([[1.0]]))),
          ("cycle of 5", WeightedDigraph(np.roll(np.eye(5), 1, axis=0)))]
-print("graph                 inf_norm  sharp   dagger_estimate")
+print("graph                 inf_norm  sharp   full_sum_threshold")
 for name, g in named:
     est = estimate_dagger(g)
     print(f"{name:<20}  {inf_norm(g):<8.3f}  {sharp_metric(g):<6.3f}  "

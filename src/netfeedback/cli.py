@@ -147,7 +147,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     cap = sub.add_parser("capacity", help="critical-gain utilities")
     cap.add_argument("--xie-guo", action="store_true", dest="xie_guo")
-    cap.add_argument("--dagger", action="store_true")
+    cap.add_argument(
+        "--dagger", action="store_true",
+        help="bisect for the summability threshold of the full-sum coupled "
+             "recursion, which is not the capacity: it reads 3.973 on "
+             "cycle:5, above (3/2+sqrt 2)/inf_norm = 2.914, yet local_flow "
+             "diverges there at slope 2.0")
     cap.add_argument("--scalar-recursion", action="store_true",
                      dest="scalar_recursion")
     cap.add_argument("--graph", default=None, help="graph spec, e.g. cycle:5")

@@ -20,6 +20,8 @@ max_enhanced law takes each row's network extremes in closed form. Every
 recentring midpoint is 0.5 * (hi + lo) + 0.0, so a zero midpoint is +0.0
 whatever the zero signs of its ends: they mean nothing to the law, and
 ndarray.max/min pick among tied zeros by a rule that varies with the CPU.
+The fast laws take it from WitnessIndex.midpoint; the reference laws keep
+their own copies, as the oracle.
 
 The neighbourhood laws split the nodes by a property of the graph. A node
 whose closed neighbourhood is sparse, |N_i u {i}|^2 < n, keeps its own index
@@ -212,11 +214,8 @@ def _scalar_control(index: WitnessIndex, q: float, a: float) -> float:
     """The scalar law at the current value q of a sequence whose past values
     fill index, one record per time (key = time), fed through an arc of
     weight a: cancel a times the nearest record's estimate and recentre on
-    the midpoint 0.5 * (hi + lo) + 0.0 of the sequence's extremes, which the
-    index's ends and q give but for the sign of a zero; the + 0.0 makes that
-    sign irrelevant."""
-    hi, lo = max(index.hi, q), min(index.lo, q)
-    return -a * index.nearest(q)[2] + (0.5 * (hi + lo) + 0.0)
+    the midpoint of the sequence's extremes, the index's ends and q."""
+    return -a * index.nearest(q)[2] + index.midpoint(q, q)
 
 
 # Per-kind fast paths. ingest(s, xs, zs) takes the completed flow row s
@@ -249,8 +248,7 @@ class _NetworkFlow:
         self.branch_log.append(not accurate)
         if accurate:
             return u
-        return u + (0.5 * (max(index.hi, max(q)) + min(index.lo, min(q)))
-                    + 0.0)
+        return u + index.midpoint(max(q), min(q))
 
 
 class _PathRoot:
@@ -363,8 +361,7 @@ class _Neighbourhood:
         else:
             extremes = self.extremes
             ext = [extremes.nearest(qj) for qj in q]
-            mid = (0.5 * (max(extremes.hi, max(q)) + min(extremes.lo, min(q)))
-                   + 0.0)
+            mid = extremes.midpoint(max(q), min(q))
             anchors = [mid] * n
         acc = [0.0] * n
         if self.shared is not None:
@@ -404,7 +401,9 @@ class Controller:
     law's sorted witness indices. The rows are read as lists of floats
     (FlowLog.row and state), with no history view built per step, and a
     time t the log has not reached is refused (IndexError) before any row is
-    taken in. Each nearest-record query is then a bisection; the decisions
+    taken in. Each time is decided once: a time already decided is refused
+    (ValueError), so branch_log holds one entry per decided step of
+    network_flow. Each nearest-record query is then a bisection; the decisions
     equal the control_* reference laws bit for bit.
     States must be finite, as the runner's divergence guard ensures.
     """
@@ -420,7 +419,7 @@ class Controller:
     def controls(self, log: FlowLog, t: int) -> np.ndarray:
         if self._law is None:
             return np.zeros(self.graph.n)
-        if t + 1 < self._seen:
+        if t < self._seen:
             raise ValueError("a Controller serves one run; time cannot go back")
         q = log.state(t)
         for s in range(max(self._seen, 1), t + 1):

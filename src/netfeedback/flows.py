@@ -208,6 +208,12 @@ class WitnessIndex:
     def hi(self) -> float:
         return self._v[-1]
 
+    def midpoint(self, hi: float, lo: float) -> float:
+        """The recentring midpoint of the records and a current span
+        [lo, hi]: 0.5 * (max(self.hi, hi) + min(self.lo, lo)) + 0.0, which
+        is +0.0 when it is zero, whatever the zero signs of its ends."""
+        return 0.5 * (max(self._v[-1], hi) + min(self._v[0], lo)) + 0.0
+
     def insert(self, value: float, estimate: float):
         if not -_INF < value < _INF:
             raise ValueError("index values must be finite")

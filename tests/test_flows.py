@@ -181,6 +181,22 @@ def test_neighbourhood_indices_match_fresh_views():
         ctl.controls(log, 3)   # a Controller serves one run, forward in time
 
 
+def test_a_decided_time_is_refused_and_logged_once():
+    # At epsilon = 1e-9 every network_flow step recentres, so each decision
+    # appends to branch_log; deciding t = 1 again appended a second entry
+    # for the same step, and explore_log overcounted.
+    log = _filled_log(n=3, steps=2)
+    ctl = Controller(ControllerSpec("network_flow", epsilon=1e-9),
+                     build_canonical("cycle", 3))
+    ctl.controls(log, 0)
+    ctl.controls(log, 1)
+    for t in (1, 1, 0):
+        with pytest.raises(ValueError, match="time cannot go back"):
+            ctl.controls(log, t)
+    ctl.controls(log, 2)
+    assert ctl.branch_log == [True, True]   # one entry per decided step
+
+
 def test_enhanced_view_series_lengths():
     g = build_canonical("cycle", 3)
     log = _filled_log(n=3, steps=2)

@@ -864,7 +864,18 @@ def test_cli_error_exit_codes(tmp_path, capsys):
              "observation.d0"),
             # d0 in a mode that takes no noise
             ("inversed0", {"observation": {"mode": "matrix_inverse",
-                                           "d0": 0.05}}, "observation")):
+                                           "d0": 0.05}}, "observation"),
+            # a misspelt field, a boolean graph seed, a zero weight range
+            # and a negative seed
+            ("horizn", {"horizn": 5000}, "horizn"),
+            ("boolseed", {"graph": {"kind": "random_strongly_connected",
+                                    "n": 3, "seed": True}}, "graph.seed"),
+            ("zerorange", {"graph": {"kind": "random_strongly_connected",
+                                     "n": 3, "seed": 0,
+                                     "weight_range": [0, 0]}}, "graph"),
+            ("negseed", {"disturbance": {"w_star": 0.1, "seed": -1,
+                                         "generator": "seeded_uniform"}},
+             "disturbance")):
         path = _write_cfg(tmp_path, _cfg(**over), f"{name}.json")
         assert main(["simulate", "--config", path]) == 2, name
         assert field in capsys.readouterr().err, name
