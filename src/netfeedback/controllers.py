@@ -6,6 +6,8 @@ They differ in which history they may search (global flow, one node's own
 history, the cycle diagonal, the local neighbourhood, or the neighbourhood
 plus consensus extremes) and in the anchor added after cancellation (running
 midpoint, own initial state, ...). Controls at time 0 are identically zero.
+The rooted-path law is the cycle law on the root's self-loop, a cycle of
+one node: both run the Xie-Guo scalar law along one in-arc per node.
 
 Witness ties break deterministically: earliest time first, then lowest node
 index; the enhanced witness prefers neighbourhood states over extreme records.
@@ -210,14 +212,6 @@ def control_max_enhanced(view: EnhancedFlowView, graph: WeightedDigraph,
     return acc + (0.5 * (y_hi + y_lo) + 0.0)
 
 
-def _scalar_control(index: WitnessIndex, q: float, a: float) -> float:
-    """The scalar law at the current value q of a sequence whose past values
-    fill index, one record per time (key = time), fed through an arc of
-    weight a: cancel a times the nearest record's estimate and recentre on
-    the midpoint of the sequence's extremes, the index's ends and q."""
-    return -a * index.nearest(q)[2] + index.midpoint(q, q)
-
-
 # Per-kind fast paths. ingest(s, xs, zs) takes the completed flow row s
 # once; decide(t, q) returns U(t) for q = X(t). xs, zs and q are lists
 # of floats. Each index is fed in the order of the reference's candidate
@@ -251,45 +245,38 @@ class _NetworkFlow:
         return u + index.midpoint(max(q), min(q))
 
 
-class _PathRoot:
-    """Node 0's own sequence, fed through its self-arc a_00:
-    control_path_root."""
+class _ScalarCycle:
+    """control_cycle over the m nodes of a cycle, and control_path_root as
+    the same law on the root's self-loop, a cycle of one node (m = 1).
+    Diagonal class c = (s - v) mod m is the sequence x[s, (s - c) mod m],
+    one record per time (key = time). Node i0 works on the class of its
+    in-neighbour j = (i0 - 1) mod m's current state q = x[t, j], class
+    (t - j) mod m = (t - i0 + 1) mod m, fed through the arc a_{i0, j}: it
+    cancels a times the nearest record's estimate and recentres on the
+    midpoint of the sequence's extremes, the index's ends and q. Nodes off
+    the cycle get +0.0."""
 
-    def __init__(self, ctl):
+    def __init__(self, ctl, m):
         self.n = ctl.graph.n
-        self.a = float(ctl.graph.weights[0, 0])
-        self.index = WitnessIndex()
-
-    def ingest(self, s, xs, zs):
-        self.index.insert(xs[0], zs[0])
-
-    def decide(self, t, q):
-        u = np.zeros(self.n)
-        u[0] = _scalar_control(self.index, q[0], self.a)
-        return u
-
-
-class _Cycle:
-    """control_cycle: diagonal class c = (s - col) mod n is the sequence
-    x[s, (s - c) mod n], and node i0 at time t works on class (t - i0 + 1)
-    mod n, whose current value is x[t, (i0 - 1) mod n], fed through the arc
-    a_{i0, i0-1}."""
-
-    def __init__(self, ctl):
-        self.n = n = ctl.graph.n
-        self.indices = [WitnessIndex() for _ in range(n)]
+        self.m = m
+        self.indices = [WitnessIndex() for _ in range(m)]
         weights = ctl.graph.weights.tolist()
-        self.arcs = [weights[i0][(i0 - 1) % n] for i0 in range(n)]
+        self.arcs = [(i0, (i0 - 1) % m, weights[i0][(i0 - 1) % m])
+                     for i0 in range(m)]
 
     def ingest(self, s, xs, zs):
-        for v, (x, z) in enumerate(zip(xs, zs)):
-            self.indices[(s - v) % self.n].insert(x, z)
+        indices, m = self.indices, self.m
+        for v in range(m):
+            indices[(s - v) % m].insert(xs[v], zs[v])
 
     def decide(self, t, q):
-        n = self.n
-        return np.array([_scalar_control(self.indices[(t - i0 + 1) % n],
-                                         q[(i0 - 1) % n], a)
-                         for i0, a in enumerate(self.arcs)])
+        indices, m = self.indices, self.m
+        u = np.zeros(self.n)
+        for i0, j, a in self.arcs:
+            index = indices[(t - j) % m]
+            x = q[j]
+            u[i0] = -a * index.nearest(x)[2] + index.midpoint(x, x)
+        return u
 
 
 class _Neighbourhood:
@@ -388,9 +375,10 @@ class _Neighbourhood:
         return np.array([a + anchor for a, anchor in zip(acc, anchors)])
 
 
-_LAWS = {"network_flow": _NetworkFlow, "path_root": _PathRoot,
-         "cycle_global": _Cycle, "local_flow": _Neighbourhood,
-         "max_enhanced": _Neighbourhood}
+_LAWS = {"network_flow": _NetworkFlow,
+         "path_root": lambda ctl: _ScalarCycle(ctl, 1),
+         "cycle_global": lambda ctl: _ScalarCycle(ctl, ctl.graph.n),
+         "local_flow": _Neighbourhood, "max_enhanced": _Neighbourhood}
 
 
 class Controller:

@@ -138,7 +138,6 @@ class LocalFlowView:
     def __init__(self, log: FlowLog, graph: WeightedDigraph, i: int):
         if not (0 <= i < graph.n):
             raise ValueError(f"node index {i} out of range")
-        self.i = i
         self.nodes = graph.closed_neighbors(i)
         cols = list(self.nodes)
         self.x = log.x_hist[:, cols]   # fancy indexing copies
@@ -189,7 +188,7 @@ class WitnessIndex:
     distance. Values and queries must be finite. Three flat arrays hold 24
     bytes per record; an insert is one bisection plus two memmoves, and a
     query without a tie one bisection. A tie is walked by nearest_among.
-    lo and hi are the first and last values: the extremes, up to a zero's sign.
+    The first and last values are the extremes, up to a zero's sign.
     """
 
     def __init__(self):
@@ -200,18 +199,11 @@ class WitnessIndex:
     def __len__(self) -> int:
         return len(self._e)
 
-    @property
-    def lo(self) -> float:
-        return self._v[0]
-
-    @property
-    def hi(self) -> float:
-        return self._v[-1]
-
     def midpoint(self, hi: float, lo: float) -> float:
         """The recentring midpoint of the records and a current span
-        [lo, hi]: 0.5 * (max(self.hi, hi) + min(self.lo, lo)) + 0.0, which
-        is +0.0 when it is zero, whatever the zero signs of its ends."""
+        [lo, hi]: 0.5 * (max(last, hi) + min(first, lo)) + 0.0, with first
+        and last the first and last values held, which is +0.0 when it is
+        zero, whatever the zero signs of its ends."""
         return 0.5 * (max(self._v[-1], hi) + min(self._v[0], lo)) + 0.0
 
     def insert(self, value: float, estimate: float):

@@ -294,9 +294,11 @@ def test_witness_index_matches_brute_force_argmin():
             ests.append(est)
             assert len(index) == len(values)
             vals = np.array(values)
-            # the ends are the extremes; on a +0.0/-0.0 tie, either zero
-            assert (index.lo, index.hi) == (min(values), max(values))
             for q in np.concatenate([queries, rng.normal(size=3)]).tolist():
+                # the ends are the extremes; + 0.0 makes the midpoint
+                # independent of the zero sign each end carries
+                mid = 0.5 * (max(max(values), q) + min(min(values), q)) + 0.0
+                assert _bits(index.midpoint(q, q)) == _bits(mid)
                 d = np.abs(vals - q)
                 f = int(d.argmin())
                 dist, key, est_f = index.nearest(q)
@@ -520,7 +522,8 @@ def test_controller_matches_per_neighbour_reference():
     # laws also run on _mixed_twelve, whose sparse and dense nodes must both
     # decide as the reference does; the Controller's own choice of index is
     # counted. The scalar laws also run on weighted cycles and paths, where
-    # each cancels its in-arc weight times the estimate.
+    # each cancels its in-arc weight times the estimate, and on their
+    # smallest graphs, n = 1 and n = 2, with logs of their own.
     n, T = 5, 12
     seen = dict.fromkeys(("exact", "rounding", "hood_vs_extreme", "no_nbrs",
                           "accurate", "recentre", "recentre_zero_end",
@@ -565,6 +568,19 @@ def test_controller_matches_per_neighbour_reference():
                 # nodes that cancel through a witness
                 seen["dense_decided" if dense else "sparse_decided"] += bool(
                     mixed.neighbors(i))
+        for m in (1, 2):
+            # at m = 1 the in-arc is the node's own self-loop: the two
+            # scalar laws become one
+            log_m = _log(rng.choice(pool, size=(T + 1, m)),
+                         rows_z=list(rng.normal(size=(T, m))))
+            for a in (1.0, 2.0, -1.0):
+                for kind, kg in (
+                        ("cycle_global", build_canonical("cycle", m, weight=a)),
+                        ("path_root", build_canonical(
+                            "path_root_selfloop", m, root_weight=a))):
+                    for t, u in enumerate(_decide_all(kind, kg, log_m), start=1):
+                        ref = _reference_u(kind, kg, log_m, t)
+                        assert _bits(u) == _bits(ref), (seed, kind, m, a, t)
         x = log.x_hist
         for t, recentre in enumerate(branches, start=1):
             hull = x[:t + 1]
