@@ -25,6 +25,7 @@ import sys
 
 import numpy as np
 
+from .dynamics import _next_state
 from .functions import PlantFunction, _end_slopes, _piecewise_linear
 from .graphs import (WeightedDigraph, is_strongly_connected, sharp_metric,
                      sign_pattern)
@@ -196,7 +197,8 @@ class OnlineAdversary:
     Usage per step t (after the law fixed U(t) and with W(t) known):
         fvals = adv.step(t, X(t), U(t), W(t))
         X(t+1) = A @ fvals + U(t) + W(t)
-    or, as one plant step, X(t+1), Z(t) = adv.advance(t, X(t), U(t), W(t)).
+    or, as one plant step, X(t+1), Z(t) = adv.advance(t, X(t), U(t), W(t)),
+    which can also write both into given rows.
     It keeps the running hull [lo, hi], i0_width and each step's growth
     chi, all the certificate reads. The committed function only gains pins
     outside the previous hull, so revealed values never change.
@@ -355,10 +357,13 @@ class OnlineAdversary:
         self._l, self._r = nl, nr
         return fvals, branch, d
 
-    def advance(self, t: int, x_t, u_t, w_t):
+    def advance(self, t: int, x_t, u_t, w_t, x_next=None, z=None):
         """(X(t+1), Z(t)) under the branch committed for time t; the committed
-        values f(X(t)) are the exact estimates. Overflow is not silenced
-        here: run_experiment enters one np.errstate for its whole loop, and
-        a direct caller that may overflow enters its own."""
+        values f(X(t)) are the exact estimates. x_next and z, float64 rows of
+        shape (n,) when given, take the two results in place, as in
+        PlantModel.advance. Overflow is not silenced here: run_experiment
+        enters one np.errstate for its whole loop, and a direct caller that
+        may overflow enters its own."""
         fvals = self.step(t, x_t, u_t, w_t)
-        return self.graph.weights @ fvals + u_t + w_t, fvals
+        return (_next_state(self.graph.weights, fvals, u_t, w_t, x_next),
+                np.positive(fvals, z))

@@ -386,13 +386,17 @@ class Controller:
 
     Each call controls(log, t) first takes in the log rows it has not seen:
     once X(s+1) has arrived, the completed row (X(s), Z(s)) goes into the
-    law's sorted witness indices. The rows are read as lists of floats
-    (FlowLog.row and state), with no history view built per step, and a
-    time t the log has not reached is refused (IndexError) before any row is
-    taken in. Each time is decided once: a time already decided is refused
-    (ValueError), so branch_log holds one entry per decided step of
-    network_flow. Each nearest-record query is then a bisection; the decisions
-    equal the control_* reference laws bit for bit.
+    law's sorted witness indices. In a run each call has one new row, t - 1,
+    and a call that skips times takes in every row it skipped. The rows are
+    read as lists of floats, with no history view built per step; X(t) and
+    X(t-1) are the lists the log kept when it took them
+    (FlowLog._shared_state and _shared_row), shared with the runner's guard
+    and read, never mutated. A time t the log has not reached is refused
+    (IndexError) before any row is taken in. Each time is decided once: a
+    time already decided is refused (ValueError), so branch_log holds one
+    entry per decided step of network_flow. Each nearest-record query is
+    then a bisection; the decisions equal the control_* reference laws bit
+    for bit.
     States must be finite, as the runner's divergence guard ensures.
     """
 
@@ -405,14 +409,16 @@ class Controller:
         self._seen = 0         # state rows X(0..seen-1) taken in
 
     def controls(self, log: FlowLog, t: int) -> np.ndarray:
-        if self._law is None:
+        law = self._law
+        if law is None:
             return np.zeros(self.graph.n)
-        if t < self._seen:
+        seen = self._seen
+        if t < seen:
             raise ValueError("a Controller serves one run; time cannot go back")
-        q = log.state(t)
-        for s in range(max(self._seen, 1), t + 1):
-            self._law.ingest(s - 1, *log.row(s - 1))
+        q = log._shared_state(t)
+        for s in range(max(seen, 1) - 1, t):
+            law.ingest(s, *log._shared_row(s))
         self._seen = t + 1
         if t == 0:
             return np.zeros(self.graph.n)
-        return self._law.decide(t, q)
+        return law.decide(t, q)

@@ -9,20 +9,27 @@ with bounded error d0, or reconstructs all of f(X(t)) at once by multiplying
 X(t+1) - U(t) by A^{-1}, the inverse of the weight matrix, computed once per
 run; the inverse route inherits an error of at most ||A^{-1}||_inf * w_star.
 
-PlantModel.advance(t, X(t), U(t), W(t)) returns (X(t+1), Z(t)): it steps the
-plant and observes through its own channel, whose noise generator and A^{-1}
-it holds for the run. OnlineAdversary.advance has the same signature, so the
-runner drives either plant through one call. advance evaluates f(X(t)) once
-per step, for both the plant equation and the direct estimate; step and
-observe_direct are the same computations one call each, and advance
-multiplies by the A^{-1} of an InverseObserver itself. step and
-InverseObserver.observe silence overflow themselves; advance leaves it to its
-caller, the runner, which enters one np.errstate per run.
+PlantModel.advance(t, X(t), U(t), W(t), x_next, z) returns (X(t+1), Z(t)): it
+steps the plant and observes through its own channel, whose noise generator
+and A^{-1} it holds for the run. OnlineAdversary.advance has the same
+signature, so the runner drives either plant through one call. The optional
+output rows x_next and z take X(t+1) and Z(t) in place (numpy out=), which
+is how the runner writes them straight into the next rows of its flow log;
+without them advance allocates both, through the same code, so the bits are
+the same either way. advance evaluates f(X(t)) once per step, for both the
+plant equation and the direct estimate; step and observe_direct are the same
+computations one call each, and advance multiplies by the A^{-1} of an
+InverseObserver itself. step and InverseObserver.observe silence overflow
+themselves; advance leaves it to its caller, the runner, which enters one
+np.errstate per run.
 
 Disturbances and direct-observation noise are each one _Blocks stream, which
-draws BLOCK values per Generator call and hands out n at a time by draw(n).
-A uniform draw takes one value of the generator's stream per element, so the
-values are the same stream as one call per step, whatever the sequence of n.
+draws max(BLOCK, n) values per Generator call and hands out n at a time by
+draw(n). A uniform draw takes one value of the generator's stream per
+element, so the values are the same stream as one call per step, whatever
+the sequence of n. The runner fills its table W(0..H-1) through rows(),
+one draw of max(1, BLOCK // n) rows at a time, so a run the guard stops
+early draws at most one block of rows it never reads.
 """
 
 import math
@@ -90,8 +97,8 @@ class DisturbanceSpec:
 
 
 class _Blocks:
-    """Successive n-value slices of one stream whose values come BLOCK at a
-    time from fill(k), the next k values of the stream."""
+    """Successive n-value slices of one stream whose values come max(BLOCK,
+    n) at a time from fill(k), the next k values of the stream."""
 
     def __init__(self, fill):
         self._fill = fill
@@ -101,10 +108,24 @@ class _Blocks:
     def draw(self, n: int) -> np.ndarray:
         i = self._i
         if i + n > self._buf.size:
-            self._buf = np.concatenate((self._buf[i:], self._fill(max(BLOCK, n))))
+            fresh = self._fill(max(BLOCK, n))
+            # an empty remainder is not copied onto the fresh values
+            self._buf = (np.concatenate((self._buf[i:], fresh))
+                         if i < self._buf.size else fresh)
             i = 0
         self._i = i + n
         return self._buf[i:i + n]
+
+    def rows(self, table: np.ndarray):
+        """Fill table, an (H, n) array, with the next H * n values of the
+        stream, max(1, BLOCK // n) rows per draw, and yield each row once
+        it is filled: a reader that stops early leaves at most one block of
+        rows drawn past the last row it read."""
+        k = max(1, BLOCK // table.shape[1])
+        for t in range(0, len(table), k):
+            block = table[t:t + k]
+            block[...] = self.draw(block.size).reshape(block.shape)
+            yield from block
 
 
 @dataclass(frozen=True)
@@ -152,18 +173,22 @@ class PlantModel:
         self._inv = (InverseObserver(self.graph)._inv
                      if obs.mode == "matrix_inverse" else None)
 
-    def advance(self, t: int, x: np.ndarray, u: np.ndarray, w: np.ndarray):
+    def advance(self, t: int, x: np.ndarray, u: np.ndarray, w: np.ndarray,
+                x_next: np.ndarray | None = None, z: np.ndarray | None = None):
         """(X(t+1), Z(t)) from X(t), U(t) and W(t): step and observe_direct
         (or InverseObserver.observe) in one, with f(X(t)) evaluated once.
+        x_next and z, float64 rows of shape (n,) when given, take the two
+        results in place and are returned; each one not given is allocated.
         Unlike step and observe, it does not silence overflow itself:
         run_experiment enters one np.errstate for its whole loop, and a
         direct caller that may overflow enters its own."""
-        x_next, fx = _plant_equation(self.graph.weights, self.f, x, u, w)
+        fx = np.asarray(self.f(x), dtype=float)
+        x_next = _next_state(self.graph.weights, fx, u, w, x_next)
         if self._inv is not None:
-            return x_next, self._inv @ (x_next - u)
+            return x_next, np.matmul(self._inv, x_next - u, z)
         if self._noise is None:
-            return x_next, fx
-        return x_next, fx + self._noise.draw(fx.size)
+            return x_next, np.positive(fx, z)   # a copy of f(X(t))
+        return x_next, np.add(fx, self._noise.draw(fx.size), z)
 
 
 def step(model: PlantModel, x: np.ndarray, u: np.ndarray,
@@ -180,14 +205,19 @@ def step(model: PlantModel, x: np.ndarray, u: np.ndarray,
     if x.shape != (n,) or u.shape != (n,) or w.shape != (n,):
         raise ValueError(f"state/control/disturbance must have shape ({n},)")
     with np.errstate(over="ignore", invalid="ignore"):
-        return _plant_equation(model.graph.weights, model.f, x, u, w)[0]
+        return _next_state(model.graph.weights,
+                           np.asarray(model.f(x), dtype=float), u, w)
 
 
-def _plant_equation(weights, f, x, u, w):
-    """(A f(X) + U + W, f(X)) for float arrays X, U and W: the plant
-    equation of step and PlantModel.advance, under its caller's errstate."""
-    fx = np.asarray(f(x), dtype=float)
-    return weights @ fx + u + w, fx
+def _next_state(weights, fx, u, w, out=None):
+    """A f(X) + U + W from fx = f(X), under its caller's errstate: the plant
+    equation of step and both plants' advance. The next state goes into
+    out when it is given; the sum runs in the order of weights @ fx + u + w,
+    so the bits are the same either way."""
+    x_next = np.matmul(weights, fx, out)
+    x_next += u
+    x_next += w
+    return x_next
 
 
 def observe_direct(f, x: np.ndarray, d0: float = 0.0,

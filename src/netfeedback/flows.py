@@ -3,7 +3,13 @@ extreme consensus.
 
 The full flow at time t is (X(0..t), Z(0..t-1), U(0..t-1)): one more state
 snapshot than estimate/control snapshots. A FlowLog starts from X(0) and is
-sized for its run, one row per step up to the horizon. A node's local view
+sized for its run, one row per step up to the horizon. It has two write
+paths: append, which checks and copies the three rows, and the runner's,
+where the plant writes X(t+1) and Z(t) into the log's own rows and commit
+stores U(t). Either way the log builds X(t+1) as a list once and keeps it
+with the list before it. The runner's guard and the Controller read those
+kept lists as they are; state and row return copies, so a caller that edits
+what it gets cannot change what a law reads. A node's local view
 copies only the columns in N_i union {i}; the enhanced view adds the
 network-wide extreme series. Confinement is structural: a view physically
 holds nothing outside its columns. A WitnessIndex keeps past (value,
@@ -42,9 +48,18 @@ _INF = float("inf")
 class FlowLog:
     """Append-only flow record of one run, sized for its horizon.
 
-    It holds X(0) from construction; each append carries the new state
-    snapshot together with the estimate and control snapshots of the step
-    that produced it, up to X(horizon).
+    It holds X(0) from construction; each step adds the new state snapshot
+    together with the estimate and control snapshots of the step that
+    produced it, up to X(horizon). There are two write paths. append(x, z,
+    u) checks and converts its arguments, writes X(t+1) and Z(t) and ends
+    in commit(u). The runner's plant writes X(t+1) and Z(t) in place into
+    the rows that open_rows() hands out, and the runner calls commit(u)
+    itself, which checks nothing. commit stores U(t), advances the flow
+    time and builds X(t+1) as a list of floats once; the log keeps that list
+    and the one of X(t) before it. commit returns the new list to the
+    runner's guard, and _shared_state and _shared_row return the two kept
+    lists to the Controller instead of building them again; both only read
+    them. state and row return copies.
     """
 
     def __init__(self, x0, horizon: int):
@@ -60,6 +75,8 @@ class FlowLog:
         self._u = np.empty((horizon, n))
         self._x[0] = x0
         self._len = 1  # number of state snapshots
+        self._prev = None            # X(t-1) as a list, None at t = 0
+        self._last = x0.tolist()     # X(t) as a list
 
     @property
     def t(self) -> int:
@@ -90,20 +107,55 @@ class FlowLog:
                 raise ValueError(f"x/z/u snapshots must have shape ({self.n},)")
         self._x[t + 1] = x
         self._z[t] = z
-        self._u[t] = u
-        self._len += 1
+        self.commit(u)
+
+    def open_rows(self):
+        """The writable rows (X(s+1), Z(s)) of the steps s = t, t+1, ...,
+        horizon - 1, as an iterator of pairs of views: a writer takes the
+        next pair, fills both rows and calls commit before it takes
+        another."""
+        t = self._len - 1
+        return zip(self._x[t + 1:], self._z[t:])
+
+    def commit(self, u) -> list:
+        """Close the step whose X(t+1) and Z(t) rows are written: store U(t)
+        and advance the flow time. u is written as it is, with no check. It
+        returns X(t+1) as a list of floats, which the log keeps."""
+        t = self._len
+        self._u[t - 1] = u
+        self._len = t + 1
+        self._prev = self._last
+        self._last = last = self._x[t].tolist()
+        return last
 
     def state(self, s: int) -> list:
-        """X(s) as a list of floats, for 0 <= s <= t; no view is built."""
-        if not 0 <= s < self._len:
-            raise IndexError(f"no state X({s}) at flow time {self._len - 1}")
-        return self._x[s].tolist()
+        """X(s) as a new list of floats, for 0 <= s <= t."""
+        return self._shared_state(s)[:]
 
     def row(self, s: int) -> tuple:
-        """(X(s), Z(s)) as lists of floats, for a completed step 0 <= s < t."""
-        if not 0 <= s < self._len - 1:
-            raise IndexError(f"no completed step {s} at flow time {self._len - 1}")
-        return self._x[s].tolist(), self._z[s].tolist()
+        """(X(s), Z(s)) as new lists of floats, for a completed step
+        0 <= s < t."""
+        x, z = self._shared_row(s)
+        return x[:], z
+
+    def _shared_state(self, s: int) -> list:
+        """state(s) without the copy: for s = t and t - 1 the log's kept
+        list, which the caller must not mutate."""
+        t = self._len - 1
+        if s == t:
+            return self._last
+        if not 0 <= s < t:
+            raise IndexError(f"no state X({s}) at flow time {t}")
+        return self._prev if s == t - 1 else self._x[s].tolist()
+
+    def _shared_row(self, s: int) -> tuple:
+        """row(s) without the copy of X(s): for s = t - 1 it is the log's
+        kept list, which the caller must not mutate."""
+        t = self._len - 1
+        if not 0 <= s < t:
+            raise IndexError(f"no completed step {s} at flow time {t}")
+        return (self._prev if s == t - 1 else self._x[s].tolist(),
+                self._z[s].tolist())
 
     @property
     def x_hist(self) -> np.ndarray:

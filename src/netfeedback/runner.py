@@ -1,14 +1,20 @@
 """Closed-loop execution of one experiment and bit-stable output emission.
 
 One run is one sequential loop with no branch on the law, the plant or the
-observation channel. Per step t: the controller reads the flow record and
-fixes U(t), the disturbance draws W(t), the plant (the model plant or the
-adversary's committed function) returns X(t+1) and the estimate Z(t), and
-the log takes the new row. The divergence guard reads X(t+1) as a list of
-floats and stops the loop unless -cap <= v <= cap for every state v, so a
-NaN fails; the partial trajectory is still written. The loop records only
-the flow log and W, which it writes into an array sized for the horizon: a
-sweep derives the hull from the log after the run.
+observation channel. The disturbance table W(0..H-1) is filled a block of
+rows per draw of the stream (_Blocks.rows), which gives the values that one
+draw(n) per step would; the loop reads it row by row, and a run the guard
+stops early has drawn at most one block past its last step. Per step t: the
+controller reads the flow record and fixes U(t); the plant (the model plant
+or the adversary's committed function) writes X(t+1) and the estimate Z(t)
+in place into the log's next rows; and FlowLog.commit stores U(t), advances
+the flow time and returns X(t+1) as a list of floats, built once for the
+step. The divergence guard reads that list and stops the loop unless -cap <=
+v <= cap for every state v, so a NaN fails; the partial trajectory is still
+written. The log keeps the same list, with the one before it, for the law's
+next call, so each value of a step is written once. The loop records only
+the flow log and the W table: a sweep derives the hull from the log after
+the run.
 
 The runner owns overflow: it enters one np.errstate (overflow and invalid
 ignored) around the whole loop, and the plants' advance methods enter none
@@ -102,13 +108,11 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     cap = config.guard_cap
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(config.horizon):
+        for t, (w, (x_next, z)) in enumerate(zip(source.rows(w_hist),
+                                                 log.open_rows())):
             u = controller.controls(log, t)
-            w = source.draw(n)
-            x, z = plant.advance(t, x, u, w)
-            log.append(x, z, u)
-            w_hist[t] = w
-            for v in x.tolist():
+            x, _ = plant.advance(t, x, u, w, x_next, z)
+            for v in log.commit(u):
                 if not -cap <= v <= cap:   # NaN fails
                     break
             else:

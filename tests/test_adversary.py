@@ -551,9 +551,13 @@ class _EvalAdversary:
         self.attacked.append(d)
         return np.asarray(self.function(x_t), dtype=float)
 
-    def advance(self, t, x_t, u_t, w_t):
+    def advance(self, t, x_t, u_t, w_t, x_next=None, z=None):
         fvals = self.step(t, x_t, u_t, w_t)
-        return self.graph.weights @ fvals + u_t + w_t, fvals
+        x1 = self.graph.weights @ fvals + u_t + w_t
+        if x_next is None:
+            return x1, fvals
+        x_next[:], z[:] = x1, fvals
+        return x_next, z
 
 
 class _RebuildAdversary(_EvalAdversary):
@@ -693,6 +697,35 @@ def test_end_pins_are_the_hull_ends(monkeypatch):
             assert getattr(res, name).tobytes() == getattr(ref, name).tobytes(), name
         assert res.branches == ref.branches
         assert res.certificate.to_dict() == ref.certificate.to_dict()
+
+
+def test_advance_into_rows_matches_the_allocating_call():
+    # two adversaries fed the same steps of a run: one allocates X(t+1) and
+    # Z(t), the other writes them into preallocated rows of a table and
+    # returns those rows, with the same bits; the last step overflows to
+    # inf and NaN
+    cfg = next(_adversary_configs())
+    res = run_experiment(cfg)
+    assert res.summary["guard_tripped"]
+    x, u, w = res.x_hist, res.u_hist, res.w_hist
+    plant, twin = (OnlineAdversary(cfg.graph, x[0]) for _ in range(2))
+    steps = res.summary["steps_run"] - 1   # the guard stopped the last one
+    table = np.full((2 * steps + 2, x.shape[1]), 7.0)
+    for t in range(steps + 1):
+        last = t == steps
+        u_t = np.array([np.inf, np.inf, 0.0]) if last else u[t]
+        w_t = np.array([-np.inf, 0.0, 0.0]) if last else w[t]
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = plant.advance(t, x[t], u_t, w_t)
+            rows = table[2 * t], table[2 * t + 1]
+            got = twin.advance(t, x[t], u_t, w_t, *rows)
+        assert got[0] is rows[0] and got[1] is rows[1], t
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want], t
+        if not last:
+            assert got[0].tobytes() == x[t + 1].tobytes(), t
+    assert np.isnan(got[0][0]) and np.isinf(got[0][1])
+    assert plant.branches == twin.branches
+    assert plant.branches[:steps] == list(res.branches[:steps])
 
 
 def test_pin_buffers_regrow_at_both_ends(monkeypatch):

@@ -708,7 +708,8 @@ class _RowsOnlyLog(FlowLog):
 
 def test_laws_read_only_rows():
     # Driven as the runner drives it, one decision per step and then the
-    # next row, each law's Controller reads only FlowLog.state and .row, on
+    # next row, each law's Controller reads only the log's state and row
+    # lists (FlowLog._shared_state and _shared_row), on
     # random histories and on all-zero ones with mixed signs, and decides as
     # the reference does on an ordinary log.
     n, T = 5, 30
@@ -734,6 +735,28 @@ def test_laws_read_only_rows():
                         assert _bits(u) == _bits(ref), (seed, kind, t)
                     if t < T:
                         log.append(x[t + 1], z=z[t], u=u)
+
+
+def test_controls_that_skip_times_take_in_the_skipped_rows():
+    # A call may skip times, at the start of a run or between two calls: it
+    # takes in every row it skipped and decides as the reference does at the
+    # times it is called for.
+    n, T = 5, 9
+    graphs = {"network_flow": random_strongly_connected(n, seed=1),
+              "local_flow": random_strongly_connected(n, seed=2),
+              "max_enhanced": random_strongly_connected(n, seed=3),
+              "path_root": build_canonical("path_root_selfloop", n),
+              "cycle_global": build_canonical("cycle", n)}
+    rng = np.random.default_rng(4)
+    log = _log(rng.choice(_POOL, size=(T + 1, n)),
+               rows_z=list(rng.normal(size=(T, n))))
+    for times in ((0, 3), (0, 3, 4, 7, 9), (3, 8), (1, 2, 6)):
+        for kind, g in graphs.items():
+            ctl = Controller(ControllerSpec(kind), g)
+            for t in times:
+                u = ctl.controls(log, t)
+                ref = _reference_u(kind, g, log, t) if t else np.zeros(n)
+                assert _bits(u) == _bits(ref), (times, kind, t)
 
 
 def _replay_config(kind: str) -> ExperimentConfig:

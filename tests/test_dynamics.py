@@ -255,19 +255,35 @@ def test_inverse_observer_condition_limit():
 
 # ---- the runner's plant step against its one-call references ----
 
+def _advance_into_rows(plant, twin, t, x, u, w):
+    """plant.advance allocating, and its twin's advance into preallocated
+    rows of a table, as the runner passes the rows of its flow log: the
+    rows themselves come back, holding the allocating call's bits."""
+    want = plant.advance(t, x, u, w)
+    table = np.full((2, x.size), 7.0)
+    rows = table[0], table[1]
+    got = twin.advance(t, x, u, w, *rows)
+    assert got[0] is rows[0] and got[1] is rows[1], t
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want], t
+    return want
+
+
 def _replay_advance(obs, steps):
     # PlantModel.advance against step plus observe_direct (or the inverse
-    # observer), the noise of each drawn by a fresh generator from one seed
+    # observer), the noise of each drawn by a fresh generator from one seed;
+    # a twin plant with its own copy of the noise stream writes each step
+    # into preallocated rows
     g = build_canonical("cycle", 3)
     f = LinearFunction(0.5, 0.1)
     model = PlantModel(graph=g, f=f, observation=obs)
+    twin = PlantModel(graph=g, f=f, observation=obs)
     ref_rng = np.random.default_rng(obs.noise_seed)
     inverse = InverseObserver(g)
     inputs = np.random.default_rng(0)
     x = inputs.uniform(-1, 1, 3)
     for t in range(steps):
         u, w = inputs.uniform(-0.5, 0.5, (2, 3))
-        x_next, z = model.advance(t, x, u, w)
+        x_next, z = _advance_into_rows(model, twin, t, x, u, w)
         ref = step(model, x, u, w)
         assert ref.shape == (3,)
         if obs.mode == "matrix_inverse":
@@ -284,6 +300,17 @@ def _replay_advance(obs, steps):
         _, z = model.advance(steps, x, np.zeros(3), np.zeros(3))
         want = f(x) + ref_rng.uniform(-obs.d0, obs.d0, 3)
         assert z.tobytes() == want.tobytes()
+        twin.advance(steps, x, np.zeros(3), np.zeros(3))
+    # a row that overflows: X(t+1) = (finite, inf, NaN), and under the
+    # inverse channel a non-finite estimate
+    x = np.array([1.5e308, -1.5e308, 1.0])
+    u, w = np.array([0.0, 1.5e308, -np.inf]), np.array([0.0, 0.0, np.inf])
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_next, z = _advance_into_rows(model, twin, steps + 1, x, u, w)
+        ref = step(model, x, u, w)
+    assert x_next.tobytes() == ref.tobytes()
+    assert np.isfinite(x_next[0]) and np.isinf(x_next[1]) and np.isnan(x_next[2])
+    assert np.isfinite(z).all() == (obs.mode == "direct")
 
 
 def test_advance_replays_step_and_observers_across_noise_blocks():
@@ -340,3 +367,23 @@ def test_disturbance_draws_match_per_call_uniform_with_small_blocks(monkeypatch)
     for block in (1, 2, 3, 7):
         monkeypatch.setattr(dynamics, "BLOCK", block)
         _check_draws(_SIZES)
+
+
+def test_disturbance_rows_match_per_call_uniform(monkeypatch):
+    # rows(table) fills an (H, n) table a block of rows per draw and yields
+    # the table's own rows, W(t) equal to a per-step draw of n, also when a
+    # row is wider than a block and at small blocks
+    specs = [DisturbanceSpec(w_star=0.3, generator="seeded_uniform", seed=5),
+             DisturbanceSpec(w_star=0.3, generator="constant_sign", seed=5, sign=-1),
+             DisturbanceSpec()]
+    for block in (dynamics.BLOCK, 2, 7):
+        monkeypatch.setattr(dynamics, "BLOCK", block)
+        for h, n in ((1700, 5), (3, 4097), (9, 1)):
+            for spec in specs:
+                table = np.full((h, n), np.nan)
+                rows = list(spec.make_source().rows(table))
+                assert len(rows) == h
+                for t, (row, want) in enumerate(
+                        zip(rows, _per_call_draws(spec, [n] * h))):
+                    assert np.shares_memory(row, table[t])
+                    assert row.tobytes() == want.tobytes(), (block, h, n, t)

@@ -10,6 +10,7 @@ from netfeedback import (
     Controller,
     ControllerSpec,
     EnhancedFlowView,
+    ExperimentConfig,
     FlowLog,
     LocalFlowView,
     WeightedDigraph,
@@ -17,6 +18,7 @@ from netfeedback import (
     control_local_flow,
     is_strongly_connected,
     random_strongly_connected,
+    run_experiment,
     run_extreme_consensus,
 )
 from netfeedback.flows import ExtremeConsensus
@@ -47,21 +49,85 @@ def test_append_protocol():
     assert log.u_hist.tolist() == [[0.1, 0.1]]
 
 
-def test_rows_read_as_lists():
+def _check_lists(log):
     # state(s) and row(s) read what x_hist and z_hist hold, as lists, and
     # refuse a time the log has not reached (the arrays behind them are
-    # allocated to the horizon, so an unchecked read would return garbage)
-    log = _filled_log(n=3, steps=4)
+    # allocated to the horizon, so an unchecked read would return garbage);
+    # the shared reads a law makes return the same values. Editing a list
+    # that state or row returned changes nothing the log hands out next.
+    for read_state, read_row in ((log.state, log.row),
+                                 (log._shared_state, log._shared_row)):
+        for s in range(log.t + 1):
+            assert read_state(s) == log.x_hist[s].tolist()
+        for s in range(log.t):
+            assert read_row(s) == (log.x_hist[s].tolist(),
+                                   log.z_hist[s].tolist())
+        for s in (-1, log.t + 1):
+            with pytest.raises(IndexError):
+                read_state(s)
+        for s in (-1, log.t):
+            with pytest.raises(IndexError):
+                read_row(s)
     for s in range(log.t + 1):
-        assert log.state(s) == log.x_hist[s].tolist()
+        log.state(s)[:] = [7.0]
+        assert log._shared_state(s) == log.x_hist[s].tolist()
     for s in range(log.t):
-        assert log.row(s) == (log.x_hist[s].tolist(), log.z_hist[s].tolist())
-    for s in (-1, log.t + 1):
-        with pytest.raises(IndexError):
-            log.state(s)
-    for s in (-1, log.t):
-        with pytest.raises(IndexError):
-            log.row(s)
+        x, z = log.row(s)
+        x[:], z[:] = [7.0], [7.0]
+        assert log._shared_row(s) == (log.x_hist[s].tolist(),
+                                      log.z_hist[s].tolist())
+
+
+def test_rows_read_as_lists():
+    # after every append, and after every commit of rows written in place
+    # as the runner writes them; the list commit returns is the one the log
+    # keeps for X(t), and it is X(t-1)'s list after the next commit
+    rng = np.random.default_rng(0)
+    rows = rng.normal(size=(5, 3, 3))
+    log = FlowLog(rows[0, 0], 4)
+    _check_lists(log)
+    for x, z, u in rows[1:]:
+        log.append(x, z=z, u=u)
+        _check_lists(log)
+    direct = FlowLog(rows[0, 0], 4)
+    last = None
+    for (x, z, u), (x_next, z_next) in zip(rows[1:], direct.open_rows()):
+        x_next[:], z_next[:] = x, z
+        kept = direct.commit(u)
+        assert kept is direct._shared_state(direct.t)
+        assert kept is not direct.state(direct.t)
+        assert last is None or last is direct._shared_state(direct.t - 1)
+        assert last is None or last is direct._shared_row(direct.t - 1)[0]
+        last = kept
+        _check_lists(direct)
+    for name in ("x_hist", "z_hist", "u_hist"):
+        assert getattr(direct, name).tobytes() == getattr(log, name).tobytes()
+    with pytest.raises(IndexError):   # a full log has no row for U(horizon)
+        direct.commit(rows[0, 2])
+    assert direct.t == 4
+
+
+def test_run_experiment_decides_once_per_step(monkeypatch):
+    # one controls call per step, the guard-stopped step included, so the
+    # count of decisions is the count of steps
+    calls = []
+    controls = Controller.controls
+
+    def count(self, log, t):
+        calls.append(t)
+        return controls(self, log, t)
+
+    monkeypatch.setattr(Controller, "controls", count)
+    base = {"graph": {"kind": "cycle", "n": 3}, "horizon": 40,
+            "x0": [0.4, -0.2, 0.1]}
+    for kind, slope in (("zero", 0.8), ("network_flow", 0.8),
+                        ("local_flow", 0.8), ("zero", 3.0)):
+        calls.clear()
+        res = run_experiment(ExperimentConfig(
+            {**base, "controller": {"kind": kind}, "guard_cap": 100.0,
+             "function": {"kind": "linear", "a": slope}}))
+        assert calls == list(range(res.summary["steps_run"])), kind
+    assert res.summary["guard_tripped"]
 
 
 def test_history_shapes():

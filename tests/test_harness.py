@@ -343,14 +343,40 @@ def test_guard_trips_on_divergence():
     assert abs(res.x_hist[-1, 0]) > 1e3
 
 
+def test_a_long_run_the_guard_stops_early_draws_at_most_a_block_of_w(
+        monkeypatch):
+    # a run of horizon 10**6 that the guard stops within ten steps draws at
+    # most one block of disturbance values, not its whole table
+    drawn = []
+    make_source = nf.dynamics.DisturbanceSpec.make_source
+
+    def counted(spec):
+        source = make_source(spec)
+        draw = source.draw
+        source.draw = lambda n: drawn.append(n) or draw(n)
+        return source
+
+    monkeypatch.setattr(nf.dynamics.DisturbanceSpec, "make_source", counted)
+    res = run_experiment(ExperimentConfig(_cfg(
+        graph={"kind": "cycle", "n": 5},
+        function={"kind": "linear", "a": 3.0, "b": 0.0},
+        controller={"kind": "zero"}, x0=[1.0] * 5, horizon=10 ** 6,
+        guard_cap=1e3)))
+    assert res.summary["guard_tripped"] and res.summary["steps_run"] < 10
+    assert 0 < sum(drawn) <= nf.dynamics.BLOCK
+
+
 class _RowPlant:
     """A plant whose every next state is one fixed row."""
 
     def __init__(self, row):
         self.row = np.asarray(row, dtype=float)
 
-    def advance(self, t, x, u, w):
-        return self.row.copy(), np.zeros_like(self.row)
+    def advance(self, t, x, u, w, x_next=None, z=None):
+        if x_next is None:
+            return self.row.copy(), np.zeros_like(self.row)
+        x_next[:], z[:] = self.row, 0.0
+        return x_next, z
 
 
 def test_guard_decides_as_the_isfinite_and_abs_max_rule(monkeypatch):
@@ -475,13 +501,14 @@ def _twelve_with_dense_rows() -> list:
 
 
 def test_run_experiment_matches_the_reference_loop():
-    # The lean loop (one errstate per run, the guard on the row list, W in
-    # a preallocated array, FlowLog.append without conversions) must give
-    # the reference loop's run bit for bit: histories, summary, explore log,
-    # adversary branches and certificate, for every law and both
-    # observation channels, on adversary runs, on runs the guard stops
-    # mid-horizon (past the cap, or overflowing to inf and NaN) and at
-    # horizon 0.
+    # The lean loop (one errstate per run, the guard on the row list, W
+    # drawn a block of rows at a time, the plants writing into the log's
+    # rows, one commit per step) must give the reference loop's run bit for
+    # bit:
+    # histories, summary, explore log, adversary branches and certificate,
+    # for every law and both observation channels, on adversary runs, on
+    # runs the guard stops mid-horizon (past the cap, or overflowing to inf
+    # and NaN), on runs whose W crosses block refills and at horizon 0.
     cases = [_cfg(controller={"kind": kind}, graph={"kind": "cycle", "n": 5},
                   x0={"seed": 2}, horizon=150)
              for kind in ("zero", "network_flow", "local_flow",
@@ -513,6 +540,15 @@ def test_run_experiment_matches_the_reference_loop():
         raw = _cfg(controller={"kind": kind}, adversary=True, horizon=40)
         del raw["function"]
         cases.append(raw)
+    # horizon * n = 8500 values cross two refills of the disturbance block:
+    # the run's block draws of W against the reference's draw per step
+    cases += [_cfg(controller={"kind": "zero"}, graph={"kind": "cycle", "n": 5},
+                   x0={"seed": 2}, horizon=1700, disturbance=dist)
+              for dist in ({"w_star": 0.1, "generator": "seeded_uniform",
+                            "seed": 7},
+                           {"w_star": 0.1, "generator": "constant_sign",
+                            "seed": 7, "sign": -1})]
+    assert 1700 * 5 > 2 * nf.dynamics.BLOCK
     configs = [ExperimentConfig(raw) for raw in cases]
     empty = ExperimentConfig(_cfg(controller={"kind": "local_flow"}))
     empty.horizon = 0   # the config refuses it; FlowLog and the loop take it
