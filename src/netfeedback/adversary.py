@@ -197,8 +197,8 @@ class OnlineAdversary:
     Usage per step t (after the law fixed U(t) and with W(t) known):
         fvals = adv.step(t, X(t), U(t), W(t))
         X(t+1) = A @ fvals + U(t) + W(t)
-    or, as one plant step, X(t+1), Z(t) = adv.advance(t, X(t), U(t), W(t)),
-    which can also write both into given rows.
+    or, as one plant step that writes X(t+1) and Z(t) into the given rows,
+        adv.advance(t, X(t), U(t), W(t), x_next, z)
     It keeps the running hull [lo, hi], i0_width and each step's growth
     chi, all the certificate reads. The committed function only gains pins
     outside the previous hull, so revealed values never change.
@@ -357,10 +357,10 @@ class OnlineAdversary:
         self._l, self._r = nl, nr
         return fvals, branch, d
 
-    def advance(self, t: int, x_t, u_t, w_t, x_next=None, z=None):
+    def advance(self, t: int, x_t, u_t, w_t, x_next, z):
         """(X(t+1), Z(t)) under the branch committed for time t; the committed
         values f(X(t)) are the exact estimates. x_next and z, float64 rows of
-        shape (n,) when given, take the two results in place, as in
+        shape (n,), take the two results in place and are returned, as in
         PlantModel.advance. Overflow is not silenced here: run_experiment
         enters one np.errstate for its whole loop, and a direct caller that
         may overflow enters its own."""

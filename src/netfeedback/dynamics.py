@@ -9,44 +9,46 @@ with bounded error d0, or reconstructs all of f(X(t)) at once by multiplying
 X(t+1) - U(t) by A^{-1}, the inverse of the weight matrix, computed once per
 run; the inverse route inherits an error of at most ||A^{-1}||_inf * w_star.
 
-PlantModel.advance(t, X(t), U(t), W(t), x_next, z) returns (X(t+1), Z(t)): it
-steps the plant and observes through its own channel, whose noise generator
-and A^{-1} it holds for the run. OnlineAdversary.advance has the same
-signature, so the runner drives either plant through one call. The optional
-output rows x_next and z take X(t+1) and Z(t) in place (numpy out=), which
-is how the runner writes them straight into the next rows of its flow log;
-without them advance allocates both, through the same code, so the bits are
-the same either way. advance evaluates f(X(t)) once per step, for both the
-plant equation and the direct estimate; step and observe_direct are the same
-computations one call each, and advance multiplies by the A^{-1} of an
+PlantModel.advance(t, X(t), U(t), W(t), x_next, z) writes X(t+1) and Z(t)
+into the rows x_next and z (numpy out=) and returns them: it steps the plant
+and observes through its own channel, whose noise stream and A^{-1} it holds
+for the run. OnlineAdversary.advance has the same signature, so the runner
+drives either plant through one call, which writes straight into the next
+rows of its flow log. advance evaluates f(X(t)) once per step, for both the
+plant equation and the direct estimate; step and observe_direct are the
+same computations one call each, and advance multiplies by the A^{-1} of an
 InverseObserver itself. step and InverseObserver.observe silence overflow
 themselves; advance leaves it to its caller, the runner, which enters one
 np.errstate per run.
 
-Disturbances and direct-observation noise are each one _Blocks stream, which
-draws max(BLOCK, n) values per Generator call and hands out n at a time by
-draw(n). A uniform draw takes one value of the generator's stream per
-element, so the values are the same stream as one call per step, whatever
-the sequence of n. The runner fills its table W(0..H-1) through rows(),
-one draw of max(1, BLOCK // n) rows at a time, so a run the guard stops
-early draws at most one block of rows it never reads.
+Disturbances and direct-observation noise are each one stream of a seeded
+Generator, read as rows of n values by _rows: it fills an (H, n) table
+max(1, BLOCK // n) rows per Generator call and yields each row. A uniform
+draw takes one value of the generator's stream per element, so the rows are
+the values of one draw of n per step. The runner fills its table
+W(0..H-1) through DisturbanceSpec.rows, so a run the guard stops early has
+drawn at most one block of rows it never reads; the plant's noise loops
+over one reusable block of rows.
 """
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
 from .graphs import WeightedDigraph
 
-BLOCK = 4096   # values drawn per Generator call for disturbances and noise
+BLOCK = 4096   # values per Generator call: max(1, BLOCK // n) rows of n
 COND_LIMIT = 1e12   # largest weight-matrix condition number InverseObserver takes
 
-# disturbance generator -> draw(rng, w_star, sign, k), its next k values
+# disturbance generator -> draw(rng, w_star, sign, shape), its next values
 _GENERATORS = {
-    "zero": lambda rng, w_star, sign, k: np.zeros(k),
-    "seeded_uniform": lambda rng, w_star, sign, k: rng.uniform(-w_star, w_star, k),
-    "constant_sign": lambda rng, w_star, sign, k: sign * rng.uniform(0.0, w_star, k),
+    "zero": lambda rng, w_star, sign, shape: np.zeros(shape),
+    "seeded_uniform": lambda rng, w_star, sign, shape: rng.uniform(
+        -w_star, w_star, shape),
+    "constant_sign": lambda rng, w_star, sign, shape: sign * rng.uniform(
+        0.0, w_star, shape),
 }
 
 
@@ -89,43 +91,26 @@ class DisturbanceSpec:
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
-    def make_source(self) -> "_Blocks":
-        """The disturbance stream; draw(n) returns W(t) for n nodes."""
+    def rows(self, table: np.ndarray):
+        """Fill table, an (H, n) array, with W(0..H-1) by _rows and yield
+        each row W(t) once it is filled."""
         rng = np.random.default_rng(self.seed)
         gen = _GENERATORS[self.generator]
-        return _Blocks(lambda k: gen(rng, self.w_star, self.sign, k))
+        return _rows(lambda shape: gen(rng, self.w_star, self.sign, shape),
+                     table)
 
 
-class _Blocks:
-    """Successive n-value slices of one stream whose values come max(BLOCK,
-    n) at a time from fill(k), the next k values of the stream."""
-
-    def __init__(self, fill):
-        self._fill = fill
-        self._buf = np.empty(0)
-        self._i = 0
-
-    def draw(self, n: int) -> np.ndarray:
-        i = self._i
-        if i + n > self._buf.size:
-            fresh = self._fill(max(BLOCK, n))
-            # an empty remainder is not copied onto the fresh values
-            self._buf = (np.concatenate((self._buf[i:], fresh))
-                         if i < self._buf.size else fresh)
-            i = 0
-        self._i = i + n
-        return self._buf[i:i + n]
-
-    def rows(self, table: np.ndarray):
-        """Fill table, an (H, n) array, with the next H * n values of the
-        stream, max(1, BLOCK // n) rows per draw, and yield each row once
-        it is filled: a reader that stops early leaves at most one block of
-        rows drawn past the last row it read."""
-        k = max(1, BLOCK // table.shape[1])
-        for t in range(0, len(table), k):
-            block = table[t:t + k]
-            block[...] = self.draw(block.size).reshape(block.shape)
-            yield from block
+def _rows(fill, table: np.ndarray):
+    """Fill table, an (H, n) array, with the next H * n values of a stream,
+    max(1, BLOCK // n) rows per call of fill(shape), which returns the
+    stream's next values in that shape, and yield each row once it is
+    filled: a reader that stops early leaves at most one block of rows drawn
+    past the last row it read."""
+    k = max(1, BLOCK // table.shape[1])
+    for t in range(0, len(table), k):
+        block = table[t:t + k]
+        block[...] = fill(block.shape)
+        yield from block
 
 
 @dataclass(frozen=True)
@@ -163,10 +148,14 @@ class PlantModel:
 
     def __post_init__(self):
         obs = self.observation
-        rng = np.random.default_rng(obs.noise_seed)
-        d0 = obs.d0
-        self._noise = (_Blocks(lambda k: rng.uniform(-d0, d0, k))
-                       if d0 > 0.0 else None)
+        self._noise = None
+        if obs.d0 > 0.0:
+            # the noise rows: one block of rows, refilled in place for ever
+            rng = np.random.default_rng(obs.noise_seed)
+            d0, n = obs.d0, self.graph.n
+            fill = lambda shape: rng.uniform(-d0, d0, shape)
+            block = np.empty((max(1, BLOCK // n), n))
+            self._noise = (row for b in repeat(block) for row in _rows(fill, b))
         # A^{-1} of the matrix-inverse channel, which advance multiplies by
         # under its caller's errstate, as InverseObserver.observe does under
         # its own
@@ -174,21 +163,20 @@ class PlantModel:
                      if obs.mode == "matrix_inverse" else None)
 
     def advance(self, t: int, x: np.ndarray, u: np.ndarray, w: np.ndarray,
-                x_next: np.ndarray | None = None, z: np.ndarray | None = None):
+                x_next: np.ndarray, z: np.ndarray):
         """(X(t+1), Z(t)) from X(t), U(t) and W(t): step and observe_direct
         (or InverseObserver.observe) in one, with f(X(t)) evaluated once.
-        x_next and z, float64 rows of shape (n,) when given, take the two
-        results in place and are returned; each one not given is allocated.
-        Unlike step and observe, it does not silence overflow itself:
-        run_experiment enters one np.errstate for its whole loop, and a
-        direct caller that may overflow enters its own."""
+        x_next and z, float64 rows of shape (n,), take the two results in
+        place and are returned. Unlike step and observe, it does not silence
+        overflow itself: run_experiment enters one np.errstate for its whole
+        loop, and a direct caller that may overflow enters its own."""
         fx = np.asarray(self.f(x), dtype=float)
         x_next = _next_state(self.graph.weights, fx, u, w, x_next)
         if self._inv is not None:
             return x_next, np.matmul(self._inv, x_next - u, z)
         if self._noise is None:
             return x_next, np.positive(fx, z)   # a copy of f(X(t))
-        return x_next, np.add(fx, self._noise.draw(fx.size), z)
+        return x_next, np.add(fx, next(self._noise), z)
 
 
 def step(model: PlantModel, x: np.ndarray, u: np.ndarray,

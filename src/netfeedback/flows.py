@@ -3,13 +3,12 @@ extreme consensus.
 
 The full flow at time t is (X(0..t), Z(0..t-1), U(0..t-1)): one more state
 snapshot than estimate/control snapshots. A FlowLog starts from X(0) and is
-sized for its run, one row per step up to the horizon. It has two write
-paths: append, which checks and copies the three rows, and the runner's,
-where the plant writes X(t+1) and Z(t) into the log's own rows and commit
-stores U(t). Either way the log builds X(t+1) as a list once and keeps it
-with the list before it. The runner's guard and the Controller read those
-kept lists as they are; state and row return copies, so a caller that edits
-what it gets cannot change what a law reads. A node's local view
+sized for its run, one row per step up to the horizon. The plant writes
+X(t+1) and Z(t) into the log's own rows and commit stores U(t); append
+checks three rows, writes them and ends in the same commit. commit builds
+X(t+1) as a list once, and the log keeps it with the list before it: the
+runner's guard, the Controller and any caller of state and row read those
+kept lists as they are, and none of them may mutate one. A node's local view
 copies only the columns in N_i union {i}; the enhanced view adds the
 network-wide extreme series. Confinement is structural: a view physically
 holds nothing outside its columns. A WitnessIndex keeps past (value,
@@ -50,16 +49,14 @@ class FlowLog:
 
     It holds X(0) from construction; each step adds the new state snapshot
     together with the estimate and control snapshots of the step that
-    produced it, up to X(horizon). There are two write paths. append(x, z,
-    u) checks and converts its arguments, writes X(t+1) and Z(t) and ends
-    in commit(u). The runner's plant writes X(t+1) and Z(t) in place into
-    the rows that open_rows() hands out, and the runner calls commit(u)
-    itself, which checks nothing. commit stores U(t), advances the flow
-    time and builds X(t+1) as a list of floats once; the log keeps that list
-    and the one of X(t) before it. commit returns the new list to the
-    runner's guard, and _shared_state and _shared_row return the two kept
-    lists to the Controller instead of building them again; both only read
-    them. state and row return copies.
+    produced it, up to X(horizon). A writer fills the rows X(t+1) and Z(t)
+    that open_rows() hands out and calls commit(u), which checks nothing;
+    append(x, z, u) checks and writes the three rows and ends in commit.
+    commit stores U(t), advances the flow time and builds X(t+1) as a list
+    of floats once; the log keeps that list and the one of X(t) before it.
+    commit returns the new list to the runner's guard, and state and row
+    return the two kept lists instead of building them again. Every reader
+    only reads them.
     """
 
     def __init__(self, x0, horizon: int):
@@ -69,7 +66,6 @@ class FlowLog:
         if horizon < 0:
             raise ValueError(f"horizon must be >= 0, got {horizon}")
         self.n = n = x0.size
-        self._row = (n,)
         self._x = np.empty((horizon + 1, n))
         self._z = np.empty((horizon, n))
         self._u = np.empty((horizon, n))
@@ -86,25 +82,17 @@ class FlowLog:
     def append(self, x, z, u):
         """Store X(t+1) with the Z(t) and U(t) of the step that produced it.
 
-        Each must be an n-vector, stored as float64. An array of shape (n,),
-        what the runner passes, is written as it is, cast to float64 as
-        np.asarray would cast it; anything else goes through np.asarray
-        first, so that a (1, n) array, a scalar or a ragged list is refused,
+        Each goes through np.asarray as float64 and must then have shape
+        (n,), so that a (1, n) array, a scalar or a ragged list is refused,
         never broadcast. It does no arithmetic, so it has no overflow to
         silence, and values are not checked: non-finite states are the
         runner's guard to see."""
         t = self._len - 1
         if t == self._z.shape[0]:
             raise ValueError(f"the log is full at its horizon {t}")
-        row = self._row
-        try:
-            fits = x.shape == row == z.shape == u.shape
-        except AttributeError:   # not an array: np.asarray decides
-            fits = False
-        if not fits:
-            x, z, u = (np.asarray(a, dtype=float) for a in (x, z, u))
-            if x.shape != row or z.shape != row or u.shape != row:
-                raise ValueError(f"x/z/u snapshots must have shape ({self.n},)")
+        x, z, u = (np.asarray(a, dtype=float) for a in (x, z, u))
+        if not x.shape == z.shape == u.shape == (self.n,):
+            raise ValueError(f"x/z/u snapshots must have shape ({self.n},)")
         self._x[t + 1] = x
         self._z[t] = z
         self.commit(u)
@@ -129,18 +117,8 @@ class FlowLog:
         return last
 
     def state(self, s: int) -> list:
-        """X(s) as a new list of floats, for 0 <= s <= t."""
-        return self._shared_state(s)[:]
-
-    def row(self, s: int) -> tuple:
-        """(X(s), Z(s)) as new lists of floats, for a completed step
-        0 <= s < t."""
-        x, z = self._shared_row(s)
-        return x[:], z
-
-    def _shared_state(self, s: int) -> list:
-        """state(s) without the copy: for s = t and t - 1 the log's kept
-        list, which the caller must not mutate."""
+        """X(s) as a list of floats, for 0 <= s <= t: for s = t and t - 1
+        the log's kept list, which the caller must not mutate."""
         t = self._len - 1
         if s == t:
             return self._last
@@ -148,9 +126,10 @@ class FlowLog:
             raise IndexError(f"no state X({s}) at flow time {t}")
         return self._prev if s == t - 1 else self._x[s].tolist()
 
-    def _shared_row(self, s: int) -> tuple:
-        """row(s) without the copy of X(s): for s = t - 1 it is the log's
-        kept list, which the caller must not mutate."""
+    def row(self, s: int) -> tuple:
+        """(X(s), Z(s)) as lists of floats, for a completed step 0 <= s < t:
+        for s = t - 1, X(s) is the log's kept list, which the caller must
+        not mutate."""
         t = self._len - 1
         if not 0 <= s < t:
             raise IndexError(f"no completed step {s} at flow time {t}")

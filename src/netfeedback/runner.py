@@ -2,14 +2,13 @@
 
 One run is one sequential loop with no branch on the law, the plant or the
 observation channel. The disturbance table W(0..H-1) is filled a block of
-rows per draw of the stream (_Blocks.rows), which gives the values that one
-draw(n) per step would; the loop reads it row by row, and a run the guard
-stops early has drawn at most one block past its last step. Per step t: the
-controller reads the flow record and fixes U(t); the plant (the model plant
-or the adversary's committed function) writes X(t+1) and the estimate Z(t)
-in place into the log's next rows; and FlowLog.commit stores U(t), advances
-the flow time and returns X(t+1) as a list of floats, built once for the
-step. The divergence guard reads that list and stops the loop unless -cap <=
+rows per draw of the stream (DisturbanceSpec.rows); the loop reads it row
+by row, and a run the guard stops early has drawn at most one block past
+its last step. Per step t: the controller reads the flow record and fixes
+U(t); the plant (the model plant or the adversary's committed function)
+writes X(t+1) and the estimate Z(t) in place into the log's next rows; and
+FlowLog.commit stores U(t), advances the flow time and returns X(t+1) as a
+list of floats, built once for the step. The divergence guard reads that list and stops the loop unless -cap <=
 v <= cap for every state v, so a NaN fails; the partial trajectory is still
 written. The log keeps the same list, with the one before it, for the law's
 next call, so each value of a step is written once. The loop records only
@@ -98,7 +97,6 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     n = g.n
     x = np.array(config.x0, dtype=float)
     controller = Controller(config.controller, g)
-    source = config.disturbance.make_source()
     plant = (OnlineAdversary(g, x) if config.adversary
              else PlantModel(g, config.f, config.observation))
 
@@ -108,8 +106,8 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     cap = config.guard_cap
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, (w, (x_next, z)) in enumerate(zip(source.rows(w_hist),
-                                                 log.open_rows())):
+        for t, (w, (x_next, z)) in enumerate(zip(
+                config.disturbance.rows(w_hist), log.open_rows())):
             u = controller.controls(log, t)
             x, _ = plant.advance(t, x, u, w, x_next, z)
             for v in log.commit(u):

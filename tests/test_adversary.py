@@ -551,12 +551,9 @@ class _EvalAdversary:
         self.attacked.append(d)
         return np.asarray(self.function(x_t), dtype=float)
 
-    def advance(self, t, x_t, u_t, w_t, x_next=None, z=None):
+    def advance(self, t, x_t, u_t, w_t, x_next, z):
         fvals = self.step(t, x_t, u_t, w_t)
-        x1 = self.graph.weights @ fvals + u_t + w_t
-        if x_next is None:
-            return x1, fvals
-        x_next[:], z[:] = x1, fvals
+        x_next[:], z[:] = self.graph.weights @ fvals + u_t + w_t, fvals
         return x_next, z
 
 
@@ -699,11 +696,11 @@ def test_end_pins_are_the_hull_ends(monkeypatch):
         assert res.certificate.to_dict() == ref.certificate.to_dict()
 
 
-def test_advance_into_rows_matches_the_allocating_call():
-    # two adversaries fed the same steps of a run: one allocates X(t+1) and
-    # Z(t), the other writes them into preallocated rows of a table and
-    # returns those rows, with the same bits; the last step overflows to
-    # inf and NaN
+def test_advance_into_rows_matches_step_and_the_plant_equation():
+    # two adversaries fed the same steps of a run: one writes X(t+1) and
+    # Z(t) into rows of a table and returns those rows, the other takes
+    # f(X(t)) from step and X(t+1) = A f(X(t)) + U(t) + W(t) as written, with
+    # the same bits; the last step overflows to inf and NaN
     cfg = next(_adversary_configs())
     res = run_experiment(cfg)
     assert res.summary["guard_tripped"]
@@ -716,9 +713,10 @@ def test_advance_into_rows_matches_the_allocating_call():
         u_t = np.array([np.inf, np.inf, 0.0]) if last else u[t]
         w_t = np.array([-np.inf, 0.0, 0.0]) if last else w[t]
         with np.errstate(over="ignore", invalid="ignore"):
-            want = plant.advance(t, x[t], u_t, w_t)
             rows = table[2 * t], table[2 * t + 1]
-            got = twin.advance(t, x[t], u_t, w_t, *rows)
+            got = plant.advance(t, x[t], u_t, w_t, *rows)
+            fvals = twin.step(t, x[t], u_t, w_t)
+            want = cfg.graph.weights @ fvals + u_t + w_t, fvals
         assert got[0] is rows[0] and got[1] is rows[1], t
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want], t
         if not last:

@@ -204,6 +204,18 @@ def test_dispatcher_zero_and_time_zero():
         nf.controls(log, 2)
     assert nf.controls(log, 1).tobytes() == control_network_flow(
         log, g, nf.spec.epsilon, 1).tobytes()
+    # every law, the zero law too, refuses a time the log has not reached
+    # and a time it has already decided
+    cycle = build_canonical("cycle", 3)
+    for kind in ("zero", "network_flow"):
+        ctl = Controller(ControllerSpec(kind), cycle)
+        with pytest.raises(IndexError):
+            ctl.controls(FlowLog([0.1, 0.2, 0.3], 5), 4)
+        ctl = Controller(ControllerSpec(kind), cycle)
+        np.testing.assert_array_equal(
+            ctl.controls(FlowLog([0.1, 0.2, 0.3], 5), 0), np.zeros(3))
+        with pytest.raises(ValueError, match="time cannot go back"):
+            ctl.controls(FlowLog([0.1, 0.2, 0.3], 5), 0)
 
 
 def test_dispatcher_matches_direct_call():
@@ -709,9 +721,9 @@ class _RowsOnlyLog(FlowLog):
 def test_laws_read_only_rows():
     # Driven as the runner drives it, one decision per step and then the
     # next row, each law's Controller reads only the log's state and row
-    # lists (FlowLog._shared_state and _shared_row), on
-    # random histories and on all-zero ones with mixed signs, and decides as
-    # the reference does on an ordinary log.
+    # lists (FlowLog.state and row), on random histories and on all-zero
+    # ones with mixed signs, and decides as the reference does on an
+    # ordinary log.
     n, T = 5, 30
     graphs = {"network_flow": random_strongly_connected(n, seed=1),
               "local_flow": random_strongly_connected(n, seed=2),

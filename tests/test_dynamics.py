@@ -1,6 +1,7 @@
 """One-step network dynamics, disturbance draws, and the two observers."""
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -87,36 +88,37 @@ def test_spans_that_overflow_are_refused_when_built():
         ObservationSpec(d0=1e308)
     # the largest amplitudes whose span is a float still draw
     top = np.finfo(float).max / 2
-    w = DisturbanceSpec(w_star=top, generator="seeded_uniform").make_source()
-    assert np.all(np.abs(w.draw(4)) <= top)
+    w = _drawn(DisturbanceSpec(w_star=top, generator="seeded_uniform"), 1, 4)
+    assert np.all(np.abs(w) <= top)
     # constant_sign draws uniform(0, w_star), which needs no span
-    w = DisturbanceSpec(w_star=1e308, generator="constant_sign").make_source()
-    drawn = w.draw(4)
+    drawn = _drawn(DisturbanceSpec(w_star=1e308, generator="constant_sign"), 1, 4)
     assert np.all((drawn >= 0.0) & (drawn <= 1e308))
+
+
+def _drawn(spec, h, n):
+    """W(0..h-1) for n nodes, the (h, n) table spec.rows fills."""
+    table = np.full((h, n), np.nan)
+    assert len(list(spec.rows(table))) == h
+    return table
 
 
 def test_disturbance_draws_bounded_and_seeded():
     spec = DisturbanceSpec(w_star=0.3, generator="seeded_uniform", seed=9)
-    a = spec.make_source()
-    b = spec.make_source()
-    for _ in range(50):
-        wa = a.draw(4)
-        assert np.all(np.abs(wa) <= 0.3)
-        np.testing.assert_array_equal(wa, b.draw(4))
+    w = _drawn(spec, 50, 4)
+    assert np.all(np.abs(w) <= 0.3)
+    np.testing.assert_array_equal(w, _drawn(spec, 50, 4))
 
 
 def test_constant_sign_draws():
     spec = DisturbanceSpec(w_star=0.5, generator="constant_sign", seed=2, sign=-1)
-    src = spec.make_source()
-    w = np.concatenate([src.draw(5) for _ in range(20)])
+    w = _drawn(spec, 20, 5)
     assert np.all(w <= 0.0)
     assert np.all(w >= -0.5)
     assert w.min() < -1e-3  # actually draws something nonzero
 
 
 def test_zero_generator():
-    src = DisturbanceSpec().make_source()
-    np.testing.assert_array_equal(src.draw(3), np.zeros(3))
+    np.testing.assert_array_equal(_drawn(DisturbanceSpec(), 1, 3), np.zeros((1, 3)))
 
 
 # ---- observers ----
@@ -255,35 +257,29 @@ def test_inverse_observer_condition_limit():
 
 # ---- the runner's plant step against its one-call references ----
 
-def _advance_into_rows(plant, twin, t, x, u, w):
-    """plant.advance allocating, and its twin's advance into preallocated
-    rows of a table, as the runner passes the rows of its flow log: the
-    rows themselves come back, holding the allocating call's bits."""
-    want = plant.advance(t, x, u, w)
+def _advance_into_rows(plant, t, x, u, w):
+    """plant.advance into two rows of a table, as the runner passes the
+    rows of its flow log: the rows themselves come back."""
     table = np.full((2, x.size), 7.0)
     rows = table[0], table[1]
-    got = twin.advance(t, x, u, w, *rows)
+    got = plant.advance(t, x, u, w, *rows)
     assert got[0] is rows[0] and got[1] is rows[1], t
-    assert [a.tobytes() for a in got] == [a.tobytes() for a in want], t
-    return want
+    return got
 
 
 def _replay_advance(obs, steps):
     # PlantModel.advance against step plus observe_direct (or the inverse
-    # observer), the noise of each drawn by a fresh generator from one seed;
-    # a twin plant with its own copy of the noise stream writes each step
-    # into preallocated rows
+    # observer), the noise of each drawn by a fresh generator from one seed
     g = build_canonical("cycle", 3)
     f = LinearFunction(0.5, 0.1)
     model = PlantModel(graph=g, f=f, observation=obs)
-    twin = PlantModel(graph=g, f=f, observation=obs)
     ref_rng = np.random.default_rng(obs.noise_seed)
     inverse = InverseObserver(g)
     inputs = np.random.default_rng(0)
     x = inputs.uniform(-1, 1, 3)
     for t in range(steps):
         u, w = inputs.uniform(-0.5, 0.5, (2, 3))
-        x_next, z = _advance_into_rows(model, twin, t, x, u, w)
+        x_next, z = _advance_into_rows(model, t, x, u, w)
         ref = step(model, x, u, w)
         assert ref.shape == (3,)
         if obs.mode == "matrix_inverse":
@@ -297,16 +293,15 @@ def _replay_advance(obs, steps):
         x = x_next
     # the same stream: the next per-call draw is the plant's next noise
     if obs.mode == "direct" and obs.d0 > 0.0:
-        _, z = model.advance(steps, x, np.zeros(3), np.zeros(3))
+        _, z = _advance_into_rows(model, steps, x, np.zeros(3), np.zeros(3))
         want = f(x) + ref_rng.uniform(-obs.d0, obs.d0, 3)
         assert z.tobytes() == want.tobytes()
-        twin.advance(steps, x, np.zeros(3), np.zeros(3))
     # a row that overflows: X(t+1) = (finite, inf, NaN), and under the
     # inverse channel a non-finite estimate
     x = np.array([1.5e308, -1.5e308, 1.0])
     u, w = np.array([0.0, 1.5e308, -np.inf]), np.array([0.0, 0.0, np.inf])
     with np.errstate(over="ignore", invalid="ignore"):
-        x_next, z = _advance_into_rows(model, twin, steps + 1, x, u, w)
+        x_next, z = _advance_into_rows(model, steps + 1, x, u, w)
         ref = step(model, x, u, w)
     assert x_next.tobytes() == ref.tobytes()
     assert np.isfinite(x_next[0]) and np.isinf(x_next[1]) and np.isnan(x_next[2])
@@ -327,9 +322,6 @@ def test_advance_replays_with_small_blocks(monkeypatch):
         _replay_advance(ObservationSpec("direct", d0=0.05, noise_seed=block), 40)
 
 
-_SIZES = [3] * 10 + [7, 1, 1, 5]
-
-
 def _per_call_draws(spec, sizes):
     rng = np.random.default_rng(spec.seed)
     for n in sizes:
@@ -341,49 +333,31 @@ def _per_call_draws(spec, sizes):
             yield spec.sign * rng.uniform(0.0, spec.w_star, n)
 
 
-def _check_draws(sizes):
-    specs = [DisturbanceSpec(w_star=0.3, generator="seeded_uniform", seed=5),
-             DisturbanceSpec(w_star=0.3, generator="constant_sign", seed=5, sign=1),
-             DisturbanceSpec(w_star=0.3, generator="constant_sign", seed=5, sign=-1),
-             DisturbanceSpec()]
-    for spec in specs:
-        src = spec.make_source()
-        for k, (n, want) in enumerate(zip(sizes, _per_call_draws(spec, sizes))):
-            got = src.draw(n)
-            assert got.shape == (n,)
-            assert got.tobytes() == want.tobytes(), (spec.generator, spec.sign, k)
-
-
-def test_disturbance_draws_match_per_call_uniform_across_blocks():
-    block = dynamics.BLOCK
-    # a draw that ends exactly on the block end, draws that straddle it, a
-    # change of n mid-stream and draws larger than a whole block
-    sizes = [block // 2, block // 2, 3, 3, block - 8, 7, 7, 1,
-             block + 3, 2, 2 * block + 1, 5]
-    _check_draws(sizes)
-
-
-def test_disturbance_draws_match_per_call_uniform_with_small_blocks(monkeypatch):
-    for block in (1, 2, 3, 7):
-        monkeypatch.setattr(dynamics, "BLOCK", block)
-        _check_draws(_SIZES)
-
-
 def test_disturbance_rows_match_per_call_uniform(monkeypatch):
     # rows(table) fills an (H, n) table a block of rows per draw and yields
     # the table's own rows, W(t) equal to a per-step draw of n, also when a
-    # row is wider than a block and at small blocks
+    # row is wider than a block and at small blocks; the plant's noise
+    # rows, one reused block refilled in place, equal a per-step
+    # uniform(-d0, d0, n) the same way
     specs = [DisturbanceSpec(w_star=0.3, generator="seeded_uniform", seed=5),
              DisturbanceSpec(w_star=0.3, generator="constant_sign", seed=5, sign=-1),
              DisturbanceSpec()]
-    for block in (dynamics.BLOCK, 2, 7):
+    obs = ObservationSpec("direct", d0=0.05, noise_seed=5)
+    for block in (dynamics.BLOCK, 1, 2, 7):
         monkeypatch.setattr(dynamics, "BLOCK", block)
         for h, n in ((1700, 5), (3, 4097), (9, 1)):
             for spec in specs:
                 table = np.full((h, n), np.nan)
-                rows = list(spec.make_source().rows(table))
+                rows = list(spec.rows(table))
                 assert len(rows) == h
                 for t, (row, want) in enumerate(
                         zip(rows, _per_call_draws(spec, [n] * h))):
                     assert np.shares_memory(row, table[t])
                     assert row.tobytes() == want.tobytes(), (block, h, n, t)
+            # the noise reads only graph.n: a stand-in spares a dense
+            # 4097-node weight matrix
+            noise = PlantModel(SimpleNamespace(n=n), None, obs)._noise
+            rng = np.random.default_rng(obs.noise_seed)
+            for t in range(h):
+                want = rng.uniform(-obs.d0, obs.d0, n)
+                assert next(noise).tobytes() == want.tobytes(), (block, h, n, t)

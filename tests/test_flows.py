@@ -52,30 +52,17 @@ def test_append_protocol():
 def _check_lists(log):
     # state(s) and row(s) read what x_hist and z_hist hold, as lists, and
     # refuse a time the log has not reached (the arrays behind them are
-    # allocated to the horizon, so an unchecked read would return garbage);
-    # the shared reads a law makes return the same values. Editing a list
-    # that state or row returned changes nothing the log hands out next.
-    for read_state, read_row in ((log.state, log.row),
-                                 (log._shared_state, log._shared_row)):
-        for s in range(log.t + 1):
-            assert read_state(s) == log.x_hist[s].tolist()
-        for s in range(log.t):
-            assert read_row(s) == (log.x_hist[s].tolist(),
-                                   log.z_hist[s].tolist())
-        for s in (-1, log.t + 1):
-            with pytest.raises(IndexError):
-                read_state(s)
-        for s in (-1, log.t):
-            with pytest.raises(IndexError):
-                read_row(s)
+    # allocated to the horizon, so an unchecked read would return garbage)
     for s in range(log.t + 1):
-        log.state(s)[:] = [7.0]
-        assert log._shared_state(s) == log.x_hist[s].tolist()
+        assert log.state(s) == log.x_hist[s].tolist()
     for s in range(log.t):
-        x, z = log.row(s)
-        x[:], z[:] = [7.0], [7.0]
-        assert log._shared_row(s) == (log.x_hist[s].tolist(),
-                                      log.z_hist[s].tolist())
+        assert log.row(s) == (log.x_hist[s].tolist(), log.z_hist[s].tolist())
+    for s in (-1, log.t + 1):
+        with pytest.raises(IndexError):
+            log.state(s)
+    for s in (-1, log.t):
+        with pytest.raises(IndexError):
+            log.row(s)
 
 
 def test_rows_read_as_lists():
@@ -94,10 +81,9 @@ def test_rows_read_as_lists():
     for (x, z, u), (x_next, z_next) in zip(rows[1:], direct.open_rows()):
         x_next[:], z_next[:] = x, z
         kept = direct.commit(u)
-        assert kept is direct._shared_state(direct.t)
-        assert kept is not direct.state(direct.t)
-        assert last is None or last is direct._shared_state(direct.t - 1)
-        assert last is None or last is direct._shared_row(direct.t - 1)[0]
+        assert kept is direct.state(direct.t)
+        assert last is None or last is direct.state(direct.t - 1)
+        assert last is None or last is direct.row(direct.t - 1)[0]
         last = kept
         _check_lists(direct)
     for name in ("x_hist", "z_hist", "u_hist"):

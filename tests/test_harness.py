@@ -346,24 +346,27 @@ def test_guard_trips_on_divergence():
 def test_a_long_run_the_guard_stops_early_draws_at_most_a_block_of_w(
         monkeypatch):
     # a run of horizon 10**6 that the guard stops within ten steps draws at
-    # most one block of disturbance values, not its whole table
-    drawn = []
-    make_source = nf.dynamics.DisturbanceSpec.make_source
+    # most one block of disturbance values and one block of observation
+    # noise, not its whole table: each stream's fill is counted
+    drawn = {}
+    rows = nf.dynamics._rows
 
-    def counted(spec):
-        source = make_source(spec)
-        draw = source.draw
-        source.draw = lambda n: drawn.append(n) or draw(n)
-        return source
+    def counted(fill, table):
+        def counting(shape):
+            values = fill(shape)
+            drawn[fill] = drawn.get(fill, 0) + values.size
+            return values
+        return rows(counting, table)
 
-    monkeypatch.setattr(nf.dynamics.DisturbanceSpec, "make_source", counted)
+    monkeypatch.setattr(nf.dynamics, "_rows", counted)
     res = run_experiment(ExperimentConfig(_cfg(
         graph={"kind": "cycle", "n": 5},
         function={"kind": "linear", "a": 3.0, "b": 0.0},
         controller={"kind": "zero"}, x0=[1.0] * 5, horizon=10 ** 6,
         guard_cap=1e3)))
     assert res.summary["guard_tripped"] and res.summary["steps_run"] < 10
-    assert 0 < sum(drawn) <= nf.dynamics.BLOCK
+    assert len(drawn) == 2     # W and the noise
+    assert all(0 < k <= nf.dynamics.BLOCK for k in drawn.values()), drawn
 
 
 class _RowPlant:
@@ -372,9 +375,7 @@ class _RowPlant:
     def __init__(self, row):
         self.row = np.asarray(row, dtype=float)
 
-    def advance(self, t, x, u, w, x_next=None, z=None):
-        if x_next is None:
-            return self.row.copy(), np.zeros_like(self.row)
+    def advance(self, t, x, u, w, x_next, z):
         x_next[:], z[:] = self.row, 0.0
         return x_next, z
 
@@ -458,15 +459,22 @@ def _reference_run(config):
     of run_experiment's loop: every row goes through np.asarray and a shape
     check before FlowLog.append, np.errstate is entered around each plant
     step, the guard takes one numpy max and min of X(t+1), and W is a list
-    of per-step draws stacked at the end. The result is built by the
-    runner's own _run_result, so the comparison covers the loop alone."""
+    of per-step draws of the disturbance's own generator, stacked at the
+    end, and the plant writes each step into fresh rows. The result is
+    built by the runner's own _run_result, so the comparison covers the
+    loop alone."""
     import netfeedback.runner as runner
 
     g = config.graph
     n = g.n
     x = np.array(config.x0, dtype=float)
     controller = nf.Controller(config.controller, g)
-    source = config.disturbance.make_source()
+    spec = config.disturbance
+    rng = np.random.default_rng(spec.seed)
+    draw = {"zero": lambda: np.zeros(n),
+            "seeded_uniform": lambda: rng.uniform(-spec.w_star, spec.w_star, n),
+            "constant_sign": lambda: spec.sign * rng.uniform(0.0, spec.w_star, n),
+            }[spec.generator]
     plant = (nf.OnlineAdversary(g, x) if config.adversary
              else nf.PlantModel(g, config.f, config.observation))
     log = nf.FlowLog(x, config.horizon)
@@ -475,9 +483,9 @@ def _reference_run(config):
     cap = config.guard_cap
     for t in range(config.horizon):
         u = controller.controls(log, t)
-        w = source.draw(n)
+        w = draw()
         with np.errstate(over="ignore", invalid="ignore"):
-            x, z = plant.advance(t, x, u, w)
+            x, z = plant.advance(t, x, u, w, np.empty(n), np.empty(n))
         x, z, u = (np.asarray(a, dtype=float) for a in (x, z, u))
         assert x.shape == z.shape == u.shape == (n,)
         log.append(x, z, u)
