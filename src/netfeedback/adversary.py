@@ -13,6 +13,8 @@ them from a trajectory). The committed pins live in two buffers with free
 slots at both ends: a candidate writes its one or two new end pins into the
 slots next to the committed ones, checks only the new end segments, and is
 evaluated by interpolation over a view, so no function is built per step.
+Step 0 is such a growth too: one seed pin at lo, +1 on the probe and -1 on
+the mirror, grows to hi by |I_0|.
 
 B = 4 / (smallest nonzero weight magnitude); the construction needs a
 strongly connected graph whose weights carry a uniform sign. Disturbances are
@@ -35,10 +37,9 @@ class InvariantError(RuntimeError):
     """A construction-time invariant failed; indicates a bug, not bad input."""
 
 
-def _check_segments(bound: float, pts, full_slope: bool):
+def _check_segments(bound: float, pts):
     """Pins (x, v) need finite coordinates, consecutive ones distinct
-    abscissae and |dv| <= bound*dx; with full_slope also |dv| = bound*dx up
-    to rounding."""
+    abscissae and |dv| <= bound*dx."""
     if not all(math.isfinite(x) and math.isfinite(v) for x, v in pts):
         raise ValueError("pins must be finite")
     seg = [(xb - xa, vb - va) for (xa, va), (xb, vb) in zip(pts, pts[1:])]
@@ -46,21 +47,18 @@ def _check_segments(bound: float, pts, full_slope: bool):
         raise ValueError("pin abscissae must be distinct")
     if any(abs(dv) > bound * dx * (1 + 1e-9) + 1e-12 for dx, dv in seg):
         raise ValueError("pins violate the slope bound")
-    if full_slope and any(abs(abs(dv) - bound * dx) > 1e-9 * max(1.0, bound * dx)
-                          for dx, dv in seg):
-        raise InvariantError("committed pins drifted off the +/-B slopes")
 
 
 def _check_end_pin(bound: float, xe: float, ve: float, x: float, v: float,
                    side: float):
-    """The checks that __init__ and _set_pins make of a segment and its tail,
-    on the new end segment from the outermost pin (xe, ve) to a new pin
-    (x, v) on side +1 (right) or -1 (left), at full slope. The new pin must
-    be finite (ValueError) and strictly outside the current pins
-    (InvariantError), which for the one new pin per end is also the
-    distinct-abscissa check; |dv| <= bound * dx (ValueError) and |dv| =
-    bound * dx up to rounding (InvariantError); the tail the segment sets
-    within the bound (ValueError)."""
+    """The one check of every pin the adversary commits past its seed: the
+    new end segment from the outermost pin (xe, ve) to a new pin (x, v) on
+    side +1 (right) or -1 (left), at full slope. The new pin must be finite
+    (ValueError) and strictly outside the current pins (InvariantError),
+    which for the one new pin per end is also the distinct-abscissa check;
+    |dv| <= bound * dx (ValueError, as the constructor checks a segment) and
+    |dv| = bound * dx up to rounding (InvariantError); the tail the segment
+    sets within the bound (ValueError, as _set_pins checks it)."""
     if not (math.isfinite(x) and math.isfinite(v)):
         raise ValueError("pins must be finite")
     dx = side * (x - xe)
@@ -81,17 +79,15 @@ class PinnedPiecewiseLinear(PlantFunction):
     Adjacent pins must satisfy |dv| <= slope_bound * dx. Between pins the
     function interpolates; beyond the outermost pins it continues the end
     segments, and around a single pin it is the V of slopes -/+slope_bound.
-    With full_slope every segment must run at +/-slope_bound, not merely
-    within it (InvariantError otherwise).
     """
 
-    def __init__(self, slope_bound: float, pins, full_slope: bool = False):
+    def __init__(self, slope_bound: float, pins):
         if not 0 < slope_bound < math.inf:
             raise ValueError("slope_bound must be positive and finite")
         pts = sorted((float(x), float(v)) for x, v in pins)
         if not pts:
             raise ValueError("need at least one pin")
-        _check_segments(slope_bound, pts, full_slope)
+        _check_segments(slope_bound, pts)
         self._set_pins(float(slope_bound), np.array([p[0] for p in pts]),
                        np.array([p[1] for p in pts]))
 
@@ -199,30 +195,32 @@ class OnlineAdversary:
         X(t+1) = A @ fvals + U(t) + W(t)
     or, as one plant step that writes X(t+1) and Z(t) into the given rows,
         adv.advance(t, X(t), U(t), W(t), x_next, z)
-    It keeps the running hull [lo, hi], i0_width and each step's growth
-    chi, all the certificate reads. The committed function only gains pins
-    outside the previous hull, so revealed values never change.
+    Step 0 takes the X(0) the adversary was built with. It keeps the running
+    hull [lo, hi], i0_width and each step's growth chi, all the certificate
+    reads. The committed function only gains pins outside the previous
+    hull, so revealed values never change.
 
-    Step 0 builds its candidates with PinnedPiecewiseLinear and seeds two
-    pin buffers, abscissae and values, from the committed one; the committed
-    pins are buf[l:r], with free slots at both ends. Each later step writes
-    the probe's one or two new end pins into slots l-1 and r, checks the new
-    end segments at full slope (_check_end_pin) and evaluates f(X(t)) with
+    The pins live in two buffers, abscissae and values; the committed pins
+    are buf[l:r], with free slots at both ends. Every step writes the
+    probe's one or two new end pins into slots l-1 and r, checks the new end
+    segments at full slope (_check_end_pin) and evaluates f(X(t)) with
     np.interp over the view of the grown pins. If the probe is not taken it
     overwrites the same slots with the mirror values (both add +/-B * growth
-    to the same end values) and evaluates again. Committing moves only l and
-    r; a side out of slots copies the pins, centred, into buffers twice as
-    large. np.interp reads only the pins that bracket each state, and the
-    tails are never read (the pins span X(t) and the old hull), so the
-    values are those of the whole function. The function property builds a
-    PinnedPiecewiseLinear over buf[l:r] when read.
+    to the same end values) and evaluates again. Step 0 grows one seed pin
+    at lo, +1 on the probe and -1 on the mirror, to hi. Committing moves
+    only l and r; a side out of slots copies the pins, centred, into buffers
+    twice as large. np.interp reads only the pins that bracket each state,
+    and the tails are never read (the pins span X(t) and the old hull), so
+    the values are those of the whole function. The function property
+    builds a PinnedPiecewiseLinear over buf[l:r] when read.
 
     The outermost pins sit at the running hull's ends: step 0 pins lo and hi
     (one pin when |I_0| = 0), and each later step pins the new hi and/or the
     new lo. So f(prev_hi) and f(prev_lo) are read off the end pins, not
     evaluated, and a taken probe returns the f(X(t)) its probe value used.
-    A NaN state never exceeds the hull, so it grows nothing; a NaN at the
-    attacked node fails its escape check.
+    X(0) must be finite (ValueError); a later NaN state never exceeds the
+    hull, so it grows nothing, and a NaN at the attacked node fails its
+    escape check.
     """
 
     def __init__(self, graph: WeightedDigraph, x0):
@@ -230,6 +228,8 @@ class OnlineAdversary:
         x0 = np.asarray(x0, dtype=float)
         if x0.shape != (graph.n,):
             raise ValueError(f"x0 must have shape ({graph.n},)")
+        if not np.isfinite(x0).all():
+            raise ValueError("x0 must be finite")
         self.graph = graph
         self.B = slope_budget(graph)
         self.lo, self.hi = float(x0.min()), float(x0.max())
@@ -242,9 +242,9 @@ class OnlineAdversary:
         # strongly connected graph gives every node one
         self._target = [graph.out_neighbors(j)[0] for j in range(graph.n)]
         self._rows = list(graph.weights)
-        self._xs = self._vs = None   # the pin buffers, from step 0 on
-        self._l = self._r = 0        # the committed pins are buf[l:r]
-        self._bound = self.B         # the slope bound the pins are checked at
+        # the seed pin step 0 grows, at hi when |I_0| = 0; step 0 sets its value
+        self._place(np.array([self.lo if self.i0_width > 0.0 else self.hi]),
+                    np.ones(1), _PIN_BUFFER)
         self._fn: PinnedPiecewiseLinear | None = None
 
     @property
@@ -252,10 +252,10 @@ class OnlineAdversary:
         """The committed function over buf[l:r], built on the first read
         after a step and held until the next step."""
         if self._fn is None:
-            if self._xs is None:
+            if not self._t:
                 raise ValueError("no branch committed yet; run step(0, ...) first")
             fn = object.__new__(PinnedPiecewiseLinear)
-            fn._set_pins(self._bound, self._xs[self._l:self._r],
+            fn._set_pins(self.B, self._xs[self._l:self._r],
                          self._vs[self._l:self._r])
             self._fn = fn
         return self._fn
@@ -274,7 +274,8 @@ class OnlineAdversary:
         self._l, self._r = l, l + m
 
     def step(self, t: int, x_t, u_t, w_t) -> np.ndarray:
-        """Commit a branch for time t and return f(X(t)) under it."""
+        """Commit a branch for time t and return f(X(t)) under it: the new
+        end pins at hi and/or lo, written into the buffers' free end slots."""
         if t != self._t:
             raise ValueError(f"steps must be sequential; expected t={self._t}")
         x_t = np.asarray(x_t, dtype=float)
@@ -283,79 +284,65 @@ class OnlineAdversary:
         n = self.graph.n
         if x_t.shape != (n,) or u_t.shape != (n,) or w_t.shape != (n,):
             raise ValueError(f"step arrays must have shape ({n},)")
-        fvals, branch, d = (self._first(x_t, u_t, w_t) if t == 0
-                            else self._grow(t, x_t, u_t, w_t))
-        self.branches.append(branch)
-        self.attacked.append(d)
-        self._t += 1
-        return fvals
-
-    def _first(self, x_t, u_t, w_t):
-        """Step 0: the candidates through the pins at lo and hi, built and
-        checked by PinnedPiecewiseLinear; seeds the buffers."""
-        lo, hi, i0 = self.lo, self.hi, self.i0_width
-        d = self._target[int(np.argmax(x_t))]
-        p_pins = [(lo, 1.0), (hi, 1.0 + self.B * i0)] if i0 > 0.0 else [(hi, 1.0)]
-        fn = PinnedPiecewiseLinear(self.B, p_pins, full_slope=True)
-        fvals = np.asarray(fn(x_t), dtype=float)
-        v_p = float(self._rows[d] @ fvals + u_t[d] + w_t[d])
-        branch = "p" if abs(v_p - 0.5 * (lo + hi)) >= self.sharp + _B_SHARP * i0 else "n"
-        if branch == "n":
-            fn = PinnedPiecewiseLinear(self.B, [(x, -v) for x, v in p_pins],
-                                       full_slope=True)
-            fvals = np.asarray(fn(x_t), dtype=float)
-        self._fn = fn
-        self._place(fn._xs, fn._vs, _PIN_BUFFER)
-        return fvals, branch, d
-
-    def _grow(self, t: int, x_t, u_t, w_t):
-        """Step t >= 1: the new end pins at hi and/or lo, written into the
-        buffers' free end slots."""
-        xl = x_t.tolist()
-        prev_lo, prev_hi = self.lo, self.hi
-        self.hi = hi = max(prev_hi, *xl)
-        self.lo = lo = min(prev_lo, *xl)
-        r_t, l_t = hi - prev_hi, prev_lo - lo
-        chi_t = max(r_t, l_t)
-        self.chi.append(chi_t)
-        if chi_t <= 0.0:
-            raise InvariantError(f"hull did not grow at step {t}")
-        d_prev = self.attacked[-1]
-        xd = xl[d_prev]
-        if not max(xd - prev_hi, prev_lo - xd) > 0.0:
-            raise InvariantError(
-                f"attacked node {d_prev} failed to escape the hull at step {t}")
-        # the target is the out-neighbour of the node at the end that grew more
-        d = self._target[xl.index(hi if r_t >= l_t else lo)]
+        if t:
+            xl = x_t.tolist()
+            prev_lo, prev_hi = self.lo, self.hi
+            self.hi = hi = max(prev_hi, *xl)
+            self.lo = lo = min(prev_lo, *xl)
+            r_t, l_t = hi - prev_hi, prev_lo - lo
+            chi_t = max(r_t, l_t)
+            self.chi.append(chi_t)
+            if chi_t <= 0.0:
+                raise InvariantError(f"hull did not grow at step {t}")
+            d_prev = self.attacked[-1]
+            xd = xl[d_prev]
+            if not max(xd - prev_hi, prev_lo - xd) > 0.0:
+                raise InvariantError(
+                    f"attacked node {d_prev} failed to escape the hull at step {t}")
+            # the target is the out-neighbour of the node at the end that grew more
+            d = self._target[xl.index(hi if r_t >= l_t else lo)]
+            threshold = _B_SHARP * chi_t
+        else:
+            # the seed pin grows to hi; the target is the first node's at hi
+            lo, hi, r_t, l_t = self.lo, self.hi, self.i0_width, 0.0
+            d = self._target[int(np.argmax(x_t))]
+            threshold = self.sharp + _B_SHARP * r_t
         self._fn = None
 
         if (l_t > 0.0 and self._l == 0) or (r_t > 0.0 and self._r == self._xs.size):
             self._place(self._xs[self._l:self._r], self._vs[self._l:self._r],
                         2 * self._xs.size)
         xs, vs, l, r = self._xs, self._vs, self._l, self._r
-        bound = self._bound
         # the end pins sit at prev_hi and prev_lo (see the class docstring)
         if r_t > 0.0:
             xs[r] = hi
-            top, push_r, xe_r = float(vs[r - 1]), self.B * r_t, float(xs[r - 1])
+            push_r, xe_r = self.B * r_t, float(xs[r - 1])
         if l_t > 0.0:
             xs[l - 1] = lo
-            bot, push_l, xe_l = float(vs[l]), self.B * l_t, float(xs[l])
+            push_l, xe_l = self.B * l_t, float(xs[l])
         nl, nr = l - (l_t > 0.0), r + (r_t > 0.0)
-        row, mid, threshold = self._rows[d], 0.5 * (lo + hi), _B_SHARP * chi_t
-        for branch in "pn":   # the probe, then its mirror if it is not taken
+        row, mid = self._rows[d], 0.5 * (lo + hi)
+        # the probe, then its mirror if it is not taken
+        for branch, sign in (("p", 1.0), ("n", -1.0)):
+            if not t:
+                vs[l] = sign   # the seed pin
             if r_t > 0.0:
-                vs[r] = v = top + push_r if branch == "p" else top - push_r
-                _check_end_pin(bound, xe_r, top, hi, v, 1.0)
+                top = float(vs[r - 1])
+                vs[r] = v = top + sign * push_r
+                _check_end_pin(self.B, xe_r, top, hi, v, 1.0)
             if l_t > 0.0:
-                vs[l - 1] = v = bot + push_l if branch == "p" else bot - push_l
-                _check_end_pin(bound, xe_l, bot, lo, v, -1.0)
+                bot = float(vs[l])
+                vs[l - 1] = v = bot + sign * push_l
+                _check_end_pin(self.B, xe_l, bot, lo, v, -1.0)
             fvals = np.interp(x_t, xs[nl:nr], vs[nl:nr])
             if (branch == "n" or abs(float(row @ fvals + u_t[d] + w_t[d]) - mid)
                     >= threshold):
                 break
         self._l, self._r = nl, nr
-        return fvals, branch, d
+        self.branches.append(branch)
+        self.attacked.append(d)
+        self._t += 1
+        return fvals
 
     def advance(self, t: int, x_t, u_t, w_t, x_next, z):
         """(X(t+1), Z(t)) under the branch committed for time t; the committed

@@ -21,7 +21,7 @@ from .capacity import (estimate_dagger, simulate_scalar_recursion,
                        threshold_sweep, xie_guo_constant)
 from .config import ConfigError, ExperimentConfig, read_json
 from .graphs import WeightedDigraph, build_canonical
-from .runner import run_experiment, write_outputs
+from .runner import _write_json, run_experiment, write_outputs
 
 MAX_GRID_POINTS = 100_000   # largest start:stop:step grid a sweep accepts
 
@@ -115,9 +115,7 @@ def _cmd_sweep(args) -> int:
     report = threshold_sweep(cfg, grid, trials=args.trials)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "sweep.json"), "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(args.out, "sweep.json"), report)
     _emit(report)
     return 0
 

@@ -29,6 +29,7 @@ ExperimentConfig checks that when the config is built.
 
 import json
 import os
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,11 +183,19 @@ def _run_result(config: ExperimentConfig, controller: Controller, plant,
 _WRITE_BLOCK = 256   # time rows of trajectory.csv formatted at once
 
 
+def _write_json(path, obj):
+    """obj as indented JSON with sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_outputs(result: RunResult, out_dir) -> dict:
     """trajectory.csv, summary.json and, for adversary runs,
-    certificate.json. Node ids are 1-based; floats carry 17 significant
-    digits so they round-trip. The final row block holds the terminal state
-    with empty u, z, w fields."""
+    certificate.json; a run without a certificate removes the
+    certificate.json an earlier run left in out_dir. Node ids are 1-based;
+    floats carry 17 significant digits so they round-trip. The final row
+    block holds the terminal state with empty u, z, w fields."""
     os.makedirs(out_dir, exist_ok=True)
     log = result.log
     steps, n = log.t, log.n
@@ -207,12 +216,12 @@ def write_outputs(result: RunResult, out_dir) -> dict:
             fh.write(row * (e - s) % tuple(block.ravel().tolist()))
         fh.write("".join(["%d,%d,%.17g,,,\n" % (steps, i, v)
                           for i, v in enumerate(x[steps].tolist(), 1)]))
-    with open(paths["summary"], "w") as fh:
-        json.dump(result.summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    if result.certificate is not None:
-        paths["certificate"] = os.path.join(out_dir, "certificate.json")
-        with open(paths["certificate"], "w") as fh:
-            json.dump(result.certificate.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    _write_json(paths["summary"], result.summary)
+    certificate = os.path.join(out_dir, "certificate.json")
+    if result.certificate is None:
+        with suppress(FileNotFoundError):
+            os.remove(certificate)
+    else:
+        paths["certificate"] = certificate
+        _write_json(certificate, result.certificate.to_dict())
     return paths

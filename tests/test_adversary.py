@@ -107,8 +107,6 @@ def test_extension_rejects_what_a_rebuild_rejects():
     # every new segment must run at full slope, not merely within it
     with pytest.raises(InvariantError, match="drifted"):
         check(right, (2.0, 8.0))
-    with pytest.raises(InvariantError, match="drifted"):
-        PinnedPiecewiseLinear(4.0, [(1.0, 5.0), (2.0, 8.0)], full_slope=True)
     check(right, (2.0, 9.0))
     check(left, (-1.0, -3.0))
     check(left, (-1.0, 5.0))               # slope -4
@@ -126,21 +124,25 @@ def test_extension_matches_a_rebuild():
         for t in range(8):
             x = g.weights @ adv.step(t, x, zeros, zeros)
             fn = adv.function
-            ref = PinnedPiecewiseLinear(adv.B, fn.pins, full_slope=True)
+            ref = PinnedPiecewiseLinear(adv.B, fn.pins)
+            _check_feasible(ref, adv.B)
             assert _bits(fn) == _bits(ref), (x0, t)
             beyond = np.array([adv.lo - 1.0, adv.hi + 1.0])
             assert fn(beyond).tobytes() == ref(beyond).tobytes(), (x0, t)
         assert len(fn.pins) > 2
 
 
-def test_commit_checks_full_slope():
+def test_commit_checks_full_slope(monkeypatch):
     g = build_canonical("cycle", 3)
     x0 = np.array([0.0, 0.5, 1.0])
     adv = OnlineAdversary(g, x0)
     zeros = np.zeros(3)
     x1 = g.weights @ adv.step(0, x0, zeros, zeros)
     pins = adv.function.pins
-    adv.B *= 0.9     # new pins now sit inside the slope budget, not on it
+    # checked at B / 0.9, the new pins sit inside the slope budget, not on it
+    check = netfeedback.adversary._check_end_pin
+    monkeypatch.setattr(netfeedback.adversary, "_check_end_pin",
+                        lambda bound, *pin: check(bound / 0.9, *pin))
     with pytest.raises(InvariantError, match="drifted"):
         adv.step(1, x1, zeros, zeros)
     assert adv.function.pins == pins       # the committed pins are unchanged
@@ -441,6 +443,16 @@ def test_adversary_preconditions():
         OnlineAdversary(g, [0.0, 0.0])
 
 
+def test_non_finite_start_is_refused():
+    # X(0) must be finite; a NaN would otherwise sort nowhere in the hull
+    g = build_canonical("cycle", 3)
+    zeros = np.zeros(3)
+    for x0 in ([math.nan, 0.0, 1.0], [math.nan] * 3, [math.inf, 0.0, 1.0]):
+        with pytest.raises(ValueError):
+            adv = OnlineAdversary(g, x0)
+            adv.step(0, np.array(x0), zeros, zeros)
+
+
 def test_steps_must_be_sequential():
     g = build_canonical("cycle", 3)
     x0 = np.array([0.0, 0.5, 1.0])
@@ -504,7 +516,9 @@ class _EvalAdversary:
 
     def _candidate(self, new_pins):
         if self.function is None:
-            return PinnedPiecewiseLinear(self.B, new_pins, full_slope=True)
+            fn = PinnedPiecewiseLinear(self.B, new_pins)
+            _check_feasible(fn, self.B)
+            return fn
         xs, vs = self.function._xs, self.function._vs
         left = sorted(p for p in new_pins if p[0] < xs[0])
         right = sorted(p for p in new_pins if p[0] > xs[-1])
@@ -605,9 +619,9 @@ def _probe_from_pins(adv, committed, new_pins):
 
 
 def test_extension_replays_full_rebuild_bit_for_bit(monkeypatch):
-    # the step writes no probe object: from step 1 on, its probe is read off
-    # the end pins it checks (the first of them in a step are the probe's);
-    # step 0 builds its candidates with the constructor, as the oracle does
+    # the step writes no probe object: its probe is read off the end pins it
+    # checks (the first of them in a step are the probe's); step 0's probe
+    # grows the seed pin, +1 at lo, to hi
     written = _spy_end_pins(monkeypatch)
     both_sides = single_pin = 0
     branches = set()
@@ -623,7 +637,8 @@ def test_extension_replays_full_rebuild_bit_for_bit(monkeypatch):
         new = OnlineAdversary(cfg.graph, x[0])
         ref = _RebuildAdversary(cfg.graph, x[0])
         led = IntervalLedger(x[0])
-        committed = ()
+        lo = hi = float(x[0].min())
+        committed = ((lo, 1.0),)
         for t in range(res.summary["steps_run"]):
             written.clear()
             fv_new = new.step(t, x[t], u[t], w[t])
@@ -632,19 +647,18 @@ def test_extension_replays_full_rebuild_bit_for_bit(monkeypatch):
             assert _bits(new.function) == _bits(ref.function), (kind, t)
             assert new.branches[-1] == ref.branches[-1], (kind, t)
             assert new.attacked[-1] == ref.attacked[-1], (kind, t)
+            # one new pin per hull end that moved; before step 0 the hull is
+            # the seed pin's
             grown = len(ref.probes[-1].pins) - len(committed)
-            if t == 0:
-                assert written == []
-                probe = ref.probes[-1] if new.branches[-1] == "p" else None
-            else:
-                assert 1 <= grown <= 2, (kind, t)
-                assert len(written) == grown * (1 if new.branches[-1] == "p" else 2)
-                probe = _probe_from_pins(new, committed, written[:grown])
-            if probe is not None:
-                assert _bits(probe) == _bits(ref.probes[-1]), (kind, t)
-                d = new.attacked[-1]
-                assert _probe_value(new, probe, d, x[t], u[t], w[t]) == \
-                    _probe_value(ref, ref.probes[-1], d, x[t], u[t], w[t])
+            prev_lo, prev_hi = lo, hi
+            lo, hi = min(lo, float(x[t].min())), max(hi, float(x[t].max()))
+            assert grown == (hi > prev_hi) + (lo < prev_lo), (kind, t)
+            assert len(written) == grown * (1 if new.branches[-1] == "p" else 2)
+            probe = _probe_from_pins(new, committed, written[:grown])
+            assert _bits(probe) == _bits(ref.probes[-1]), (kind, t)
+            d = new.attacked[-1]
+            assert _probe_value(new, probe, d, x[t], u[t], w[t]) == \
+                _probe_value(ref, ref.probes[-1], d, x[t], u[t], w[t])
             # X(t) lies between the outermost pins of the probe and of the
             # committed function, so neither reads its tails
             for fn in (ref.probes[-1], new.function):
@@ -660,6 +674,25 @@ def test_extension_replays_full_rebuild_bit_for_bit(monkeypatch):
     assert both_sides > 0          # new pins at both ends in one step
     assert branches == {"p", "n"}
     assert single_pin == 1         # the |I_0| = 0 start
+
+
+def test_a_run_builds_no_function(monkeypatch):
+    # every step, step 0 included, commits into the pin buffers: a run calls
+    # the constructor of PinnedPiecewiseLinear not once
+    calls = []
+    init = PinnedPiecewiseLinear.__init__
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        return init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PinnedPiecewiseLinear, "__init__", spy)
+    for x0 in ({"seed": 3, "scale": 1.0}, [0.3] * 3):
+        res = run_experiment(ExperimentConfig({
+            "graph": {"kind": "cycle", "n": 3}, "adversary": True,
+            "controller": {"kind": "network_flow"}, "horizon": 2000, "x0": x0}))
+        assert res.summary["steps_run"] > 1
+    assert calls == []
 
 
 def _adversary_configs():
@@ -734,7 +767,7 @@ def test_pin_buffers_regrow_at_both_ends(monkeypatch):
     place = OnlineAdversary._place
 
     def spy(self, xs, vs, size):
-        if self._xs is not None:      # a regrow, not step 0's seeding
+        if hasattr(self, "_xs"):      # a regrow, not the seeding in __init__
             grown.append((self._l == 0, self._r == self._xs.size))
         return place(self, xs, vs, size)
 

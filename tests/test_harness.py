@@ -696,6 +696,26 @@ def test_adversary_outputs_include_certificate(tmp_path):
     assert len(cert["chi"]) >= 2
 
 
+def test_run_without_certificate_removes_a_stale_one(tmp_path):
+    # an adversary run, then a model-plant run into the same directory: the
+    # second summary says "certificate": null, so no certificate.json may
+    # stay beside it; other files are left alone
+    raw = _cfg(adversary=True, horizon=20,
+               observation={"mode": "direct", "d0": 0.0},
+               disturbance={"w_star": 0.0, "generator": "zero"})
+    del raw["function"]
+    write_outputs(run_experiment(ExperimentConfig(raw)), tmp_path)
+    (tmp_path / "notes.txt").write_text("kept\n")
+    assert (tmp_path / "certificate.json").exists()
+    res = run_experiment(ExperimentConfig(_cfg(horizon=20)))
+    paths = write_outputs(res, tmp_path)
+    assert json.load(open(paths["summary"]))["certificate"] is None
+    assert "certificate" not in paths
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "notes.txt", "summary.json", "trajectory.csv"]
+    write_outputs(res, tmp_path)     # nothing to remove the second time
+
+
 def _fmt(v) -> str:
     return "%.17g" % float(v)
 
